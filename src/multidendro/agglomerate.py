@@ -10,6 +10,12 @@ procedure and returns the set of distinct outcomes.
 
 Ties are decided on comparison values (see proximity.comparison_value);
 recorded heights always keep the raw full-precision numbers.
+
+Both clustering engines work on a ``ClusterState``: a square working matrix
+of raw distances and one of comparison values, indexed by slot. After a
+merge only the rows and columns of the new clusters are rewritten, so an
+iteration costs one vectorised scan for the minimum plus the distances that
+actually change.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import (
     EmptyInput,
@@ -113,37 +121,124 @@ class Cluster:
 
 @dataclass
 class ClusterState:
-    """Active clusters plus the current between-cluster distances.
+    """Active clusters plus the working distance matrix.
 
-    ``dist`` holds raw values keyed by (low id, high id); ``keys`` holds the
-    matching comparison values under ``precision``.
+    ``dist`` and ``keys`` are square float64 arrays over slots: ``dist``
+    holds raw distances (zero diagonal) and ``keys`` the matching comparison
+    values under ``precision``. Each active cluster owns one slot
+    (``slot[cid]``; ``cid_at`` is the inverse). A merged cluster takes over
+    the slot of its first constituent; the other constituents' rows and
+    columns of ``keys`` are set to inf, like its diagonal, so ``keys.min()``
+    is always the shortest live comparison value. Values leave the arrays as
+    Python floats.
     """
 
     clusters: dict
-    dist: dict
-    keys: dict
+    dist: np.ndarray
+    keys: np.ndarray
+    slot: dict
+    cid_at: list
     precision: "int | None" = None
     iteration: int = 0
 
     @classmethod
     def from_matrix(cls, matrix):
+        n = matrix.n
         clusters = {
             i: Cluster(i, (i,), Leaf(i, matrix.labels[i]))
-            for i in range(matrix.n)
+            for i in range(n)
         }
-        dist = {}
-        keys = {}
-        for i, j, v in matrix.pairs():
-            dist[(i, j)] = v
-            keys[(i, j)] = comparison_value(v, matrix.precision)
-        return cls(clusters, dist, keys, precision=matrix.precision)
+        values = np.array(matrix.values, dtype=np.float64)
+        if matrix.precision is None:
+            key_values = values
+        else:
+            # a comparison value depends on the float alone, so one call
+            # per distinct value is exact
+            distinct, inverse = np.unique(values, return_inverse=True)
+            key_values = np.array(
+                [comparison_value(v, matrix.precision) for v in distinct.tolist()],
+                dtype=np.float64,
+            )[inverse]
+        rows, cols = np.triu_indices(n, 1)
+        dist = np.zeros((n, n))
+        dist[rows, cols] = values
+        dist[cols, rows] = values
+        keys = np.full((n, n), np.inf)
+        keys[rows, cols] = key_values
+        keys[cols, rows] = key_values
+        return cls(clusters, dist, keys, {i: i for i in range(n)},
+                   list(range(n)), precision=matrix.precision)
 
     def shortest(self):
-        """(raw value, comparison value, tied edges) of the current minimum."""
-        low_key = min(self.keys.values())
-        edges = [pair for pair, k in self.keys.items() if k == low_key]
-        low_raw = min(self.dist[pair] for pair in edges)
-        return low_raw, low_key, edges
+        """(raw value, comparison value, tied edges) of the current minimum.
+
+        Edges are (low cid, high cid) pairs; the raw value is the smallest
+        raw distance among them.
+        """
+        low_key = float(self.keys.min())
+        rows, cols = self._tied_slots(low_key)
+        low_raw = float(self.dist[rows, cols].min())
+        return low_raw, low_key, self._edges(rows, cols)
+
+    def tied_edges(self, key):
+        """(low cid, high cid) of every active pair at comparison value key."""
+        return self._edges(*self._tied_slots(key))
+
+    def _tied_slots(self, key):
+        rows, cols = np.nonzero(self.keys == key)
+        upper = rows < cols
+        return rows[upper], cols[upper]
+
+    def _edges(self, rows, cols):
+        cid_at = self.cid_at
+        edges = []
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            a, b = cid_at[r], cid_at[c]
+            edges.append((a, b) if a < b else (b, a))
+        return edges
+
+    def block(self, row_cids, col_cids):
+        """Raw distances between two lists of clusters, as nested lists."""
+        slot = self.slot
+        index = np.ix_([slot[c] for c in row_cids], [slot[c] for c in col_cids])
+        return self.dist[index].tolist()
+
+    def distances_from(self, cid):
+        """{other active cid: raw distance} for one active cluster."""
+        row = self.dist[self.slot[cid]].tolist()
+        return {other: row[s] for other, s in self.slot.items() if other != cid}
+
+    def merge(self, formed, values):
+        """Replace constituents by merged clusters and store new distances.
+
+        ``formed`` lists (new Cluster, constituent cids); the new cluster
+        takes over its first constituent's slot. ``values`` maps a pair of
+        active cids to its raw distance and must cover every pair that
+        touches a new cluster; all other entries stay as they are.
+        """
+        for cluster, parts in formed:
+            home = self.slot[parts[0]]
+            for cid in parts:
+                del self.clusters[cid]
+                gone = self.slot.pop(cid)
+                if gone != home:
+                    self.keys[gone, :] = np.inf
+                    self.keys[:, gone] = np.inf
+            self.clusters[cluster.cid] = cluster
+            self.slot[cluster.cid] = home
+            self.cid_at[home] = cluster.cid
+        if not values:
+            return
+        rows = [self.slot[a] for a, _ in values]
+        cols = [self.slot[b] for _, b in values]
+        raw = list(values.values())
+        if self.precision is None:
+            key_values = raw
+        else:
+            key_values = [comparison_value(v, self.precision) for v in raw]
+        for table, new in ((self.dist, raw), (self.keys, key_values)):
+            table[rows, cols] = new
+            table[cols, rows] = new
 
 
 def tie_groups(state, d_lower):
@@ -154,9 +249,8 @@ def tie_groups(state, d_lower):
     their members come back ordered by smallest leaf index.
     """
     ds = DisjointSet(state.clusters)
-    for (a, b), k in state.keys.items():
-        if k == d_lower:
-            ds.union(a, b)
+    for a, b in state.tied_edges(d_lower):
+        ds.union(a, b)
     buckets = {}
     for cid in state.clusters:
         buckets.setdefault(ds.find(cid), []).append(cid)
@@ -275,15 +369,14 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     state = ClusterState.from_matrix(matrix)
     records = []
     next_id = matrix.n
+    low = state.shortest()
 
     while len(state.clusters) > 1:
         state.iteration += 1
-        d_lower_raw, d_lower_key, _ = state.shortest()
+        d_lower_raw, d_lower_key, _ = low
         groups = tie_groups(state, d_lower_key)
 
-        new_clusters = {}
-        constituents = {}  # new cid -> list of old Clusters
-        within_cache = {}  # new cid -> within distance matrix of constituents
+        formed = []  # (merged Cluster, constituent Clusters, within matrix)
         group_records = []
         reversal = False
 
@@ -291,20 +384,12 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             members = [state.clusters[cid] for cid in grp]
             if len(grp) == 1:
                 c = members[0]
-                new_clusters[c.cid] = c
-                constituents[c.cid] = members
-                within_cache[c.cid] = ((0.0,),)
                 group_records.append(GroupRecord(
                     cluster_id=c.cid, member_ids=grp, leaves=c.members,
                     h_lower=None, h_upper=None, fusion=None))
                 continue
             k = len(members)
-            within = [[0.0] * k for _ in range(k)]
-            for a, b in combinations(range(k), 2):
-                v = _lookup(state.dist, members[a].cid, members[b].cid)
-                within[a][b] = v
-                within[b][a] = v
-            within = tuple(tuple(row) for row in within)
+            within = state.block(grp, grp)
             pair_values = [within[a][b] for a, b in combinations(range(k), 2)]
             h_lower = min(pair_values)
             h_upper = max(pair_values)
@@ -327,40 +412,18 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 node,
             )
             next_id += 1
-            new_clusters[merged.cid] = merged
-            constituents[merged.cid] = members
-            within_cache[merged.cid] = within
+            formed.append((merged, members, within))
             group_records.append(GroupRecord(
                 cluster_id=merged.cid, member_ids=grp, leaves=merged.members,
                 h_lower=h_lower, h_upper=h_upper, fusion=fusion))
 
-        merged_ids = {cid for cid in new_clusters if cid not in state.clusters}
-        new_dist = {}
-        new_keys = {}
-        ids = sorted(new_clusters)
-        for a, b in combinations(ids, 2):
-            if a not in merged_ids and b not in merged_ids:
-                new_dist[(a, b)] = _lookup(state.dist, a, b)
-                new_keys[(a, b)] = _lookup(state.keys, a, b)
-                continue
-            left = constituents[a]
-            right = constituents[b]
-            blocks = BlockView(
-                sizes_i=[c.size for c in left],
-                sizes_j=[c.size for c in right],
-                cross=[[_lookup(state.dist, ca.cid, cb.cid) for cb in right]
-                       for ca in left],
-                within_i=within_cache[a],
-                within_j=within_cache[b],
-            )
-            v = vg_distance(method, blocks)
-            new_dist[(a, b)] = v
-            new_keys[(a, b)] = comparison_value(v, state.precision)
-
-        state.clusters = new_clusters
-        state.dist = new_dist
-        state.keys = new_keys
-        d_next = state.shortest()[0] if new_dist else None
+        values = _group_update(state, formed, method)
+        state.merge([(m, tuple(c.cid for c in parts)) for m, parts, _ in formed],
+                    values)
+        d_next = None
+        if len(state.clusters) > 1:
+            low = state.shortest()
+            d_next = low[0]
         records.append(IterationRecord(
             index=state.iteration, d_lower=d_lower_raw,
             groups=tuple(group_records), d_next=d_next, reversal=reversal))
@@ -372,8 +435,38 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     return tree, trace
 
 
-def _lookup(table, a, b):
-    return table[(a, b) if a < b else (b, a)]
+_SINGLE_WITHIN = ((0.0,),)
+
+
+def _group_update(state, formed, method):
+    """Distances from each newly merged cluster to every other survivor.
+
+    Clusters that did not merge keep their distances to each other. Block I
+    is always the cluster with the lower id: an unmerged cluster against a
+    merged one, or the earlier of two merged ones.
+    """
+    absorbed = {c.cid for _, parts, _ in formed for c in parts}
+    kept = [c for cid, c in state.clusters.items() if cid not in absorbed]
+    kept_ids = [c.cid for c in kept]
+    values = {}
+    for t, (merged, parts, within) in enumerate(formed):
+        part_ids = [c.cid for c in parts]
+        sizes = [c.size for c in parts]
+        for other, cross in zip(kept, state.block(kept_ids, part_ids)):
+            blocks = BlockView(sizes_i=(other.size,), sizes_j=sizes,
+                               cross=(cross,), within_i=_SINGLE_WITHIN,
+                               within_j=within)
+            values[(other.cid, merged.cid)] = vg_distance(method, blocks)
+        for later, later_parts, later_within in formed[t + 1:]:
+            blocks = BlockView(
+                sizes_i=sizes,
+                sizes_j=[c.size for c in later_parts],
+                cross=state.block(part_ids, [c.cid for c in later_parts]),
+                within_i=within,
+                within_j=later_within,
+            )
+            values[(merged.cid, later.cid)] = vg_distance(method, blocks)
+    return values
 
 
 def _decimals_for(precision):
@@ -401,39 +494,34 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     state = ClusterState.from_matrix(matrix)
     next_id = matrix.n
     while len(state.clusters) > 1:
-        low_key = min(state.keys.values())
-        candidates = sorted(p for p, k in state.keys.items() if k == low_key)
+        candidates = sorted(state.shortest()[2])
         if tiebreak == TIEBREAK_FIRST:
             a, b = candidates[0]
         elif tiebreak == TIEBREAK_LAST:
             a, b = candidates[-1]
         else:
             a, b = rng.choice(candidates)
-        h = state.dist[(a, b)]
-        left = state.clusters.pop(a)
-        right = state.clusters.pop(b)
-        d_left = {cid: _lookup(state.dist, a, cid) for cid in state.clusters}
-        d_right = {cid: _lookup(state.dist, b, cid) for cid in state.clusters}
+        d_left = state.distances_from(a)
+        d_right = state.distances_from(b)
+        h = d_left[b]
+        left = state.clusters[a]
+        right = state.clusters[b]
         node = internal([left.node, right.node], h, h, fusion=h)
         merged = Cluster(next_id, tuple(sorted(left.members + right.members)),
                          node)
         next_id += 1
-        for pair in list(state.dist):
-            if a in pair or b in pair:
-                state.dist.pop(pair)
-                state.keys.pop(pair)
+        values = {}
         for cid, other in state.clusters.items():
-            v = pg_distance(
+            if cid == a or cid == b:
+                continue
+            values[(cid, merged.cid)] = pg_distance(
                 method,
                 (left.size, right.size, other.size),
                 d_between=h,
                 d_left=d_left[cid],
                 d_right=d_right[cid],
             )
-            key = (cid, merged.cid)
-            state.dist[key] = v
-            state.keys[key] = comparison_value(v, state.precision)
-        state.clusters[merged.cid] = merged
+        state.merge([(merged, (a, b))], values)
     root = next(iter(state.clusters.values())).node
     return MultivaluedTree(root=root, labels=matrix.labels, **tags)
 

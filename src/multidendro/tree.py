@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import (
     DuplicateLabel,
@@ -51,12 +52,15 @@ class Internal:
     h_lower: float
     h_upper: float
     fusion: "float | None" = None
+    # smallest leaf index below; stored at construction so that building
+    # a deep tree never walks the subtrees underneath
+    min_leaf: int = field(init=False, compare=False, repr=False)
 
     is_leaf = False
 
-    @property
-    def min_leaf(self):
-        return min(c.min_leaf for c in self.children)
+    def __post_init__(self):
+        object.__setattr__(self, "min_leaf",
+                           min(c.min_leaf for c in self.children))
 
     def leaves(self):
         for child in self.children:
@@ -153,10 +157,12 @@ def validate(tree):
     """Check structural and height axioms.
 
     Hard errors: duplicate or unknown leaves, internal nodes with fewer than
-    two children, negative heights, inverted intervals, zero-height internal
-    nodes, fusion values outside their interval. Height monotonicity failures
-    between nested nodes are reported separately as reversals, since the
-    centroid family can produce them on valid input.
+    two children, negative heights, inverted intervals, fusion values outside
+    their interval. Zero heights are legal: the parser accepts zero
+    distances, and individuals at distance zero merge at height zero.
+    Height monotonicity failures between nested nodes are reported
+    separately as reversals, since the centroid family can produce them on
+    valid input.
     """
     errors = []
     reversals = []
@@ -180,14 +186,6 @@ def validate(tree):
                 "inverted interval [%r, %r] on node %s"
                 % (node.h_lower, node.h_upper, name(node))
             )
-        if node.h_lower == 0.0 or node.h_upper == 0.0:
-            if not (node.h_lower == 0.0 and node.h_upper == 0.0):
-                errors.append("half-zero interval on node %s" % name(node))
-            else:
-                errors.append(
-                    "internal node %s sits at height zero (leaves only there)"
-                    % name(node)
-                )
         if node.fusion is not None and not (
             node.h_lower <= node.fusion <= node.h_upper
         ):
@@ -491,9 +489,25 @@ def _trace_to_dict(trace):
     }
 
 
+# chunks joined at a time; the encoder yields a few per number, and joining
+# them all at once holds every chunk alive next to the finished text
+_JSON_BATCH = 16384
+
+
 def records_to_json(doc):
-    """Deterministic text form of a records document."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic text form of a records document.
+
+    Same text as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+    """
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    parts = []
+    while True:
+        batch = list(islice(chunks, _JSON_BATCH))
+        if not batch:
+            break
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_records(source):

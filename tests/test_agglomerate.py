@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidendro import (
+    METHOD_KINDS,
     ClusterState,
     EmptyInput,
     FusionFallbackWarning,
@@ -378,3 +379,47 @@ def test_enumerated_outcomes_share_leaf_set(toy):
         assert tree.labels == ("x1", "x2", "x3", "x4")
         coph = cophenetic_matrix(tree)
         assert coph.n == 4
+
+
+# ---- sizes beyond the enumerator's reach ----
+
+def cloud_square(n, seed):
+    pts = np.random.default_rng(seed).uniform(0, 10, size=(n, 2))
+    return np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+
+
+@pytest.mark.parametrize("kind, scipy_method", [
+    ("single", "single"),
+    ("complete", "complete"),
+    ("unweighted_average", "average"),
+    ("weighted_average", "weighted"),
+])
+def test_vg_heights_match_scipy_without_ties(kind, scipy_method):
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    square = cloud_square(120, seed=5)
+    condensed_values = square[np.triu_indices(120, 1)]
+    matrix = matrix_from_square(square.tolist())
+    tree, trace = cluster_variable_group(matrix, kind)
+    assert is_tie_free(trace)  # the oracle only speaks for binary merges
+    links = hierarchy.linkage(condensed_values, method=scipy_method)
+    ours = sorted(node.h_lower for node in tree.internal_nodes())
+    theirs = sorted(links[:, 2].tolist())
+    assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-9
+    # same nesting too: leaves first meet at the same heights
+    coph = np.array(cophenetic_matrix(tree).values)
+    assert np.abs(coph - hierarchy.cophenet(links)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_vg_permutation_invariant_at_n60(kind):
+    n = 60
+    square = cloud_square(n, seed=9)
+    labels = tuple("p%d" % i for i in range(n))
+    matrix = matrix_from_square(square.tolist(), labels, precision=1)
+    order = np.random.default_rng(1).permutation(n)
+    shuffled = matrix_from_square(square[np.ix_(order, order)].tolist(),
+                                  [labels[i] for i in order], precision=1)
+    tree, trace = cluster_variable_group(matrix, kind)
+    assert not is_tie_free(trace)  # one-decimal comparison makes ties
+    again, _ = cluster_variable_group(shuffled, kind)
+    assert tree_equal(tree, again, tol=0.0)

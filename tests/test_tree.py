@@ -1,4 +1,6 @@
 import json
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from multidendro import (
     DuplicateLabel,
+    Internal,
     Leaf,
     MultivaluedTree,
     ParseError,
@@ -18,10 +21,13 @@ from multidendro import (
     records_to_json,
     resolve_height,
     to_newick_extended,
+    ZeroDistanceWarning,
+    parse_matrix,
     to_records,
     tree_equal,
     validate_tree,
 )
+from multidendro.tree import _JSON_BATCH
 
 
 def toy_vg_tree(toy, method="unweighted_average", policy="interval"):
@@ -43,6 +49,31 @@ def test_children_sorted_by_smallest_leaf():
     node = internal((c, internal((b, a), 1.0, 1.0)), 2.0, 2.0)
     assert node.children[0].min_leaf == 0
     assert node.children[1].min_leaf == 2
+
+
+def test_min_leaf_is_stored_not_compared():
+    a, b, c = Leaf(0, "a"), Leaf(1, "b"), Leaf(2, "c")
+    node = internal((c, internal((b, a), 1.0, 1.0)), 2.0, 2.0)
+    assert node.min_leaf == 0
+    assert node.children[1].min_leaf == 2
+    # equality and hashing still look at children and heights only
+    same = Internal(node.children, 2.0, 2.0)
+    assert same == node and hash(same) == hash(node)
+    assert internal((a, b), 1.0, 1.0) != internal((a, b), 1.0, 2.0)
+    assert "min_leaf" not in repr(node)
+
+
+def test_deep_caterpillar_builds_without_recursion():
+    # deeper than the recursion limit: building must not walk the subtrees
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    node = Leaf(depth, "x%d" % depth)
+    for i in range(depth - 1, -1, -1):
+        node = internal((node, Leaf(i, "x%d" % i)), float(depth - i),
+                        float(depth - i))
+    assert node.min_leaf == 0
+    assert node.children[0].index == 0
+    assert node.children[1].min_leaf == 1
 
 
 def test_single_child_rejected():
@@ -92,6 +123,29 @@ def test_validate_reports_reversal_without_failing():
     report = validate_tree(MultivaluedTree(root=root, labels=("a", "b", "c")))
     assert report.ok
     assert len(report.reversals) == 1
+
+
+def test_validate_accepts_zero_distance_merge():
+    # the parser warns about zero distances but accepts them, so the tree
+    # they produce must validate: x1 and x2 merge at height zero
+    with pytest.warns(ZeroDistanceWarning):
+        matrix = parse_matrix("0 0 3\n0 0 3\n3 3 0\n")
+    tree, _ = cluster_variable_group(matrix, "complete")
+    assert to_newick_extended(tree) == "((x1,x2)[0.000,0.000],x3)[3.000,3.000];"
+    report = validate_tree(tree)
+    assert report.ok, report.errors
+    assert report.reversals == ()
+
+
+def test_validate_accepts_interval_starting_at_zero():
+    root = internal((Leaf(0, "a"), Leaf(1, "b"), Leaf(2, "c")), 0.0, 3.0)
+    assert validate_tree(MultivaluedTree(root=root, labels=("a", "b", "c"))).ok
+
+
+def test_validate_flags_negative_height():
+    root = internal((Leaf(0, "a"), Leaf(1, "b")), -1.0, 0.0)
+    report = validate_tree(MultivaluedTree(root=root, labels=("a", "b")))
+    assert any("negative" in e for e in report.errors)
 
 
 # ---- equality and cophenetics ----
@@ -254,3 +308,15 @@ def test_records_json_is_stable(toy):
     assert a == b
     assert a.endswith("\n")
     json.loads(a)
+
+
+def test_records_json_matches_dumps_beyond_one_batch():
+    doc = {"merges": [{"id": i, "h": i / 7.0, "members": ["a", "b"],
+                       "fusion": None, "reversal": i % 2 == 0}
+                      for i in range(3000)],
+           "labels": ["x\u00e9", "y"], "alpha": 1.0}
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    assert sum(1 for _ in chunks) > 2 * _JSON_BATCH
+    assert records_to_json(doc) == expected
+    assert records_to_json({}) == "{}\n"
