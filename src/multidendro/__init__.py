@@ -77,7 +77,6 @@ from .tree import (
     Leaf,
     MultivaluedTree,
     TreeReport,
-    ValuedTree,
     cophenetic_matrix,
     internal,
     parse_newick_extended,

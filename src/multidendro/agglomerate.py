@@ -11,11 +11,13 @@ procedure and returns the set of distinct outcomes.
 Ties are decided on comparison values (see proximity.comparison_value);
 recorded heights always keep the raw full-precision numbers.
 
-Both clustering engines work on a ``ClusterState``: a square working matrix
-of raw distances and one of comparison values, indexed by slot. After a
-merge only the rows and columns of the new clusters are rewritten, so an
+All three engines work on a ``ClusterState``: a square working matrix of
+raw distances and one of comparison values, indexed by slot. After a merge
+only the rows and columns of the new clusters are rewritten, so an
 iteration costs one vectorised scan for the minimum plus the distances that
-actually change.
+actually change. The classical engine and the enumerator share one pair
+merge step (``_merge_pair``); the enumerator searches depth first over
+copies of the state, one per tied pair.
 """
 
 from __future__ import annotations
@@ -45,35 +47,36 @@ from .linkage import (
     vg_distance,
 )
 from .proximity import comparison_value
-from .tree import Leaf, MultivaluedTree, internal, single_leaf_tree, to_newick_extended
+from .tree import (
+    Leaf,
+    MultivaluedTree,
+    internal,
+    reversals_between,
+    single_leaf_tree,
+    to_newick_extended,
+)
 
 POLICY_INTERVAL = "interval"
 POLICY_NATURAL = "natural"
 POLICY_SHORTEST = "shortest"
 POLICIES = (POLICY_INTERVAL, POLICY_NATURAL, POLICY_SHORTEST)
-_POLICY_ALIASES = {"interval-only": POLICY_INTERVAL}
 
 TIEBREAK_FIRST = "first"
 TIEBREAK_LAST = "last"
 TIEBREAK_RANDOM = "random"
 TIEBREAKS = (TIEBREAK_FIRST, TIEBREAK_LAST, TIEBREAK_RANDOM)
-_TIEBREAK_ALIASES = {"first-pair": TIEBREAK_FIRST,
-                     "last-pair": TIEBREAK_LAST,
-                     "seeded-random": TIEBREAK_RANDOM}
 
 # natural fusion values exist only where a within-group summary is defined
 _NATURAL_METHODS = (SINGLE, COMPLETE, UNWEIGHTED_AVERAGE, WEIGHTED_AVERAGE)
 
 
 def normalize_policy(policy):
-    policy = _POLICY_ALIASES.get(policy, policy)
     if policy not in POLICIES:
         raise ValueError("unknown fusion policy %r" % (policy,))
     return policy
 
 
 def normalize_tiebreak(tiebreak):
-    tiebreak = _TIEBREAK_ALIASES.get(tiebreak, tiebreak)
     if tiebreak not in TIEBREAKS:
         raise ValueError("unknown tie-break rule %r" % (tiebreak,))
     return tiebreak
@@ -130,7 +133,7 @@ class ClusterState:
     the slot of its first constituent; the other constituents' rows and
     columns of ``keys`` are set to inf, like its diagonal, so ``keys.min()``
     is always the shortest live comparison value. Values leave the arrays as
-    Python floats.
+    Python floats. ``next_id`` is the id the next merged cluster gets.
     """
 
     clusters: dict
@@ -140,6 +143,7 @@ class ClusterState:
     cid_at: list
     precision: "int | None" = None
     iteration: int = 0
+    next_id: int = 0
 
     @classmethod
     def from_matrix(cls, matrix):
@@ -167,7 +171,13 @@ class ClusterState:
         keys[rows, cols] = key_values
         keys[cols, rows] = key_values
         return cls(clusters, dist, keys, {i: i for i in range(n)},
-                   list(range(n)), precision=matrix.precision)
+                   list(range(n)), precision=matrix.precision, next_id=n)
+
+    def copy(self):
+        """An independent state that can be merged on without touching this one."""
+        return ClusterState(dict(self.clusters), self.dist.copy(),
+                            self.keys.copy(), dict(self.slot), list(self.cid_at),
+                            self.precision, self.iteration, self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
@@ -368,7 +378,6 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
     state = ClusterState.from_matrix(matrix)
     records = []
-    next_id = matrix.n
     low = state.shortest()
 
     while len(state.clusters) > 1:
@@ -399,19 +408,15 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                     warnings.simplefilter("ignore", FusionFallbackWarning)
                     fusion = fusion_value([c.size for c in members], within,
                                           method, policy)
-            for c in members:
-                if c.node.h_upper > h_lower:
-                    reversal = True
-                if (c.node.fusion is not None and fusion is not None
-                        and c.node.fusion > fusion):
-                    reversal = True
             node = internal([c.node for c in members], h_lower, h_upper, fusion)
+            if any(reversals_between(c.node, node) for c in members):
+                reversal = True
             merged = Cluster(
-                next_id,
+                state.next_id,
                 tuple(sorted(i for c in members for i in c.members)),
                 node,
             )
-            next_id += 1
+            state.next_id += 1
             formed.append((merged, members, within))
             group_records.append(GroupRecord(
                 cluster_id=merged.cid, member_ids=grp, leaves=merged.members,
@@ -475,6 +480,36 @@ def _decimals_for(precision):
 
 # ---- classical pair-group engine ----
 
+def _merge_pair(state, a, b, method):
+    """Merge active clusters ``a`` and ``b`` at their current distance.
+
+    The new cluster gets ``state.next_id``; its distance to every other
+    survivor comes from the pair-group update. Returns the new Cluster.
+    """
+    d_left = state.distances_from(a)
+    d_right = state.distances_from(b)
+    h = d_left[b]
+    left = state.clusters[a]
+    right = state.clusters[b]
+    node = internal([left.node, right.node], h, h, fusion=h)
+    merged = Cluster(state.next_id, tuple(sorted(left.members + right.members)),
+                     node)
+    state.next_id += 1
+    values = {}
+    for cid, other in state.clusters.items():
+        if cid == a or cid == b:
+            continue
+        values[(cid, merged.cid)] = pg_distance(
+            method,
+            (left.size, right.size, other.size),
+            d_between=h,
+            d_left=d_left[cid],
+            d_right=d_right[cid],
+        )
+    state.merge([(merged, (a, b))], values)
+    return merged
+
+
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     """Classical clustering: one pair per iteration, ties broken by rule.
 
@@ -492,7 +527,6 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
         return single_leaf_tree(matrix.labels[0], **tags)
     rng = random.Random(seed)
     state = ClusterState.from_matrix(matrix)
-    next_id = matrix.n
     while len(state.clusters) > 1:
         candidates = sorted(state.shortest()[2])
         if tiebreak == TIEBREAK_FIRST:
@@ -501,27 +535,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
             a, b = candidates[-1]
         else:
             a, b = rng.choice(candidates)
-        d_left = state.distances_from(a)
-        d_right = state.distances_from(b)
-        h = d_left[b]
-        left = state.clusters[a]
-        right = state.clusters[b]
-        node = internal([left.node, right.node], h, h, fusion=h)
-        merged = Cluster(next_id, tuple(sorted(left.members + right.members)),
-                         node)
-        next_id += 1
-        values = {}
-        for cid, other in state.clusters.items():
-            if cid == a or cid == b:
-                continue
-            values[(cid, merged.cid)] = pg_distance(
-                method,
-                (left.size, right.size, other.size),
-                d_between=h,
-                d_left=d_left[cid],
-                d_right=d_right[cid],
-            )
-        state.merge([(merged, (a, b))], values)
+        _merge_pair(state, a, b, method)
     root = next(iter(state.clusters.values())).node
     return MultivaluedTree(root=root, labels=matrix.labels, **tags)
 
@@ -531,9 +545,12 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
 def enumerate_pair_group(matrix, method, limit=10000):
     """Every distinct tree the classical procedure can produce.
 
-    Explores each tied choice at each iteration, memoizing on the reduced
-    state (cluster sizes plus raw distances), and collapses outcomes whose
-    nesting and heights agree. Raises TooManySolutions once more than
+    Searches depth first over working states, merging each tied pair in turn
+    on a copy of the state. An outcome is the set of (members, height)
+    merges made from a state onward, memoized on the live clusters' members
+    plus their raw distances. Outcomes whose nesting and heights (to 12
+    decimals) agree collapse into one; the one kept has the smallest
+    heights read in postorder. Raises TooManySolutions once more than
     ``limit`` distinct outcomes accumulate.
     """
     method = _as_method(method)
@@ -543,98 +560,74 @@ def enumerate_pair_group(matrix, method, limit=10000):
                 height_decimals=_decimals_for(matrix.precision))
     if matrix.n == 1:
         return (single_leaf_tree(matrix.labels[0], **tags),)
-    precision = matrix.precision
-    n = matrix.n
-    sizes0 = (1,) * n
-    dists0 = tuple(matrix.values)
     memo = {}
 
-    def idx(k, a, b):
-        return a * (2 * k - a - 1) // 2 + (b - a - 1)
-
-    def comp_min(comp):
-        if comp[0] == "atom":
-            return comp[1]
-        return min(comp_min(comp[1]), comp_min(comp[2]))
-
-    def lift(comp, mapping, merged_at, merged_comp):
-        if comp[0] == "atom":
-            old = mapping[comp[1]]
-            return merged_comp if old == merged_at else ("atom", old)
-        left = lift(comp[1], mapping, merged_at, merged_comp)
-        right = lift(comp[2], mapping, merged_at, merged_comp)
-        if comp_min(left) > comp_min(right):
-            left, right = right, left
-        return ("merge", left, right, comp[3])
-
-    def complete(sizes, dists):
-        key = (sizes, dists)
+    def complete(state):
+        live = sorted(state.clusters.values(), key=lambda c: c.min_leaf)
+        if len(live) == 1:
+            return (frozenset(),)
+        slots = [state.slot[c.cid] for c in live]
+        key = (tuple(c.members for c in live),
+               state.dist[np.ix_(slots, slots)].tobytes())
         found = memo.get(key)
         if found is not None:
             return found
-        k = len(sizes)
-        if k == 1:
-            memo[key] = (("atom", 0),)
-            return memo[key]
-        keys = tuple(comparison_value(d, precision) for d in dists)
-        low = min(keys)
-        candidates = [(a, b) for a, b in combinations(range(k), 2)
-                      if keys[idx(k, a, b)] == low]
         acc = set()
-        for a, b in candidates:
-            h = dists[idx(k, a, b)]
-            # merged cluster takes slot a, slot b disappears
-            mapping = [x for x in range(k) if x != b]
-            new_sizes = []
-            for x in mapping:
-                new_sizes.append(sizes[a] + sizes[b] if x == a else sizes[x])
-            new_dists = []
-            for pa in range(k - 1):
-                for pb in range(pa + 1, k - 1):
-                    xa, xb = mapping[pa], mapping[pb]
-                    if xa == a or xb == a:
-                        other = xb if xa == a else xa
-                        new_dists.append(pg_distance(
-                            method,
-                            (sizes[a], sizes[b], sizes[other]),
-                            d_between=dists[idx(k, a, b)],
-                            d_left=dists[idx(k, min(a, other), max(a, other))],
-                            d_right=dists[idx(k, min(b, other), max(b, other))],
-                        ))
-                    else:
-                        new_dists.append(dists[idx(k, xa, xb)])
-            merged_comp = ("merge", ("atom", a), ("atom", b), h)
-            for sub in complete(tuple(new_sizes), tuple(new_dists)):
-                acc.add(lift(sub, mapping, a, merged_comp))
+        pairs = state.shortest()[2]
+        for k, (a, b) in enumerate(pairs):
+            # nothing reads this state after its last pair, so that pair
+            # merges in place; a run without ties then copies nothing
+            after = state if k == len(pairs) - 1 else state.copy()
+            merged = _merge_pair(after, a, b, method)
+            step = frozenset(((merged.members, merged.node.h_lower),))
+            for rest in complete(after):
+                acc.add(rest | step)
                 if len(acc) > limit:
                     raise TooManySolutions(
                         "more than %d tie-break outcomes" % (limit,)
                     )
-        memo[key] = tuple(sorted(acc))
-        return memo[key]
+        memo[key] = acc
+        return acc
 
-    def build(comp):
-        if comp[0] == "atom":
-            return Leaf(comp[1], matrix.labels[comp[1]])
-        return internal([build(comp[1]), build(comp[2])], comp[3], comp[3],
-                        fusion=comp[3])
-
-    def signature(node):
-        if node.is_leaf:
-            return ("leaf", node.index)
-        return ("node", round(node.h_lower, 12),
-                tuple(signature(c) for c in node.children))
-
-    distinct = {}
-    for comp in complete(sizes0, dists0):
-        root = build(comp)
-        sig = signature(root)
-        if sig not in distinct:
-            distinct[sig] = MultivaluedTree(root=root, labels=matrix.labels,
-                                            **tags)
-    if len(distinct) > limit:
+    # outcomes that collapse differ only past 12 decimals; keeping the one
+    # with the smallest postorder heights makes the choice independent of
+    # the order the search met them in
+    kept = {}
+    for merges in complete(ClusterState.from_matrix(matrix)):
+        root = _root_from_merges(merges, matrix.labels)
+        collapsed = frozenset((members, round(h, 12)) for members, h in merges)
+        heights = _postorder_heights(root)
+        if collapsed not in kept or heights < kept[collapsed][0]:
+            kept[collapsed] = (heights, root)
+    if len(kept) > limit:
         raise TooManySolutions("more than %d tie-break outcomes" % (limit,))
-    return tuple(sorted(distinct.values(), key=to_newick_extended))
+    trees = (MultivaluedTree(root=root, labels=matrix.labels, **tags)
+             for _, root in kept.values())
+    return tuple(sorted(trees, key=to_newick_extended))
+
+
+def _root_from_merges(merges, labels):
+    # a merge's children are the largest clusters already formed inside it
+    top = [Leaf(i, label) for i, label in enumerate(labels)]
+    for members, h in sorted(merges, key=lambda merge: len(merge[0])):
+        children = {id(top[i]): top[i] for i in members}
+        node = internal(children.values(), h, h, fusion=h)
+        for i in members:
+            top[i] = node
+    return node
+
+
+def _postorder_heights(root):
+    # preorder with the children taken last to first, reversed
+    heights = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            heights.append(node.h_lower)
+            stack.extend(node.children)
+    heights.reverse()
+    return heights
 
 
 # ---- reversal reporting ----
@@ -676,15 +669,10 @@ def _reversals_from_trace(trace):
                 if child is None:
                     continue
                 child_leaves = tuple(labels[i] for i in child.leaves)
-                if child.h_upper > grp.h_lower:
+                for kind, child_value, parent_value in reversals_between(child, grp):
                     reports.append(ReversalReport(
-                        "interval", child_leaves, parent_leaves,
-                        child.h_upper, grp.h_lower))
-                if (child.fusion is not None and grp.fusion is not None
-                        and child.fusion > grp.fusion):
-                    reports.append(ReversalReport(
-                        "fusion", child_leaves, parent_leaves,
-                        child.fusion, grp.fusion))
+                        kind, child_leaves, parent_leaves,
+                        child_value, parent_value))
         for grp in it.groups:
             if grp.h_lower is not None:
                 formed[grp.cluster_id] = grp
@@ -697,20 +685,15 @@ def _reversals_from_tree(tree):
     def leaves_of(node):
         return tuple(leaf.label for leaf in node.leaves())
 
-    def walk(node):
-        if node.is_leaf:
-            return
-        for child in node.children:
-            if child.h_upper > node.h_lower:
+    # preorder over (node, parent), without recursion
+    stack = [(tree.root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            for kind, value, parent_value in reversals_between(node, parent):
                 reports.append(ReversalReport(
-                    "interval", leaves_of(child), leaves_of(node),
-                    child.h_upper, node.h_lower))
-            if (child.fusion is not None and node.fusion is not None
-                    and child.fusion > node.fusion):
-                reports.append(ReversalReport(
-                    "fusion", leaves_of(child), leaves_of(node),
-                    child.fusion, node.fusion))
-            walk(child)
-
-    walk(tree.root)
+                    kind, leaves_of(node), leaves_of(parent),
+                    value, parent_value))
+        if not node.is_leaf:
+            stack.extend((child, node) for child in reversed(node.children))
     return tuple(reports)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .agglomerate import (
@@ -32,22 +31,6 @@ from .render import render_svg, render_text
 from .tree import records_to_json, to_newick_extended, to_records
 
 OUTPUTS = ("newick", "records", "text", "svg")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    input: str
-    method: str
-    format: str = "square"
-    similarity: bool = False
-    precision: "int | None" = None
-    alpha: "float | None" = None
-    policy: str = "interval"
-    output: str = "newick"
-    enumerate_all: bool = False
-    tiebreak: "str | None" = None
-    seed: "int | None" = None
-    limit: int = 10000
 
 
 def build_parser():
@@ -88,15 +71,15 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config = RunConfig(**vars(ns))
     try:
-        return run(config)
+        return run(ns)
     except (MultidendroError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
 
 
 def run(config):
+    """Run one command line parsed by ``build_parser``; returns the exit status."""
     if config.seed is not None and config.tiebreak != "random":
         raise ValueError("--seed only applies to --tiebreak random")
     if config.enumerate_all and config.tiebreak is not None:

@@ -63,8 +63,14 @@ class Internal:
                            min(c.min_leaf for c in self.children))
 
     def leaves(self):
-        for child in self.children:
-            yield from child.leaves()
+        """Leaves left to right, without recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
 
 def internal(children, h_lower, h_upper, fusion=None):
@@ -119,9 +125,6 @@ class MultivaluedTree:
         return out
 
 
-ValuedTree = MultivaluedTree  # degenerate case, kept as a reading aid
-
-
 def single_leaf_tree(label, **tags):
     return MultivaluedTree(root=Leaf(0, str(label)), labels=(str(label),), **tags)
 
@@ -141,7 +144,30 @@ def resolve_height(node):
     )
 
 
+def reversals_between(child, parent):
+    """How a node tops the node it merges into, as (kind, child value,
+    parent value) tuples.
+
+    An "interval" reversal is an upper bound above the parent's lower bound;
+    a "fusion" reversal is a chosen fusion value above the parent's. Works
+    on tree nodes and on trace GroupRecords alike.
+    """
+    found = []
+    if child.h_upper > parent.h_lower:
+        found.append(("interval", child.h_upper, parent.h_lower))
+    if (child.fusion is not None and parent.fusion is not None
+            and child.fusion > parent.fusion):
+        found.append(("fusion", child.fusion, parent.fusion))
+    return found
+
+
 # ---- validation ----
+
+_REVERSAL_MESSAGES = {
+    "interval": "node %s tops out at %r, above its parent start %r",
+    "fusion": "node %s fuses at %r, above its parent fusion %r",
+}
+
 
 @dataclass(frozen=True)
 class TreeReport:
@@ -194,17 +220,9 @@ def validate(tree):
                 % (node.fusion, node.h_lower, node.h_upper, name(node))
             )
         if parent is not None:
-            if node.h_upper > parent.h_lower:
-                reversals.append(
-                    "node %s tops out at %r, above its parent start %r"
-                    % (name(node), node.h_upper, parent.h_lower)
-                )
-            if (node.fusion is not None and parent.fusion is not None
-                    and node.fusion > parent.fusion):
-                reversals.append(
-                    "node %s fuses at %r, above its parent fusion %r"
-                    % (name(node), node.fusion, parent.fusion)
-                )
+            for kind, value, parent_value in reversals_between(node, parent):
+                reversals.append(_REVERSAL_MESSAGES[kind]
+                                 % (name(node), value, parent_value))
         for child in node.children:
             walk(child, node)
 
@@ -274,18 +292,26 @@ def to_newick_extended(tree, decimals=None):
     """
     d = tree.height_decimals if decimals is None else decimals
 
-    def fmt(h):
-        return "%.*f" % (d, h)
-
-    def walk(node):
-        if node.is_leaf:
-            if not _LABEL_RE.fullmatch(node.label):
-                raise FormatError("label %r not serializable" % (node.label,))
-            return node.label
-        inner = ",".join(walk(c) for c in node.children)
-        return "(%s)[%s,%s]" % (inner, fmt(node.h_lower), fmt(node.h_upper))
-
-    return walk(tree.root) + ";"
+    parts = []
+    # nodes still to write, interleaved with the text that follows them
+    stack = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            if not _LABEL_RE.fullmatch(item.label):
+                raise FormatError("label %r not serializable" % (item.label,))
+            parts.append(item.label)
+        else:
+            stack.append(")[%.*f,%.*f]" % (d, item.h_lower, d, item.h_upper))
+            for k, child in enumerate(reversed(item.children)):
+                if k:
+                    stack.append(",")
+                stack.append(child)
+            stack.append("(")
+    parts.append(";")
+    return "".join(parts)
 
 
 def parse_newick_extended(text):
@@ -395,13 +421,7 @@ def to_records(tree, trace=None):
     def walk(node, parent):
         if node.is_leaf:
             return
-        reversal = False
-        if parent is not None:
-            if node.h_upper > parent.h_lower:
-                reversal = True
-            if (node.fusion is not None and parent.fusion is not None
-                    and node.fusion > parent.fusion):
-                reversal = True
+        reversal = parent is not None and bool(reversals_between(node, parent))
         child_ids = []
         for child in node.children:
             if child.is_leaf:

@@ -374,6 +374,30 @@ def test_enumerate_matches_brute_force(seed, kind):
     assert got == brute_force_outcomes(matrix, kind)
 
 
+def whole_number_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    values = tuple(float(v) for v in rng.integers(1, 8, size=n * (n - 1) // 2))
+    return ProximityMatrix(tuple(f"x{i + 1}" for i in range(n)), values,
+                           precision=0)
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_pair_group_outcomes_are_enumerated(kind):
+    # both engines merge through the same step, so every tie-break rule's
+    # tree must be one of the enumerated outcomes
+    for n in range(5, 9):
+        for seed in range(10):
+            matrix = whole_number_matrix(n, seed)
+            outcomes = {to_newick_extended(t)
+                        for t in enumerate_pair_group(matrix, kind)}
+            runs = [cluster_pair_group(matrix, kind, tiebreak="first"),
+                    cluster_pair_group(matrix, kind, tiebreak="last")]
+            runs += [cluster_pair_group(matrix, kind, tiebreak="random",
+                                        seed=draw) for draw in (1, 2)]
+            for tree in runs:
+                assert to_newick_extended(tree) in outcomes
+
+
 def test_enumerated_outcomes_share_leaf_set(toy):
     for tree in enumerate_pair_group(toy, "single"):
         assert tree.labels == ("x1", "x2", "x3", "x4")

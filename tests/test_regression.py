@@ -11,12 +11,20 @@ The hashes were recorded from the dict-backed engine that preceded the
 array-backed working matrix. To record them again after an intended output
 change, run ``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
+
+The tie-break enumerator is pinned the same way on one 14-point
+whole-number matrix, under every linkage rule: the sha256 of its newick
+lines is kept in ``data/enumerate_sha256.json`` (record with
+``python tests/test_regression.py enumerate``). Those hashes were recorded
+from the enumerator that kept its own condensed state, before it moved onto
+the engines' working matrix.
 """
 
 import hashlib
 import json
 import math
 import random
+import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -30,6 +38,7 @@ from multidendro import (
     ZeroDistanceWarning,
     cluster_pair_group,
     cluster_variable_group,
+    enumerate_pair_group,
     parse_matrix,
     records_to_json,
     to_newick_extended,
@@ -37,6 +46,7 @@ from multidendro import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "regression_sha256.json"
+ENUMERATE_GOLDEN = Path(__file__).parent / "data" / "enumerate_sha256.json"
 N_POINTS = 40
 CLOUD_SEED = 2027
 RANDOM_TIEBREAK_SEED = 3
@@ -104,6 +114,43 @@ def test_output_bytes_unchanged(case):
     assert _run(case) == _golden()[case]
 
 
+# whole numbers, so almost every distance ties with another
+ENUMERATE_TEXT = """\
+0 10 9 8 7 11 6 10 4 9 7 7 6 9
+10 0 10 4 8 5 5 2 8 2 7 5 9 7
+9 10 0 7 4 7 7 9 7 10 4 7 4 4
+8 4 7 0 5 4 3 4 5 4 4 2 6 4
+7 8 4 5 0 6 4 7 4 7 2 4 3 3
+11 5 7 4 6 0 6 4 8 5 6 5 8 4
+6 5 7 3 4 6 0 5 3 5 4 2 5 5
+10 2 9 4 7 4 5 0 8 3 7 4 9 6
+4 8 7 5 4 8 3 8 0 7 4 5 4 6
+9 2 10 4 7 5 5 3 7 0 7 4 9 7
+7 7 4 4 2 6 4 7 4 7 0 4 3 3
+7 5 7 2 4 5 2 4 5 4 4 0 6 4
+6 9 4 6 3 8 5 9 4 9 3 6 0 5
+9 7 4 4 3 4 5 6 6 7 3 4 5 0
+"""
+
+
+def _enumerate_run(method):
+    trees = enumerate_pair_group(parse_matrix(ENUMERATE_TEXT), method)
+    text = "".join(to_newick_extended(t) + "\n" for t in trees)
+    return [len(trees), hashlib.sha256(text.encode()).hexdigest()]
+
+
+def test_enumerate_golden_covers_every_rule():
+    assert sorted(json.loads(ENUMERATE_GOLDEN.read_text())) == sorted(METHOD_KINDS)
+
+
+@pytest.mark.parametrize("method", METHOD_KINDS)
+def test_enumerate_bytes_unchanged(method):
+    assert _enumerate_run(method) == json.loads(ENUMERATE_GOLDEN.read_text())[method]
+
+
 if __name__ == "__main__":
-    print(json.dumps({case: _run(case) for case in _cases()},
-                     sort_keys=True, indent=1))
+    if sys.argv[1:] == ["enumerate"]:
+        golden = {method: _enumerate_run(method) for method in METHOD_KINDS}
+    else:
+        golden = {case: _run(case) for case in _cases()}
+    print(json.dumps(golden, sort_keys=True, indent=1))

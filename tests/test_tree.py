@@ -15,6 +15,7 @@ from multidendro import (
     UnresolvedHeights,
     cluster_variable_group,
     cophenetic_matrix,
+    detect_reversals,
     internal,
     parse_newick_extended,
     parse_records,
@@ -74,6 +75,31 @@ def test_deep_caterpillar_builds_without_recursion():
     assert node.min_leaf == 0
     assert node.children[0].index == 0
     assert node.children[1].min_leaf == 1
+
+
+def test_deep_caterpillar_walks_without_recursion():
+    # leaves, newick and reversal detection on a tree deeper than the
+    # recursion limit; the root starts below its child's top, a reversal
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    node = Leaf(depth, "x%d" % depth)
+    for i in range(depth - 1, 0, -1):
+        node = internal((node, Leaf(i, "x%d" % i)), float(depth - i),
+                        float(depth - i))
+    root = internal((node, Leaf(0, "x0")), depth - 1.5, depth - 1.5)
+    labels = tuple("x%d" % i for i in range(depth + 1))
+    tree = MultivaluedTree(root=root, labels=labels)
+
+    assert [leaf.index for leaf in root.leaves()] == list(range(depth + 1))
+    heights = [float(h) for h in range(1, depth)] + [depth - 1.5]
+    assert to_newick_extended(tree, decimals=1) == (
+        "".join("(x%d," % i for i in range(depth)) + "x%d" % depth
+        + "".join(")[%.1f,%.1f]" % (h, h) for h in heights) + ";")
+    (report,) = detect_reversals(tree)
+    assert report.kind == "interval"
+    assert report.child == labels[1:]
+    assert report.parent == labels
+    assert (report.child_value, report.parent_value) == (depth - 1.0, depth - 1.5)
 
 
 def test_single_child_rejected():
