@@ -15,7 +15,11 @@ All three engines work on a ``ClusterState``: a square working matrix of
 raw distances and one of comparison values, indexed by slot. After a merge
 only the rows and columns of the new clusters are rewritten, so an
 iteration costs one vectorised scan for the minimum plus the distances that
-actually change. The classical engine and the enumerator share one pair
+actually change. That scan also yields the tied edges the variable-group
+engine builds its groups from; a group's height interval is the minimum and
+maximum of its slice of the raw matrix, and its distances to the other
+survivors come from ``linkage.vg_kernel`` called on plain lists sliced from
+the matrix. The classical engine and the enumerator share one pair
 merge step (``_merge_pair``); the enumerator searches depth first over
 copies of the state, one per tied pair.
 """
@@ -41,10 +45,10 @@ from .linkage import (
     SINGLE,
     UNWEIGHTED_AVERAGE,
     WEIGHTED_AVERAGE,
-    BlockView,
+    WITHIN_METHODS,
     MethodSpec,
     pg_distance,
-    vg_distance,
+    vg_kernel,
 )
 from .proximity import comparison_value
 from .tree import (
@@ -258,14 +262,22 @@ def tie_groups(state, d_lower):
     at that value land in one group, everything else stays alone. Groups and
     their members come back ordered by smallest leaf index.
     """
-    ds = DisjointSet(state.clusters)
-    for a, b in state.tied_edges(d_lower):
+    return _groups_from_edges(state, state.tied_edges(d_lower))
+
+
+def _groups_from_edges(state, edges):
+    # union-find covers only the clusters the edges touch; every other
+    # active cluster is a group of its own
+    ds = DisjointSet({cid for edge in edges for cid in edge})
+    for a, b in edges:
         ds.union(a, b)
     buckets = {}
-    for cid in state.clusters:
+    for cid in ds.parent:
         buckets.setdefault(ds.find(cid), []).append(cid)
-    min_leaf = lambda cid: state.clusters[cid].min_leaf
+    clusters = state.clusters
+    min_leaf = lambda cid: clusters[cid].min_leaf
     groups = [tuple(sorted(bucket, key=min_leaf)) for bucket in buckets.values()]
+    groups.extend((cid,) for cid in clusters if cid not in ds.parent)
     groups.sort(key=lambda grp: min_leaf(grp[0]))
     return tuple(groups)
 
@@ -379,13 +391,15 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     state = ClusterState.from_matrix(matrix)
     records = []
     low = state.shortest()
+    # within blocks are read only by some rules' updates and by fusion values
+    keep_within = policy != POLICY_INTERVAL or method.kind in WITHIN_METHODS
 
     while len(state.clusters) > 1:
         state.iteration += 1
-        d_lower_raw, d_lower_key, _ = low
-        groups = tie_groups(state, d_lower_key)
+        d_lower_raw, _, edges = low
+        groups = _groups_from_edges(state, edges)
 
-        formed = []  # (merged Cluster, constituent Clusters, within matrix)
+        formed = []  # (merged Cluster, constituent Clusters, within or None)
         group_records = []
         reversal = False
 
@@ -397,11 +411,12 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                     cluster_id=c.cid, member_ids=grp, leaves=c.members,
                     h_lower=None, h_upper=None, fusion=None))
                 continue
-            k = len(members)
-            within = state.block(grp, grp)
-            pair_values = [within[a][b] for a, b in combinations(range(k), 2)]
-            h_lower = min(pair_values)
-            h_upper = max(pair_values)
+            slots = [state.slot[cid] for cid in grp]
+            block = state.dist[np.ix_(slots, slots)]
+            pair_values = block[np.triu_indices(len(grp), 1)]
+            h_lower = float(pair_values.min())
+            h_upper = float(pair_values.max())
+            within = block.tolist() if keep_within else None
             fusion = None
             if policy != POLICY_INTERVAL:
                 with warnings.catch_warnings():
@@ -440,16 +455,16 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     return tree, trace
 
 
-_SINGLE_WITHIN = ((0.0,),)
-
-
 def _group_update(state, formed, method):
     """Distances from each newly merged cluster to every other survivor.
 
     Clusters that did not merge keep their distances to each other. Block I
     is always the cluster with the lower id: an unmerged cluster against a
-    merged one, or the earlier of two merged ones.
+    merged one, or the earlier of two merged ones. The blocks come straight
+    from the working matrix as Python floats, so they go to ``vg_kernel``
+    unchecked.
     """
+    kind = method.kind
     absorbed = {c.cid for _, parts, _ in formed for c in parts}
     kept = [c for cid, c in state.clusters.items() if cid not in absorbed]
     kept_ids = [c.cid for c in kept]
@@ -458,19 +473,13 @@ def _group_update(state, formed, method):
         part_ids = [c.cid for c in parts]
         sizes = [c.size for c in parts]
         for other, cross in zip(kept, state.block(kept_ids, part_ids)):
-            blocks = BlockView(sizes_i=(other.size,), sizes_j=sizes,
-                               cross=(cross,), within_i=_SINGLE_WITHIN,
-                               within_j=within)
-            values[(other.cid, merged.cid)] = vg_distance(method, blocks)
+            values[(other.cid, merged.cid)] = vg_kernel(
+                kind, (other.size,), sizes, (cross,), None, within)
         for later, later_parts, later_within in formed[t + 1:]:
-            blocks = BlockView(
-                sizes_i=sizes,
-                sizes_j=[c.size for c in later_parts],
-                cross=state.block(part_ids, [c.cid for c in later_parts]),
-                within_i=within,
-                within_j=later_within,
-            )
-            values[(merged.cid, later.cid)] = vg_distance(method, blocks)
+            values[(merged.cid, later.cid)] = vg_kernel(
+                kind, sizes, [c.size for c in later_parts],
+                state.block(part_ids, [c.cid for c in later_parts]),
+                within, later_within)
     return values
 
 

@@ -3,7 +3,11 @@
 Seven rules are supported. ``pg_distance`` handles the classical case where
 exactly two clusters merge; ``vg_distance`` handles the general case where a
 block of tied clusters I merges against another block J, using only the
-current between-cluster distances and cluster sizes. ``vg_distance_tabular``
+current between-cluster distances and cluster sizes. Its arithmetic lives in
+``vg_kernel``, which takes plain sequences and checks nothing: the
+variable-group engine calls it straight from its working matrix, while
+``vg_distance`` takes a ``BlockView``, whose construction coerces and
+validates the blocks once for outside callers. ``vg_distance_tabular``
 evaluates the same quantity through an explicit coefficient table, one
 weight per distance term; it exists so the two routes can be checked against
 each other. ``direct_distance`` and the point oracles recompute distances
@@ -48,6 +52,8 @@ METHOD_KINDS = (
     WEIGHTED_CENTROID,
     JOINT_BETWEEN_WITHIN,
 )
+# rules whose block update reads the within blocks as well as the cross block
+WITHIN_METHODS = (UNWEIGHTED_CENTROID, WEIGHTED_CENTROID, JOINT_BETWEEN_WITHIN)
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,8 @@ class BlockView:
         return sum(self.sizes_j)
 
 
-def _cross_values(blocks):
-    return [v for row in blocks.cross for v in row]
+def _flat(rows):
+    return [v for row in rows for v in row]
 
 
 def vg_distance(method, blocks):
@@ -136,24 +142,35 @@ def vg_distance(method, blocks):
     when I has two members and J one, and returns the cross distance
     unchanged when each block holds a single cluster.
     """
-    if blocks.p == 1 and blocks.q == 1:
-        return blocks.cross[0][0]
-    kind = method.kind
-    si, sj = blocks.sizes_i, blocks.sizes_j
-    cross, wi, wj = blocks.cross, blocks.within_i, blocks.within_j
-    p, q = blocks.p, blocks.q
-    ti, tj = blocks.total_i, blocks.total_j
+    return vg_kernel(method.kind, blocks.sizes_i, blocks.sizes_j,
+                     blocks.cross, blocks.within_i, blocks.within_j)
+
+
+def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
+    """``vg_distance`` over plain sequences shaped as in ``BlockView``.
+
+    Nothing is coerced or checked: sizes must be ints, distances floats and
+    the shapes must agree. Only the rules in ``WITHIN_METHODS`` read the
+    within blocks, and then only off the diagonal, so None stands in for the
+    within block of a single cluster, and for both under the other rules.
+    """
+    si, sj = sizes_i, sizes_j
+    p, q = len(si), len(sj)
+    if p == 1 and q == 1:
+        return cross[0][0]
+    wi, wj = within_i, within_j
+    ti, tj = sum(si), sum(sj)
 
     if kind == SINGLE:
-        return min(_cross_values(blocks))
+        return min(_flat(cross))
     if kind == COMPLETE:
-        return max(_cross_values(blocks))
+        return max(_flat(cross))
     if kind == UNWEIGHTED_AVERAGE:
         num = math.fsum(si[i] * sj[j] * cross[i][j]
                         for i in range(p) for j in range(q))
         return num / (ti * tj)
     if kind == WEIGHTED_AVERAGE:
-        return math.fsum(_cross_values(blocks)) / (p * q)
+        return math.fsum(_flat(cross)) / (p * q)
     # the three-part formulas combine through one more fsum so that swapping
     # the two blocks cannot change the result by even an ulp
     if kind == UNWEIGHTED_CENTROID:
@@ -165,7 +182,7 @@ def vg_distance(method, blocks):
                              for j, j2 in combinations(range(q), 2)) / (tj * tj)
         return math.fsum((between, -within_i, -within_j))
     if kind == WEIGHTED_CENTROID:
-        between = math.fsum(_cross_values(blocks)) / (p * q)
+        between = math.fsum(_flat(cross)) / (p * q)
         within_i = math.fsum(wi[i][i2] for i, i2 in combinations(range(p), 2)) / (p * p)
         within_j = math.fsum(wj[j][j2] for j, j2 in combinations(range(q), 2)) / (q * q)
         return math.fsum((between, -within_i, -within_j))
@@ -252,7 +269,7 @@ def vg_distance_tabular(method, blocks):
         terms.extend(par.beta_right(blocks, j, j2) * blocks.within_j[j][j2]
                      for j, j2 in combinations(range(q), 2))
     if par.delta is not None:
-        values = _cross_values(blocks)
+        values = _flat(blocks.cross)
         if par.delta == 1:
             top = max(values)
             terms.extend(par.gamma(blocks, i, j) * (top - blocks.cross[i][j])

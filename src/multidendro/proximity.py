@@ -74,8 +74,14 @@ def _token_decimals(token):
 
 
 def _infer_precision(tokens):
+    # a matrix repeats few distinct tokens when its values are coarse, so
+    # each is counted once; an exponent token still ends the scan at once
     best = 0
+    seen = set()
     for tok in tokens:
+        if tok in seen:
+            continue
+        seen.add(tok)
         d = _token_decimals(tok)
         if d is None:
             return None
@@ -153,6 +159,10 @@ class ProximityMatrix:
             if v == 0.0:
                 zero_pairs += 1
         if zero_pairs:
+            # a written "-0" reads as -0.0, which passes the sign check but
+            # would print as "-0.000" and order unpredictably against 0.0
+            values = tuple(0.0 if v == 0.0 else v for v in values)
+            object.__setattr__(self, "values", values)
             warnings.warn(
                 "%d distinct pair(s) at distance zero" % zero_pairs,
                 ZeroDistanceWarning,

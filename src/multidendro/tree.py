@@ -197,12 +197,15 @@ def validate(tree):
     def name(node):
         return "{%s}" % ",".join(sorted(leaf.label for leaf in node.leaves()))
 
-    def walk(node, parent):
+    # preorder over (node, parent), without recursion
+    stack = [(tree.root, None)]
+    while stack:
+        node, parent = stack.pop()
         if node.is_leaf:
             seen.append(node.index)
             if not (0 <= node.index < tree.n) or tree.labels[node.index] != node.label:
                 errors.append("leaf %r does not match the label table" % (node.label,))
-            return
+            continue
         if len(node.children) < 2:
             errors.append("internal node %s has fewer than two children" % name(node))
         if node.h_lower < 0 or node.h_upper < 0:
@@ -223,10 +226,8 @@ def validate(tree):
             for kind, value, parent_value in reversals_between(node, parent):
                 reversals.append(_REVERSAL_MESSAGES[kind]
                                  % (name(node), value, parent_value))
-        for child in node.children:
-            walk(child, node)
+        stack.extend((child, node) for child in reversed(node.children))
 
-    walk(tree.root, None)
     if sorted(seen) != list(range(tree.n)):
         errors.append("leaves do not cover the label table exactly once")
     return TreeReport(tuple(errors), tuple(reversals))
@@ -418,9 +419,12 @@ def to_records(tree, trace=None):
     else:
         node_ids = _ids_bottom_up(tree)
 
-    def walk(node, parent):
+    # preorder over (node, parent), without recursion
+    stack = [(tree.root, None)]
+    while stack:
+        node, parent = stack.pop()
         if node.is_leaf:
-            return
+            continue
         reversal = parent is not None and bool(reversals_between(node, parent))
         child_ids = []
         for child in node.children:
@@ -438,10 +442,8 @@ def to_records(tree, trace=None):
             "fusion": node.fusion,
             "reversal": reversal,
         })
-        for child in node.children:
-            walk(child, node)
+        stack.extend((child, node) for child in reversed(node.children))
 
-    walk(tree.root, None)
     merges.sort(key=lambda rec: rec["id"])
     doc = {
         "format_version": FORMAT_VERSION,

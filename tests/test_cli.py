@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from multidendro import ZeroDistanceWarning
 from multidendro.cli import main
 
 TOY_NEWICK = "((x1,x2,x3)[2.000,4.000],x4)[5.000,5.000];"
@@ -19,6 +20,16 @@ def test_newick_output(toy_file, capsys):
                            "--method", "unweighted_average")
     assert rc == 0
     assert out == TOY_NEWICK + "\n"
+
+
+def test_negative_zero_prints_as_zero(tmp_path, capsys):
+    path = tmp_path / "negzero.txt"
+    path.write_text("0 -0 3\n-0 0 3\n3 3 0\n")
+    with pytest.warns(ZeroDistanceWarning):
+        rc, out, _ = run_cli(capsys, "--input", str(path),
+                             "--method", "complete")
+    assert rc == 0
+    assert out == "((x1,x2)[0.000,0.000],x3)[3.000,3.000];\n"
 
 
 def test_records_output(toy_file, capsys):

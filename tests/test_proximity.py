@@ -23,7 +23,7 @@ from multidendro import (
     serialize_matrix,
     similarity_to_dissimilarity,
 )
-from multidendro.proximity import round_half_away
+from multidendro.proximity import _infer_precision, round_half_away
 
 
 # ---- parsing ----
@@ -121,6 +121,16 @@ def test_zero_distance_warns():
         parse_matrix("0 0 1\n0 0 1\n1 1 0\n", "square")
 
 
+def test_negative_zero_reads_as_zero():
+    with pytest.warns(ZeroDistanceWarning):
+        m = parse_matrix("0 -0 3\n-0 0 3\n3 3 0\n", "square")
+    assert m.values == (0.0, 3.0, 3.0)
+    assert math.copysign(1.0, m.values[0]) == 1.0
+    with pytest.warns(ZeroDistanceWarning):
+        m = ProximityMatrix(("a", "b"), (-0.0,))
+    assert math.copysign(1.0, m.values[0]) == 1.0
+
+
 def test_unknown_format():
     with pytest.raises(FormatError):
         parse_matrix("0", "diagonal")
@@ -139,6 +149,35 @@ def test_precision_inferred_from_written_decimals(text, expected):
 
 def test_precision_not_inferable_from_exponents():
     assert parse_matrix("0 1e-3\n1e-3 0\n", "square").precision is None
+
+
+def _precision_from_every_token(tokens):
+    # the plain scan: look at every token, stop at the first exponent
+    best = 0
+    for tok in tokens:
+        if "e" in tok or "E" in tok:
+            return None
+        best = max(best, len(tok.split(".", 1)[1]) if "." in tok else 0)
+    return best
+
+
+@pytest.mark.parametrize("tokens", [
+    ["1", "1", "2.5", "2.5", "3.125", "1"],
+    ["0", "0.1", "0.10", "0.100", "0.1", "0"],
+    ["2.50", "2.50", "1e-3", "2.50", "3.1415"],
+    ["1.5", "1.5", "1.5E2", "1.5"],
+    ["7"] * 500 + ["7.25"] + ["7"] * 500,
+    ["-0", "0", "-0.0", "12.", "+3.00"],
+])
+def test_precision_inference_unchanged_on_repeated_tokens(tokens):
+    assert _infer_precision(tokens) == _precision_from_every_token(tokens)
+
+
+@given(st.lists(st.sampled_from(
+    ["0", "3", "10", "0.5", "2.25", "2.250", "1e2", "4.5E-1", "7.0"]),
+    max_size=40))
+def test_precision_inference_matches_plain_scan(tokens):
+    assert _infer_precision(tokens) == _precision_from_every_token(tokens)
 
 
 def test_precision_override():

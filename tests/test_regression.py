@@ -1,15 +1,19 @@
 """Byte-for-byte regression of the engines' serialized output.
 
-Two seeded 40-point clouds, one written at full precision and one rounded to
-one decimal (so ties appear), go through every linkage rule under every
-fusion policy and through the classical engine with each tie-break rule.
-The sha256 of the extended newick text and of the records JSON of each run
-are pinned in ``data/regression_sha256.json``; any change to the engines
-that moves a single output byte fails here.
+A seeded 40-point cloud, written three ways, goes through every linkage rule
+under every fusion policy and through the classical engine with each
+tie-break rule: at full precision, rounded to one decimal (so ties appear),
+and as whole numbers d + 1 with a zero diagonal (so most distances tie and
+tied groups grow large). The sha256 of the extended newick text and of the
+records JSON of each run are pinned in ``data/regression_sha256.json``; any
+change to the engines that moves a single output byte fails here.
 
-The hashes were recorded from the dict-backed engine that preceded the
-array-backed working matrix. To record them again after an intended output
-change, run ``python tests/test_regression.py > tests/data/regression_sha256.json``
+The raw and one-decimal hashes were recorded from the dict-backed engine
+that preceded the array-backed working matrix; the whole-number hashes from
+the array-backed engine that still built every distance update through
+``BlockView`` and scanned for ties twice per iteration. To record them again
+after an intended output change, run
+``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
 
 The tie-break enumerator is pinned the same way on one 14-point
@@ -52,21 +56,23 @@ CLOUD_SEED = 2027
 RANDOM_TIEBREAK_SEED = 3
 
 
-def _cloud_text(value_format):
+def _cloud_text(value_format, offset):
     rng = random.Random(CLOUD_SEED)
     pts = [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
            for _ in range(N_POINTS)]
     rows = []
-    for xa, ya in pts:
+    for a, (xa, ya) in enumerate(pts):
         row = []
-        for xb, yb in pts:
+        for b, (xb, yb) in enumerate(pts):
             dx, dy = xa - xb, ya - yb
-            row.append(value_format % math.sqrt(dx * dx + dy * dy))
+            d = math.sqrt(dx * dx + dy * dy)
+            row.append(value_format % (d + offset if a != b else 0.0))
         rows.append(" ".join(row))
     return "\n".join(rows) + "\n"
 
 
-MATRICES = {"raw": "%.18e", "dec1": "%.1f"}
+# name: (value format, offset added off the diagonal)
+MATRICES = {"raw": ("%.18e", 0.0), "dec1": ("%.1f", 0.0), "whole": ("%.0f", 1.0)}
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +80,7 @@ def _matrix(name):
     # the rounded cloud may hold zero distances; their warning is not the point
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroDistanceWarning)
-        return parse_matrix(_cloud_text(MATRICES[name]))
+        return parse_matrix(_cloud_text(*MATRICES[name]))
 
 
 def _cases():

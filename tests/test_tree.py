@@ -102,6 +102,39 @@ def test_deep_caterpillar_walks_without_recursion():
     assert (report.child_value, report.parent_value) == (depth - 1.0, depth - 1.5)
 
 
+def test_deep_caterpillar_validates_and_records_without_recursion():
+    # the same shape as above, through validate and to_records
+    depth = sys.getrecursionlimit() + 500
+    node = Leaf(depth, "x%d" % depth)
+    for i in range(depth - 1, 0, -1):
+        node = internal((node, Leaf(i, "x%d" % i)), float(depth - i),
+                        float(depth - i))
+    root = internal((node, Leaf(0, "x0")), depth - 1.5, depth - 1.5)
+    labels = tuple("x%d" % i for i in range(depth + 1))
+    tree = MultivaluedTree(root=root, labels=labels)
+
+    report = validate_tree(tree)
+    assert report.errors == ()
+    assert report.reversals == (
+        "node {%s} tops out at %r, above its parent start %r"
+        % (",".join(sorted(labels[1:])), depth - 1.0, depth - 1.5),)
+
+    merges = to_records(tree)["merges"]
+    assert [m["id"] for m in merges] == list(range(depth + 1, 2 * depth + 1))
+    by_height = {m["h_lower"]: m for m in merges}
+    for i in range(1, depth):
+        # the node at height depth - i joins leaf i to the nodes below
+        m = by_height[float(depth - i)]
+        below = i + 1 if i == depth - 1 else by_height[float(depth - i - 1)]["id"]
+        assert m["children"] == [i, below]
+        assert m["members"] == list(labels[i:])
+        assert m["reversal"] == (i == 1)
+    top = by_height[depth - 1.5]
+    assert top["children"] == [0, by_height[depth - 1.0]["id"]]
+    assert top["members"] == list(labels)
+    assert top["reversal"] is False
+
+
 def test_single_child_rejected():
     with pytest.raises(ValueError):
         internal((Leaf(0, "a"),), 1.0, 1.0)
