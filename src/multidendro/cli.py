@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .agglomerate import (
     POLICIES,
+    POLICY_INTERVAL,
     TIEBREAKS,
     cluster_pair_group,
     cluster_variable_group,
@@ -50,10 +51,10 @@ def build_parser():
     p.add_argument("--method", required=True, choices=METHOD_KINDS)
     p.add_argument("--alpha", type=float, default=None,
                    help="exponent for joint_between_within, in (0, 2]")
-    p.add_argument("--policy", choices=POLICIES, default="interval",
-                   help="how tied groups report a height: interval only, "
-                        "the method's natural summary, or the shortest "
-                        "distance")
+    p.add_argument("--policy", choices=POLICIES, default=None,
+                   help="how tied groups report a height: interval only "
+                        "(the default), the method's natural summary, or the "
+                        "shortest distance")
     p.add_argument("--output", choices=OUTPUTS, default="newick")
     p.add_argument("--enumerate", dest="enumerate_all", action="store_true",
                    help="list every distinct classical tie-break outcome")
@@ -84,8 +85,15 @@ def run(config):
         raise ValueError("--seed only applies to --tiebreak random")
     if config.enumerate_all and config.tiebreak is not None:
         raise ValueError("--enumerate explores every tie-break on its own")
+    if config.enumerate_all and config.output != "newick":
+        raise ValueError("--enumerate writes newick lines only")
+    if config.policy is not None and (config.enumerate_all
+                                      or config.tiebreak is not None):
+        raise ValueError("--policy only applies without --tiebreak and "
+                         "--enumerate")
     method = MethodSpec(config.method, config.alpha)
-    text = Path(config.input).read_text()
+    # utf-8-sig drops the byte-order mark some editors write
+    text = Path(config.input).read_text(encoding="utf-8-sig")
     matrix = parse_matrix(text, config.format, similarity=config.similarity)
     if config.similarity:
         matrix = similarity_to_dissimilarity(matrix)
@@ -106,7 +114,8 @@ def run(config):
         _emit(tree, None, config)
         return 2 if detect_reversals(tree) else 0
 
-    tree, trace = cluster_variable_group(matrix, method, policy=config.policy)
+    tree, trace = cluster_variable_group(matrix, method,
+                                         policy=config.policy or POLICY_INTERVAL)
     _emit(tree, trace, config)
     return 2 if detect_reversals(trace) else 0
 

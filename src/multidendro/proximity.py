@@ -10,6 +10,11 @@ rounded values exist only for comparisons.
 
 Rounding and similarity conversion run through ``decimal`` so that written
 decimal digits behave the way they read: 1 - 0.962 really is 0.038.
+
+Square and lower-triangle text is converted with one ``float`` pass over all
+tokens and its diagonal and symmetry are checked on the resulting array;
+``ProximityMatrix`` checks its values in one numpy pass too. When anything
+fails, the error raised is the one a row-by-row reading meets first.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_UP
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     AsymmetricInput,
@@ -135,7 +143,7 @@ class ProximityMatrix:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
         if len(set(labels)) != len(labels):
@@ -150,14 +158,14 @@ class ProximityMatrix:
                 "expected %d condensed values for %d labels, got %d"
                 % (condensed_size(n), n, len(values))
             )
-        zero_pairs = 0
-        for v in values:
+        arr = np.array(values, dtype=np.float64)
+        bad = ~np.isfinite(arr) | (arr < 0.0)
+        if bad.any():
+            v = values[int(bad.argmax())]
             if not math.isfinite(v):
                 raise FormatError("distances must be finite, got %r" % (v,))
-            if v < 0.0:
-                raise NegativeValue("negative dissimilarity %r" % (v,))
-            if v == 0.0:
-                zero_pairs += 1
+            raise NegativeValue("negative dissimilarity %r" % (v,))
+        zero_pairs = int(np.count_nonzero(arr == 0.0))
         if zero_pairs:
             # a written "-0" reads as -0.0, which passes the sign check but
             # would print as "-0.000" and order unpredictably against 0.0
@@ -251,6 +259,16 @@ def _pop_header(rows):
     return None, rows
 
 
+def _to_floats(rows, count):
+    # every token through float(), so "1_0", "nan" and "1e400" read as they
+    # do one at a time; None when a row is short or a token is no number
+    try:
+        return np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                           count)
+    except ValueError:
+        return None
+
+
 def _parse_square(text, self_value=0.0):
     rows = _split_rows(text)
     header, rows = _pop_header(rows)
@@ -261,26 +279,50 @@ def _parse_square(text, self_value=0.0):
         raise FormatError(
             "header names %d individuals but there are %d rows" % (len(header), n)
         )
-    grid = []
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise FormatError("row %d has %d entries, expected %d" % (r + 1, len(row), n))
-        grid.append([_parse_value(tok) for tok in row])
-    for i in range(n):
-        if abs(grid[i][i] - self_value) > _SYM_TOL:
-            raise FormatError(
-                "diagonal entry (%d,%d) must be %g" % (i + 1, i + 1, self_value)
-            )
-        for j in range(i + 1, n):
-            if abs(grid[i][j] - grid[j][i]) > _SYM_TOL:
-                raise AsymmetricInput(
-                    "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
-                    % (i + 1, j + 1, grid[i][j], j + 1, i + 1, grid[j][i])
-                )
-    values = tuple(grid[i][j] for i in range(n) for j in range(i + 1, n))
+    grid = None
+    if all(len(row) == n for row in rows):
+        grid = _to_floats(rows, n * n)
+    if grid is None:
+        # find the first bad row or token the way a row-by-row reading would
+        for r, row in enumerate(rows):
+            if len(row) != n:
+                raise FormatError(
+                    "row %d has %d entries, expected %d" % (r + 1, len(row), n))
+            for tok in row:
+                _parse_value(tok)
+        raise AssertionError("bulk conversion failed on valid tokens")
+    grid = grid.reshape(n, n)
+    _check_square(grid, self_value)
+    values = tuple(grid[np.triu_indices(n, 1)].tolist())
     labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision([tok for row in rows for tok in row])
+    inferred = _infer_precision(chain.from_iterable(rows))
     return labels, values, inferred
+
+
+def _check_square(grid, self_value):
+    # the first failure in row order, a row's diagonal before its pairs
+    n = len(grid)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_diag = np.abs(grid.diagonal() - self_value) > _SYM_TOL
+        diff = grid - grid.T
+        np.abs(diff, out=diff)
+        # symmetric, so the first flagged entry in row order lies above
+        # the diagonal, in the lowest row holding an asymmetric pair
+        asym = diff > _SYM_TOL
+    diag_row = int(bad_diag.argmax()) if bad_diag.any() else n
+    k = int(asym.argmax())
+    asym_row = k // n if asym.flat[k] else n
+    if diag_row < n and diag_row <= asym_row:
+        raise FormatError(
+            "diagonal entry (%d,%d) must be %g"
+            % (diag_row + 1, diag_row + 1, self_value)
+        )
+    if asym_row < n:
+        i, j = divmod(k, n)
+        raise AsymmetricInput(
+            "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
+            % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i]))
+        )
 
 
 def _parse_lower(text, self_value=0.0):
@@ -292,24 +334,42 @@ def _parse_lower(text, self_value=0.0):
         raise FormatError(
             "header names %d individuals but there are %d rows" % (len(header), n)
         )
-    grid = {}
-    for r, row in enumerate(rows):
-        if len(row) != r + 1:
-            raise FormatError(
-                "lower-triangle row %d has %d entries, expected %d"
-                % (r + 1, len(row), r + 1)
-            )
-        vals = [_parse_value(tok) for tok in row]
-        if abs(vals[r] - self_value) > _SYM_TOL:
-            raise FormatError(
-                "diagonal entry on row %d must be %g" % (r + 1, self_value)
-            )
-        for c in range(r):
-            grid[(c, r)] = vals[c]
-    values = tuple(grid[(i, j)] for i in range(n) for j in range(i + 1, n))
+    flat = None
+    if all(len(row) == r + 1 for r, row in enumerate(rows)):
+        flat = _to_floats(rows, n * (n + 1) // 2)
+    if flat is None:
+        # row by row: length, tokens, then the row's diagonal entry
+        for r, row in enumerate(rows):
+            if len(row) != r + 1:
+                raise FormatError(
+                    "lower-triangle row %d has %d entries, expected %d"
+                    % (r + 1, len(row), r + 1)
+                )
+            vals = [_parse_value(tok) for tok in row]
+            _check_lower_diagonal(r, vals[r], self_value)
+        raise AssertionError("bulk conversion failed on valid tokens")
+    # row r starts at r(r+1)/2 and ends with its diagonal entry
+    rr = np.arange(n)
+    diagonal = flat[rr * (rr + 3) // 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = np.abs(diagonal - self_value) > _SYM_TOL
+    if bad.any():
+        r = int(bad.argmax())
+        _check_lower_diagonal(r, float(diagonal[r]), self_value)
+    lower = np.zeros((n, n))
+    lower[np.tril_indices(n)] = flat
+    i, j = np.triu_indices(n, 1)
+    values = tuple(lower[j, i].tolist())
     labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision([tok for row in rows for tok in row])
+    inferred = _infer_precision(chain.from_iterable(rows))
     return labels, values, inferred
+
+
+def _check_lower_diagonal(r, value, self_value):
+    if abs(value - self_value) > _SYM_TOL:
+        raise FormatError(
+            "diagonal entry on row %d must be %g" % (r + 1, self_value)
+        )
 
 
 def _parse_pairs(text, labeled, self_value=0.0):

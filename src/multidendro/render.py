@@ -17,26 +17,21 @@ def _fmt_height(h):
 def render_text(tree):
     """ASCII outline of the tree, intervals shown as [low..high]."""
     lines = []
-
-    def title(node):
+    # preorder; each entry carries its own line's prefix and its children's
+    stack = [(tree.root, "", "")]
+    while stack:
+        node, head, cont = stack.pop()
         if node.is_leaf:
-            return node.label
-        base = "[%s..%s]" % (_fmt_height(node.h_lower), _fmt_height(node.h_upper))
+            lines.append(head + node.label)
+            continue
+        title = "[%s..%s]" % (_fmt_height(node.h_lower), _fmt_height(node.h_upper))
         if node.fusion is not None and node.fusion != node.h_lower:
-            base += " @%s" % _fmt_height(node.fusion)
-        return base
-
-    def walk(node, head, cont):
-        lines.append(head + title(node))
-        if node.is_leaf:
-            return
-        for k, child in enumerate(node.children):
-            last = k == len(node.children) - 1
-            branch = "\\-- " if last else "+-- "
-            nxt = "    " if last else "|   "
-            walk(child, cont + branch, cont + nxt)
-
-    walk(tree.root, "", "")
+            title += " @%s" % _fmt_height(node.fusion)
+        lines.append(head + title)
+        last = len(node.children) - 1
+        stack.append((node.children[last], cont + "\\-- ", cont + "    "))
+        for child in reversed(node.children[:last]):
+            stack.append((child, cont + "+-- ", cont + "|   "))
     return "\n".join(lines) + "\n"
 
 

@@ -264,21 +264,21 @@ def cophenetic_matrix(tree):
     """
     n = tree.n
     values = [0.0] * condensed_size(n)
-
-    def walk(node):
-        if node.is_leaf:
-            return [node.index]
-        h = resolve_height(node)
-        groups = [walk(c) for c in node.children]
+    nodes = list(tree.internal_nodes())
+    # resolved in preorder: the first unresolved node in preorder is reported
+    heights = [resolve_height(node) for node in nodes]
+    members = {}  # id of a node whose parent is still to come -> its leaves
+    for node, h in zip(reversed(nodes), reversed(heights)):
+        groups = [[c.index] if c.is_leaf else members.pop(id(c))
+                  for c in node.children]
         for gi in range(len(groups)):
             for gj in range(gi + 1, len(groups)):
                 for i in groups[gi]:
                     for j in groups[gj]:
                         a, b = (i, j) if i < j else (j, i)
                         values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
-        return [i for g in groups for i in g]
+        members[id(node)] = [i for g in groups for i in g]
 
-    walk(tree.root)
     return ProximityMatrix(tree.labels, tuple(values), precision=None,
                            kind=KIND_DISTANCE)
 

@@ -1,9 +1,17 @@
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from multidendro import ZeroDistanceWarning
+from multidendro import (
+    Leaf,
+    MultivaluedTree,
+    ZeroDistanceWarning,
+    internal,
+    render_text,
+)
+from multidendro import cli
 from multidendro.cli import main
 
 TOY_NEWICK = "((x1,x2,x3)[2.000,4.000],x4)[5.000,5.000];"
@@ -50,6 +58,25 @@ def test_text_output(toy_file, capsys):
                          "--output", "text")
     assert rc == 0
     assert "[2..4]" in out
+
+
+def test_text_output_of_deep_caterpillar(toy_file, capsys, monkeypatch):
+    # a chain deep enough needs far too long to cluster in a test, so the
+    # engine hands back a caterpillar built directly
+    depth = sys.getrecursionlimit() + 500
+    node = Leaf(depth, "x%d" % depth)
+    for i in range(depth - 1, -1, -1):
+        node = internal((node, Leaf(i, "x%d" % i)), float(depth - i),
+                        float(depth - i))
+    tree = MultivaluedTree(root=node,
+                           labels=tuple("x%d" % i for i in range(depth + 1)))
+    monkeypatch.setattr(cli, "cluster_pair_group", lambda *a, **k: tree)
+    rc, out, err = run_cli(capsys, "--input", str(toy_file),
+                           "--method", "single", "--tiebreak", "first",
+                           "--output", "text")
+    assert (rc, err) == (0, "")
+    assert out == render_text(tree)
+    assert out.count("\n") == 2 * depth + 1
 
 
 def test_svg_output(toy_file, capsys):
@@ -110,6 +137,31 @@ def test_enumerate_excludes_tiebreak(toy_file, capsys):
                          "--tiebreak", "first")
     assert rc == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--enumerate", "--output", "svg"),
+    ("--enumerate", "--output", "records"),
+    ("--policy", "natural", "--tiebreak", "first"),
+    ("--policy", "interval", "--enumerate"),
+])
+def test_ignored_flags_rejected(toy_file, capsys, flags):
+    rc, out, err = run_cli(capsys, "--input", str(toy_file),
+                           "--method", "unweighted_average", *flags)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text,newick", [
+    ("0 1\n1 0\n", "(x1,x2)[1.000,1.000];\n"),
+    ("a b\n0 1\n1 0\n", "(a,b)[1.000,1.000];\n"),
+])
+def test_byte_order_mark_ignored(tmp_path, capsys, text, newick):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    rc, out, err = run_cli(capsys, "--input", str(path), "--method", "single")
+    assert (rc, out, err) == (0, newick, "")
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -23,7 +23,10 @@ from multidendro import (
     serialize_matrix,
     similarity_to_dissimilarity,
 )
+from multidendro.errors import MultidendroError
 from multidendro.proximity import _infer_precision, round_half_away
+
+from oracles import check_values_scalar, parse_lower_scalar, parse_square_scalar
 
 
 # ---- parsing ----
@@ -332,3 +335,150 @@ def test_parse_similarity_pairs_self_entry():
     sim = parse_matrix(text, "labeled-pairs", similarity=True)
     assert sim.labels == ("a", "b")
     assert sim.values == (0.3,)
+
+
+# ---- bulk reading against the token-by-token reference ----
+
+_NUMBER_TOKENS = ["0", "1", "3", "-2", "12", "0.5", "2.25", "-1.50", "1e2",
+                  "2.5E-1", "-0", "-0.0", "1_0", "nan", "inf", "-inf",
+                  "1e400"]
+_OTHER_TOKENS = ["abc", "1,5", "--1", "1.2.3", "_1", "0x10"]
+
+
+def _same_outcome(text, fmt, parse, similarity):
+    # same labels, value bits and precision, or the same exception and
+    # message; and the same zero-distance warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            m = parse_matrix(text, fmt, similarity=similarity)
+            got = (m.labels, tuple(v.hex() for v in m.values), m.precision)
+        except MultidendroError as exc:
+            got = (type(exc), str(exc))
+    got_warnings = [str(w.message) for w in caught
+                    if issubclass(w.category, ZeroDistanceWarning)]
+    want_warnings = []
+    try:
+        labels, values, precision = parse(text, 1.0 if similarity else 0.0)
+        values, zero_pairs = check_values_scalar(labels, values)
+        want = (labels, tuple(v.hex() for v in values), precision)
+        if zero_pairs and not similarity:
+            want_warnings.append("%d distinct pair(s) at distance zero"
+                                 % zero_pairs)
+    except MultidendroError as exc:
+        want = (type(exc), str(exc))
+    assert got == want
+    assert got_warnings == want_warnings
+
+
+@st.composite
+def _token_rows(draw, lower):
+    # a symmetric grid of tokens (its lower triangle when ``lower``), then
+    # up to three bad tokens, asymmetric pairs, pairs within the symmetry
+    # tolerance, bad diagonals, short or long rows, and an optional header
+    # that may be too long or repeat a label
+    n = draw(st.integers(1, 8))
+    similarity = draw(st.booleans())
+    diag = "1" if similarity else "0"
+    good = st.sampled_from(_NUMBER_TOKENS)
+    rows = [[diag] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from([diag, diag + ".0", "-" + diag]))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(good)
+    if lower:
+        rows = [row[:r + 1] for r, row in enumerate(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["token", "asym", "near", "diag", "short", "long"]))
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
+        if kind == "token" and rows[i]:
+            rows[i][j] = draw(st.sampled_from(_OTHER_TOKENS))
+        elif kind == "asym" and rows[i] and j != i:
+            rows[i][j] = draw(good)
+        elif kind == "near" and rows[i] and _is_finite_token(rows[i][j]):
+            rows[i][j] = repr(float(rows[i][j]) + 1e-13)
+        elif kind == "diag" and i < len(rows[i]):
+            rows[i][i] = draw(st.sampled_from(
+                ["0.5", "2", "1e-13", "1e-11", "nan", "inf", "0", "1"]))
+        elif kind == "short" and rows[i]:
+            rows[i].pop()
+        elif kind == "long":
+            rows[i].append(draw(good))
+    lines = [" ".join(row) for row in rows if row]
+    header = draw(st.sampled_from(["none", "labels", "long", "repeat"]))
+    if header != "none":
+        names = ["s%d" % k for k in range(n)]
+        if header == "long":
+            names.append("extra")
+        elif header == "repeat" and n > 1:
+            names[-1] = names[0]
+        lines.insert(0, " ".join(names))
+    return "\n".join(lines) + "\n", similarity
+
+
+def _is_finite_token(token):
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_token_rows(lower=False))
+def test_bulk_square_matches_scalar_reader(case):
+    text, similarity = case
+    _same_outcome(text, "square", parse_square_scalar, similarity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_rows(lower=True))
+def test_bulk_lower_matches_scalar_reader(case):
+    text, similarity = case
+    _same_outcome(text, "lower", parse_lower_scalar, similarity)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    # a bad token in row 3 is met after the short row 2
+    ("0 1 2\n1 0\n2 x 0\n", FormatError, "row 2 has 2 entries, expected 3"),
+    ("0 1 2\n1 0 3\n2 x 0\n", FormatError, "expected a number, got 'x'"),
+    # an asymmetric pair in row 1 is met before the bad diagonal of row 2
+    ("0 1 2\n1 5 3\n9 3 0\n", AsymmetricInput,
+     "entry (1,3)=2.0 disagrees with (3,1)=9.0"),
+    # on one row the diagonal comes before the pairs
+    ("0 1 2\n1 5 3\n2 4 0\n", FormatError, "diagonal entry (2,2) must be 0"),
+    ("7 1 2\n3 0 3\n2 3 0\n", FormatError, "diagonal entry (1,1) must be 0"),
+    # the lowest column of the first asymmetric row
+    ("0 1 2 3\n1 0 5 6\n2 4 0 3\n3 7 3 0\n", AsymmetricInput,
+     "entry (2,3)=5.0 disagrees with (3,2)=4.0"),
+])
+def test_square_error_order(text, error, message):
+    with pytest.raises(error) as info:
+        parse_matrix(text, "square")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    # row by row: row 2's diagonal before row 3's bad token or length
+    ("0\n1 5\n2 x 0\n", "diagonal entry on row 2 must be 0"),
+    ("0\n1 5\n2 3\n", "diagonal entry on row 2 must be 0"),
+    ("0\n1 0\n2 x 0\n", "expected a number, got 'x'"),
+    ("0\n1 0 4\n2 3 0\n", "lower-triangle row 2 has 3 entries, expected 2"),
+])
+def test_lower_error_order(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_matrix(text, "lower")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values,error,message", [
+    ((1.0, float("nan"), -1.0), FormatError, "distances must be finite, got nan"),
+    ((1.0, -1.0, float("inf")), NegativeValue, "negative dissimilarity -1.0"),
+    ((float("-inf"), -1.0, 2.0), FormatError,
+     "distances must be finite, got -inf"),
+])
+def test_first_bad_value_is_reported(values, error, message):
+    with pytest.raises(error) as info:
+        ProximityMatrix(("a", "b", "c"), values)
+    assert str(info.value) == message

@@ -20,6 +20,7 @@ from multidendro import (
     parse_newick_extended,
     parse_records,
     records_to_json,
+    render_text,
     resolve_height,
     to_newick_extended,
     ZeroDistanceWarning,
@@ -100,6 +101,38 @@ def test_deep_caterpillar_walks_without_recursion():
     assert report.child == labels[1:]
     assert report.parent == labels
     assert (report.child_value, report.parent_value) == (depth - 1.0, depth - 1.5)
+
+
+def _rising_caterpillar(depth):
+    # leaves 0..depth; the node over leaves i..depth sits at depth - i
+    node = Leaf(depth, "x%d" % depth)
+    for i in range(depth - 1, -1, -1):
+        node = internal((node, Leaf(i, "x%d" % i)), float(depth - i),
+                        float(depth - i))
+    return MultivaluedTree(root=node,
+                           labels=tuple("x%d" % i for i in range(depth + 1)))
+
+
+def _rising_caterpillar_text(depth):
+    """What render_text writes for ``_rising_caterpillar(depth)``."""
+    lines = ["[%d..%d]" % (depth, depth)]
+    for i in range(depth):
+        pad = "    " * i
+        lines.append(pad + "+-- x%d" % i)
+        if i < depth - 1:
+            lines.append(pad + "\\-- [%d..%d]" % (depth - i - 1, depth - i - 1))
+    lines.append("    " * (depth - 1) + "\\-- x%d" % depth)
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_caterpillar_renders_and_cophenetics_without_recursion():
+    depth = sys.getrecursionlimit() + 500
+    tree = _rising_caterpillar(depth)
+    assert render_text(tree) == _rising_caterpillar_text(depth)
+    coph = cophenetic_matrix(tree)
+    # leaves i < j first share the node over leaves i..depth
+    assert coph.values == tuple(float(depth - i) for i in range(depth + 1)
+                                for _ in range(i + 1, depth + 1))
 
 
 def test_deep_caterpillar_validates_and_records_without_recursion():
