@@ -52,13 +52,8 @@ from .linkage import (
     METHOD_KINDS,
     BlockView,
     MethodSpec,
-    VGParams,
-    centroid_oracle,
-    direct_distance,
-    jbw_oracle,
     pg_distance,
     vg_distance,
-    vg_distance_tabular,
 )
 from .proximity import (
     FORMATS,

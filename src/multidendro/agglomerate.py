@@ -12,16 +12,23 @@ Ties are decided on comparison values (see proximity.comparison_value);
 recorded heights always keep the raw full-precision numbers.
 
 All three engines work on a ``ClusterState``: a square working matrix of
-raw distances and one of comparison values, indexed by slot. After a merge
-only the rows and columns of the new clusters are rewritten, so an
-iteration costs one vectorised scan for the minimum plus the distances that
-actually change. That scan also yields the tied edges the variable-group
-engine builds its groups from; a group's height interval is the minimum and
-maximum of its slice of the raw matrix, and its distances to the other
-survivors come from ``linkage.vg_kernel`` called on plain lists sliced from
-the matrix. The classical engine and the enumerator share one pair
-merge step (``_merge_pair``); the enumerator searches depth first over
-copies of the state, one per tied pair.
+raw distances and one of comparison values, indexed by slot, plus each
+row's smallest comparison value and a column holding it (the
+nearest-neighbour list of Müllner's "generic" algorithm, arXiv:1109.2378).
+Finding the shortest distance scans those row minima and then only the rows
+at that level, which yield the tied edges in row-major order; the
+variable-group engine builds its groups from them. A merge is a few
+whole-row numpy operations: a merged cluster's distances to every unmerged
+survivor come from its constituents' rows (``linkage.vg_row``, or
+``linkage.pg_update`` in the classical engine), bit for bit what the scalar
+update gives, and their comparison values from
+``proximity.round_half_away_array``. Only the merged rows are then scanned
+again in full; every other row folds in the new columns and is rescanned
+only when its minimum sat in a column that changed. A group's height
+interval is the minimum and maximum of its slice of the raw matrix. The
+classical engine and the enumerator share one pair merge step
+(``_merge_pair``); the enumerator searches depth first over copies of the
+state, one per tied pair.
 """
 
 from __future__ import annotations
@@ -47,10 +54,11 @@ from .linkage import (
     WEIGHTED_AVERAGE,
     WITHIN_METHODS,
     MethodSpec,
-    pg_distance,
+    pg_update,
     vg_kernel,
+    vg_row,
 )
-from .proximity import comparison_value
+from .proximity import round_half_away_array
 from .tree import (
     Leaf,
     MultivaluedTree,
@@ -132,12 +140,15 @@ class ClusterState:
 
     ``dist`` and ``keys`` are square float64 arrays over slots: ``dist``
     holds raw distances (zero diagonal) and ``keys`` the matching comparison
-    values under ``precision``. Each active cluster owns one slot
-    (``slot[cid]``; ``cid_at`` is the inverse). A merged cluster takes over
-    the slot of its first constituent; the other constituents' rows and
-    columns of ``keys`` are set to inf, like its diagonal, so ``keys.min()``
-    is always the shortest live comparison value. Values leave the arrays as
-    Python floats. ``next_id`` is the id the next merged cluster gets.
+    values under ``precision``. Slot i starts as leaf i, and a merged
+    cluster takes over the slot of its constituent with the smallest leaf,
+    so slot order is smallest-leaf order. ``slot[cid]`` and ``cid_at[slot]``
+    map between the two; ``sizes`` and ``live`` are per slot. A retired
+    slot's row and column of ``keys`` are inf, like the diagonal.
+    ``row_min[s]`` is the smallest key in row s (inf once retired) and
+    ``row_arg[s]`` a column holding it, so the shortest live comparison
+    value is ``row_min.min()``. Values leave the arrays as Python floats.
+    ``next_id`` is the id the next merged cluster gets.
     """
 
     clusters: dict
@@ -145,6 +156,10 @@ class ClusterState:
     keys: np.ndarray
     slot: dict
     cid_at: list
+    sizes: np.ndarray
+    live: np.ndarray
+    row_min: np.ndarray
+    row_arg: np.ndarray
     precision: "int | None" = None
     iteration: int = 0
     next_id: int = 0
@@ -160,13 +175,7 @@ class ClusterState:
         if matrix.precision is None:
             key_values = values
         else:
-            # a comparison value depends on the float alone, so one call
-            # per distinct value is exact
-            distinct, inverse = np.unique(values, return_inverse=True)
-            key_values = np.array(
-                [comparison_value(v, matrix.precision) for v in distinct.tolist()],
-                dtype=np.float64,
-            )[inverse]
+            key_values = round_half_away_array(values, matrix.precision)
         rows, cols = np.triu_indices(n, 1)
         dist = np.zeros((n, n))
         dist[rows, cols] = values
@@ -175,21 +184,26 @@ class ClusterState:
         keys[rows, cols] = key_values
         keys[cols, rows] = key_values
         return cls(clusters, dist, keys, {i: i for i in range(n)},
-                   list(range(n)), precision=matrix.precision, next_id=n)
+                   list(range(n)), np.ones(n, dtype=np.int64),
+                   np.ones(n, dtype=bool), keys.min(axis=1),
+                   keys.argmin(axis=1), precision=matrix.precision,
+                   next_id=n)
 
     def copy(self):
         """An independent state that can be merged on without touching this one."""
         return ClusterState(dict(self.clusters), self.dist.copy(),
                             self.keys.copy(), dict(self.slot), list(self.cid_at),
+                            self.sizes.copy(), self.live.copy(),
+                            self.row_min.copy(), self.row_arg.copy(),
                             self.precision, self.iteration, self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
 
-        Edges are (low cid, high cid) pairs; the raw value is the smallest
-        raw distance among them.
+        Edges are (low cid, high cid) pairs in row-major slot order; the raw
+        value is the smallest raw distance among them.
         """
-        low_key = float(self.keys.min())
+        low_key = float(self.row_min.min())
         rows, cols = self._tied_slots(low_key)
         low_raw = float(self.dist[rows, cols].min())
         return low_raw, low_key, self._edges(rows, cols)
@@ -199,7 +213,10 @@ class ClusterState:
         return self._edges(*self._tied_slots(key))
 
     def _tied_slots(self, key):
-        rows, cols = np.nonzero(self.keys == key)
+        # only a row whose minimum is at most key can hold key
+        rows = (self.row_min <= key).nonzero()[0]
+        at, cols = np.nonzero(self.keys[rows] == key)
+        rows = rows[at]
         upper = rows < cols
         return rows[upper], cols[upper]
 
@@ -211,48 +228,71 @@ class ClusterState:
             edges.append((a, b) if a < b else (b, a))
         return edges
 
-    def block(self, row_cids, col_cids):
-        """Raw distances between two lists of clusters, as nested lists."""
-        slot = self.slot
-        index = np.ix_([slot[c] for c in row_cids], [slot[c] for c in col_cids])
-        return self.dist[index].tolist()
+    def live_slots(self):
+        """Slots of the active clusters, ascending."""
+        return self.live.nonzero()[0]
 
-    def distances_from(self, cid):
-        """{other active cid: raw distance} for one active cluster."""
-        row = self.dist[self.slot[cid]].tolist()
-        return {other: row[s] for other, s in self.slot.items() if other != cid}
-
-    def merge(self, formed, values):
+    def merge(self, formed, writes):
         """Replace constituents by merged clusters and store new distances.
 
-        ``formed`` lists (new Cluster, constituent cids); the new cluster
-        takes over its first constituent's slot. ``values`` maps a pair of
-        active cids to its raw distance and must cover every pair that
-        touches a new cluster; all other entries stay as they are.
+        ``formed`` lists (new Cluster, constituent slots ascending); the new
+        cluster takes over the first of those slots. ``writes`` lists (slot,
+        other slots, raw distances) triples, written symmetrically, and must
+        cover every pair that touches a new cluster; all other entries stay
+        as they are.
         """
+        homes, gone = [], []
         for cluster, parts in formed:
-            home = self.slot[parts[0]]
-            for cid in parts:
+            for s in parts:
+                cid = self.cid_at[s]
                 del self.clusters[cid]
-                gone = self.slot.pop(cid)
-                if gone != home:
-                    self.keys[gone, :] = np.inf
-                    self.keys[:, gone] = np.inf
+                del self.slot[cid]
+            home = parts[0]
+            homes.append(home)
+            gone.extend(parts[1:])
             self.clusters[cluster.cid] = cluster
             self.slot[cluster.cid] = home
             self.cid_at[home] = cluster.cid
-        if not values:
-            return
-        rows = [self.slot[a] for a, _ in values]
-        cols = [self.slot[b] for _, b in values]
-        raw = list(values.values())
-        if self.precision is None:
-            key_values = raw
-        else:
-            key_values = [comparison_value(v, self.precision) for v in raw]
-        for table, new in ((self.dist, raw), (self.keys, key_values)):
-            table[rows, cols] = new
-            table[cols, rows] = new
+            self.sizes[home] = cluster.size
+        # one slot at a time: a handful of scalar and view assignments cost
+        # less than indexing with a list
+        for s in gone:
+            self.live[s] = False
+            self.keys[s] = np.inf
+            self.keys[:, s] = np.inf
+            self.row_min[s] = np.inf
+        for s, cols, raw in writes:
+            if self.precision is None:
+                key_values = raw
+            else:
+                key_values = round_half_away_array(raw, self.precision)
+            for table, new in ((self.dist, raw), (self.keys, key_values)):
+                table[s][cols] = new
+                table[:, s][cols] = new
+        self._refresh_minima(homes, gone)
+
+    def _refresh_minima(self, homes, gone):
+        # every live row folds in the new columns; it is scanned again only
+        # when its old minimum sat in a column that changed and no new
+        # entry matches it, and the merged rows are always scanned again
+        keys, row_min, row_arg = self.keys, self.row_min, self.row_arg
+        changed = np.zeros(len(row_min), dtype=bool)
+        for s in homes + gone:
+            changed[s] = True
+        stale = changed[row_arg]
+        stale &= self.live
+        for home in homes:
+            column = keys[:, home]
+            better = column <= row_min
+            row_arg[better] = home
+            np.minimum(row_min, column, out=row_min)
+            stale[better] = False
+        for home in homes:
+            stale[home] = True
+        rows = stale.nonzero()[0]
+        block = keys[rows]
+        row_min[rows] = block.min(axis=1)
+        row_arg[rows] = block.argmin(axis=1)
 
 
 def tie_groups(state, d_lower):
@@ -262,24 +302,32 @@ def tie_groups(state, d_lower):
     at that value land in one group, everything else stays alone. Groups and
     their members come back ordered by smallest leaf index.
     """
-    return _groups_from_edges(state, state.tied_edges(d_lower))
+    joined = {grp[0]: grp for grp in
+              _groups_from_edges(state, state.tied_edges(d_lower))}
+    inside = {s for grp in joined.values() for s in grp}
+    cid_at = state.cid_at
+    groups = []
+    for s in state.live_slots().tolist():
+        if s in joined:
+            groups.append(tuple(cid_at[x] for x in joined[s]))
+        elif s not in inside:
+            groups.append((cid_at[s],))
+    return tuple(groups)
 
 
 def _groups_from_edges(state, edges):
-    # union-find covers only the clusters the edges touch; every other
-    # active cluster is a group of its own
-    ds = DisjointSet({cid for edge in edges for cid in edge})
-    for a, b in edges:
+    # the slots the edges join, one ascending tuple per connected set; in
+    # ascending order the first slot met opens each set, so the sets come
+    # out ordered by smallest leaf too
+    slot = state.slot
+    pairs = [(slot[a], slot[b]) for a, b in edges]
+    ds = DisjointSet(sorted({s for pair in pairs for s in pair}))
+    for a, b in pairs:
         ds.union(a, b)
     buckets = {}
-    for cid in ds.parent:
-        buckets.setdefault(ds.find(cid), []).append(cid)
-    clusters = state.clusters
-    min_leaf = lambda cid: clusters[cid].min_leaf
-    groups = [tuple(sorted(bucket, key=min_leaf)) for bucket in buckets.values()]
-    groups.extend((cid,) for cid in clusters if cid not in ds.parent)
-    groups.sort(key=lambda grp: min_leaf(grp[0]))
-    return tuple(groups)
+    for s in ds.parent:
+        buckets.setdefault(ds.find(s), []).append(s)
+    return [tuple(bucket) for bucket in buckets.values()]
 
 
 def fusion_value(sizes, within, method, policy):
@@ -368,8 +416,8 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
     Returns (tree, trace). Each iteration finds the shortest current
     distance, partitions the tied clusters into groups, merges every group
-    of two or more at once, and recomputes distances between all surviving
-    superclusters from block views of their constituents.
+    of two or more at once, and computes each merged cluster's distances to
+    every survivor from its constituents' rows of the working matrix.
     """
     policy = normalize_policy(policy)
     method = _as_method(method)
@@ -390,6 +438,10 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
     state = ClusterState.from_matrix(matrix)
     records = []
+    # what each slot's cluster records while it passes an iteration unmerged
+    passing = [GroupRecord(cluster_id=i, member_ids=(i,), leaves=(i,),
+                           h_lower=None, h_upper=None, fusion=None)
+               for i in range(matrix.n)]
     low = state.shortest()
     # within blocks are read only by some rules' updates and by fusion values
     keep_within = policy != POLICY_INTERVAL or method.kind in WITHIN_METHODS
@@ -397,32 +449,23 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     while len(state.clusters) > 1:
         state.iteration += 1
         d_lower_raw, _, edges = low
-        groups = _groups_from_edges(state, edges)
-
-        formed = []  # (merged Cluster, constituent Clusters, within or None)
-        group_records = []
+        formed = []  # (merged Cluster, constituent slots, sizes, within or None)
         reversal = False
 
-        for grp in groups:
+        for parts in _groups_from_edges(state, edges):
+            grp = tuple(state.cid_at[s] for s in parts)
             members = [state.clusters[cid] for cid in grp]
-            if len(grp) == 1:
-                c = members[0]
-                group_records.append(GroupRecord(
-                    cluster_id=c.cid, member_ids=grp, leaves=c.members,
-                    h_lower=None, h_upper=None, fusion=None))
-                continue
-            slots = [state.slot[cid] for cid in grp]
-            block = state.dist[np.ix_(slots, slots)]
-            pair_values = block[np.triu_indices(len(grp), 1)]
+            block = state.dist[np.ix_(parts, parts)]
+            pair_values = block[np.triu_indices(len(parts), 1)]
             h_lower = float(pair_values.min())
             h_upper = float(pair_values.max())
             within = block.tolist() if keep_within else None
+            sizes = [c.size for c in members]
             fusion = None
             if policy != POLICY_INTERVAL:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", FusionFallbackWarning)
-                    fusion = fusion_value([c.size for c in members], within,
-                                          method, policy)
+                    fusion = fusion_value(sizes, within, method, policy)
             node = internal([c.node for c in members], h_lower, h_upper, fusion)
             if any(reversals_between(c.node, node) for c in members):
                 reversal = True
@@ -432,21 +475,27 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 node,
             )
             state.next_id += 1
-            formed.append((merged, members, within))
-            group_records.append(GroupRecord(
+            formed.append((merged, parts, sizes, within))
+            passing[parts[0]] = GroupRecord(
                 cluster_id=merged.cid, member_ids=grp, leaves=merged.members,
-                h_lower=h_lower, h_upper=h_upper, fusion=fusion))
+                h_lower=h_lower, h_upper=h_upper, fusion=fusion)
 
-        values = _group_update(state, formed, method)
-        state.merge([(m, tuple(c.cid for c in parts)) for m, parts, _ in formed],
-                    values)
+        writes = _group_update(state, formed, method)
+        state.merge([(merged, parts) for merged, parts, _, _ in formed], writes)
+        # slot order is smallest-leaf order, the order groups are recorded in
+        group_records = tuple(map(passing.__getitem__,
+                                  state.live_slots().tolist()))
+        for merged, parts, _, _ in formed:
+            passing[parts[0]] = GroupRecord(
+                cluster_id=merged.cid, member_ids=(merged.cid,),
+                leaves=merged.members, h_lower=None, h_upper=None, fusion=None)
         d_next = None
         if len(state.clusters) > 1:
             low = state.shortest()
             d_next = low[0]
         records.append(IterationRecord(
             index=state.iteration, d_lower=d_lower_raw,
-            groups=tuple(group_records), d_next=d_next, reversal=reversal))
+            groups=group_records, d_next=d_next, reversal=reversal))
 
     root = next(iter(state.clusters.values())).node
     tree = MultivaluedTree(root=root, labels=matrix.labels, **tags)
@@ -456,31 +505,36 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
 
 def _group_update(state, formed, method):
-    """Distances from each newly merged cluster to every other survivor.
+    """Writes (slot, other slots, raw distances) from each newly merged
+    cluster to every other survivor, for ``ClusterState.merge``.
 
-    Clusters that did not merge keep their distances to each other. Block I
-    is always the cluster with the lower id: an unmerged cluster against a
-    merged one, or the earlier of two merged ones. The blocks come straight
-    from the working matrix as Python floats, so they go to ``vg_kernel``
-    unchecked.
+    Clusters that did not merge keep their distances to each other. A
+    merged cluster's distances to all unmerged ones are one row, computed
+    by ``linkage.vg_row`` from its constituents' rows of the working
+    matrix. Two clusters merged in the same iteration go through
+    ``linkage.vg_kernel`` with the earlier one (lower id) as block I.
     """
     kind = method.kind
-    absorbed = {c.cid for _, parts, _ in formed for c in parts}
-    kept = [c for cid, c in state.clusters.items() if cid not in absorbed]
-    kept_ids = [c.cid for c in kept]
-    values = {}
-    for t, (merged, parts, within) in enumerate(formed):
-        part_ids = [c.cid for c in parts]
-        sizes = [c.size for c in parts]
-        for other, cross in zip(kept, state.block(kept_ids, part_ids)):
-            values[(other.cid, merged.cid)] = vg_kernel(
-                kind, (other.size,), sizes, (cross,), None, within)
-        for later, later_parts, later_within in formed[t + 1:]:
-            values[(merged.cid, later.cid)] = vg_kernel(
-                kind, sizes, [c.size for c in later_parts],
-                state.block(part_ids, [c.cid for c in later_parts]),
-                within, later_within)
-    return values
+    kept = state.live.copy()
+    for _, parts, _, _ in formed:
+        kept[list(parts)] = False
+    kept = kept.nonzero()[0]
+    kept_sizes = state.sizes[kept]
+    dist = state.dist
+    writes = []
+    for t, (_, parts, sizes, within) in enumerate(formed):
+        cross = dist[np.ix_(parts, kept)]
+        writes.append((parts[0], kept,
+                       vg_row(kind, kept_sizes, sizes, cross, within)))
+        later = formed[t + 1:]
+        if later:
+            between = [vg_kernel(kind, sizes, other_sizes,
+                                 dist[np.ix_(parts, others)].tolist(),
+                                 within, other_within)
+                       for _, others, other_sizes, other_within in later]
+            writes.append((parts[0], [others[0] for _, others, _, _ in later],
+                           np.array(between)))
+    return writes
 
 
 def _decimals_for(precision):
@@ -492,30 +546,25 @@ def _decimals_for(precision):
 def _merge_pair(state, a, b, method):
     """Merge active clusters ``a`` and ``b`` at their current distance.
 
-    The new cluster gets ``state.next_id``; its distance to every other
-    survivor comes from the pair-group update. Returns the new Cluster.
+    The new cluster gets ``state.next_id``; its distances to every other
+    survivor are one row of the pair-group update. Returns the new Cluster.
     """
-    d_left = state.distances_from(a)
-    d_right = state.distances_from(b)
-    h = d_left[b]
     left = state.clusters[a]
     right = state.clusters[b]
+    sa, sb = state.slot[a], state.slot[b]
+    dist = state.dist
+    h = float(dist[sa, sb])
     node = internal([left.node, right.node], h, h, fusion=h)
     merged = Cluster(state.next_id, tuple(sorted(left.members + right.members)),
                      node)
     state.next_id += 1
-    values = {}
-    for cid, other in state.clusters.items():
-        if cid == a or cid == b:
-            continue
-        values[(cid, merged.cid)] = pg_distance(
-            method,
-            (left.size, right.size, other.size),
-            d_between=h,
-            d_left=d_left[cid],
-            d_right=d_right[cid],
-        )
-    state.merge([(merged, (a, b))], values)
+    parts = (sa, sb) if sa < sb else (sb, sa)
+    kept = state.live.copy()
+    kept[sa] = kept[sb] = False
+    kept = kept.nonzero()[0]
+    row = pg_update(method.kind, left.size, right.size, state.sizes[kept],
+                    h, dist[sa][kept], dist[sb][kept])
+    state.merge([(merged, parts)], [(parts[0], kept, row)])
     return merged
 
 
@@ -572,12 +621,12 @@ def enumerate_pair_group(matrix, method, limit=10000):
     memo = {}
 
     def complete(state):
-        live = sorted(state.clusters.values(), key=lambda c: c.min_leaf)
-        if len(live) == 1:
+        if len(state.clusters) == 1:
             return (frozenset(),)
-        slots = [state.slot[c.cid] for c in live]
-        key = (tuple(c.members for c in live),
-               state.dist[np.ix_(slots, slots)].tobytes())
+        slots = state.live_slots()
+        clusters, cid_at = state.clusters, state.cid_at
+        key = (tuple(clusters[cid_at[s]].members for s in slots.tolist()),
+               state.dist[slots[:, None], slots].tobytes())
         found = memo.get(key)
         if found is not None:
             return found

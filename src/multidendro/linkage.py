@@ -4,15 +4,14 @@ Seven rules are supported. ``pg_distance`` handles the classical case where
 exactly two clusters merge; ``vg_distance`` handles the general case where a
 block of tied clusters I merges against another block J, using only the
 current between-cluster distances and cluster sizes. Its arithmetic lives in
-``vg_kernel``, which takes plain sequences and checks nothing: the
-variable-group engine calls it straight from its working matrix, while
+``vg_kernel``, which takes plain sequences and checks nothing, while
 ``vg_distance`` takes a ``BlockView``, whose construction coerces and
-validates the blocks once for outside callers. ``vg_distance_tabular``
-evaluates the same quantity through an explicit coefficient table, one
-weight per distance term; it exists so the two routes can be checked against
-each other. ``direct_distance`` and the point oracles recompute distances
-from the flat individual-by-individual data and are meant for tests, not
-for the clustering loop.
+validates the blocks once for outside callers.
+
+The engines update whole rows at once: ``vg_row`` gives a merged block's
+distances to many single clusters in a few numpy operations, and
+``pg_update`` is ``pg_distance``'s arithmetic applied to a row. Both equal
+the scalar results bit for bit.
 
 Numerical notes: sums run through math.fsum, so results do not depend on
 term order. Single and complete are evaluated as exact min and max over the
@@ -29,7 +28,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidAlpha,
     MissingDistance,
     UnsupportedMethod,
@@ -197,88 +195,50 @@ def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
                       -(ti / tj) * within_j)) / (ti + tj)
 
 
-# ---- explicit coefficient route ----
+def vg_row(kind, sizes_i, sizes_j, cross, within_j):
+    """``vg_kernel`` for many single clusters I against one block J.
 
-@dataclass(frozen=True)
-class VGParams:
-    """Per-term weights of the block update, plus the min/max switch.
+    ``sizes_i`` holds the sizes of the single clusters (an int array of
+    length m), ``sizes_j`` the q sizes of J, ``cross`` is a q x m array
+    (column k: cluster k against each member of J) and ``within_j`` J's
+    within block. Returns the m distances, each equal bit for bit to
+    ``vg_kernel(kind, (sizes_i[k],), sizes_j, (cross[:, k],), None,
+    within_j)``.
 
-    ``delta`` is 1 when the weighted deviations are taken from the largest
-    cross distance, 0 when from the smallest, None when that term is absent
-    (gamma treated as zero).
+    Single and complete are a column minimum and maximum for any q. For
+    q == 2 the other rules use the kernel's terms in the kernel's order:
+    ``math.fsum`` of two terms is their IEEE sum, except that it never
+    returns -0.0, hence the ``+ 0.0``. A single cluster's within sum is
+    0.0, so ``fsum((between, -0.0, -w))`` is ``between - w``: the IEEE
+    difference is -0.0 only when ``between`` is, and it never is.
+    Larger blocks under the summing rules call ``vg_kernel`` per column.
     """
-
-    alpha: object
-    beta_left: object = None
-    beta_right: object = None
-    gamma: object = None
-    delta: "int | None" = None
-
-
-def _params_for(method):
-    kind = method.kind
     if kind == SINGLE:
-        return VGParams(
-            alpha=lambda b, i, j: 1.0 / (b.p * b.q),
-            gamma=lambda b, i, j: 1.0 / (b.p * b.q),
-            delta=0,
-        )
+        return cross.min(axis=0)
     if kind == COMPLETE:
-        return VGParams(
-            alpha=lambda b, i, j: 1.0 / (b.p * b.q),
-            gamma=lambda b, i, j: 1.0 / (b.p * b.q),
-            delta=1,
-        )
+        return cross.max(axis=0)
+    if len(sizes_j) != 2:
+        return np.array([vg_kernel(kind, (s,), sizes_j, (col,), None, within_j)
+                         for s, col in zip(sizes_i.tolist(), cross.T.tolist())],
+                        dtype=np.float64)
+    si = sizes_i
+    s1, s2 = sizes_j
+    c1, c2 = cross
+    tj = s1 + s2
     if kind == UNWEIGHTED_AVERAGE:
-        return VGParams(
-            alpha=lambda b, i, j: (b.sizes_i[i] * b.sizes_j[j]) / (b.total_i * b.total_j),
-        )
+        return (si * s1 * c1 + si * s2 * c2 + 0.0) / (si * tj)
     if kind == WEIGHTED_AVERAGE:
-        return VGParams(alpha=lambda b, i, j: 1.0 / (b.p * b.q))
+        return (c1 + c2 + 0.0) / 2
+    w = within_j[0][1]
     if kind == UNWEIGHTED_CENTROID:
-        return VGParams(
-            alpha=lambda b, i, j: (b.sizes_i[i] * b.sizes_j[j]) / (b.total_i * b.total_j),
-            beta_left=lambda b, i, i2: -(b.sizes_i[i] * b.sizes_i[i2]) / (b.total_i ** 2),
-            beta_right=lambda b, j, j2: -(b.sizes_j[j] * b.sizes_j[j2]) / (b.total_j ** 2),
-        )
+        between = (si * s1 * c1 + si * s2 * c2 + 0.0) / (si * tj)
+        return between - math.fsum((s1 * s2 * w,)) / (tj * tj)
     if kind == WEIGHTED_CENTROID:
-        return VGParams(
-            alpha=lambda b, i, j: 1.0 / (b.p * b.q),
-            beta_left=lambda b, i, i2: -1.0 / (b.p ** 2),
-            beta_right=lambda b, j, j2: -1.0 / (b.q ** 2),
-        )
-    return VGParams(
-        alpha=lambda b, i, j: (b.sizes_i[i] + b.sizes_j[j]) / (b.total_i + b.total_j),
-        beta_left=lambda b, i, i2: -(b.total_j / b.total_i)
-        * (b.sizes_i[i] + b.sizes_i[i2]) / (b.total_i + b.total_j),
-        beta_right=lambda b, j, j2: -(b.total_i / b.total_j)
-        * (b.sizes_j[j] + b.sizes_j[j2]) / (b.total_i + b.total_j),
-    )
-
-
-def vg_distance_tabular(method, blocks):
-    """Same quantity as vg_distance, assembled term by term from weights."""
-    par = _params_for(method)
-    p, q = blocks.p, blocks.q
-    terms = [par.alpha(blocks, i, j) * blocks.cross[i][j]
-             for i in range(p) for j in range(q)]
-    if par.beta_left is not None:
-        terms.extend(par.beta_left(blocks, i, i2) * blocks.within_i[i][i2]
-                     for i, i2 in combinations(range(p), 2))
-    if par.beta_right is not None:
-        terms.extend(par.beta_right(blocks, j, j2) * blocks.within_j[j][j2]
-                     for j, j2 in combinations(range(q), 2))
-    if par.delta is not None:
-        values = _flat(blocks.cross)
-        if par.delta == 1:
-            top = max(values)
-            terms.extend(par.gamma(blocks, i, j) * (top - blocks.cross[i][j])
-                         for i in range(p) for j in range(q))
-        else:
-            bottom = min(values)
-            terms.extend(-par.gamma(blocks, i, j) * (blocks.cross[i][j] - bottom)
-                         for i in range(p) for j in range(q))
-    return math.fsum(terms)
+        between = (c1 + c2 + 0.0) / 2
+        return between - math.fsum((w,)) / 4
+    # joint between-within
+    between = (si + s1) * c1 + (si + s2) * c2 + 0.0
+    return (between - (si / tj) * math.fsum((tj * w,))) / (si + tj)
 
 
 # ---- classical two-way update ----
@@ -293,7 +253,16 @@ def pg_distance(method, sizes, d_between, d_left, d_right):
     si, si2, sj = (int(s) for s in sizes)
     if min(si, si2, sj) < 1:
         raise MissingDistance("cluster sizes must be >= 1")
-    kind = method.kind
+    return pg_update(method.kind, si, si2, sj, d_between, d_left, d_right)
+
+
+def pg_update(kind, si, si2, sj, d_between, d_left, d_right):
+    """``pg_distance``'s arithmetic, unchecked.
+
+    ``sj``, ``d_left`` and ``d_right`` may be numpy arrays, one entry per
+    other cluster: the operations are the same IEEE ones in the same
+    order, so each entry of the row equals the scalar result bit for bit.
+    """
     if kind == SINGLE:
         return 0.5 * d_left + 0.5 * d_right - 0.5 * abs(d_left - d_right)
     if kind == COMPLETE:
@@ -310,106 +279,3 @@ def pg_distance(method, sizes, d_between, d_left, d_right):
         return 0.5 * d_left + 0.5 * d_right - 0.25 * d_between
     return ((si + sj) * d_left + (si2 + sj) * d_right - sj * d_between) \
         / (si + si2 + sj)
-
-
-# ---- flat recomputation over individuals ----
-
-def direct_distance(method, matrix, side_i, side_j):
-    """Between-group distance straight from the individual distances.
-
-    ``matrix`` is a full square array over individuals; sides are disjoint
-    index collections. Defined for single, complete, unweighted_average and
-    joint_between_within (where the matrix must already hold the
-    alpha-powered distances). The centroid rules need coordinates, not
-    distances; they are covered by centroid_oracle.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("matrix must be square")
-    side_i = list(side_i)
-    side_j = list(side_j)
-    if not side_i or not side_j or set(side_i) & set(side_j):
-        raise ValueError("sides must be non-empty and disjoint")
-    cross = arr[np.ix_(side_i, side_j)]
-    kind = method.kind
-    if kind == SINGLE:
-        return float(cross.min())
-    if kind == COMPLETE:
-        return float(cross.max())
-    if kind == UNWEIGHTED_AVERAGE:
-        return float(cross.mean())
-    if kind == JOINT_BETWEEN_WITHIN:
-        ni, nj = len(side_i), len(side_j)
-        theta_ij = float(cross.mean())
-        theta_ii = float(arr[np.ix_(side_i, side_i)].mean())
-        theta_jj = float(arr[np.ix_(side_j, side_j)].mean())
-        return (ni * nj / (ni + nj)) * (2.0 * theta_ij - theta_ii - theta_jj)
-    raise UnsupportedMethod(
-        "no individual-level distance form for %r" % (kind,)
-    )
-
-
-# ---- point oracles ----
-
-def _as_points(obj, what):
-    pts = np.asarray(obj, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise DimensionMismatch("%s must be a non-empty set of points" % (what,))
-    return pts
-
-
-def centroid_oracle(points_i, points_j, weighted=False):
-    """Squared distance between group centers, computed from coordinates.
-
-    Unweighted: each side is a flat point set and the center is its mean.
-    Weighted: each side is a sequence of clusters of points and the center
-    is the plain mean of the cluster centers, so small clusters count as
-    much as large ones.
-    """
-    if weighted:
-        centers_i = [_as_points(c, "cluster").mean(axis=0) for c in points_i]
-        centers_j = [_as_points(c, "cluster").mean(axis=0) for c in points_j]
-        dims = {len(c) for c in centers_i} | {len(c) for c in centers_j}
-        if len(dims) != 1:
-            raise DimensionMismatch("clusters live in different dimensions")
-        center_i = np.mean(centers_i, axis=0)
-        center_j = np.mean(centers_j, axis=0)
-    else:
-        pi = _as_points(points_i, "points_i")
-        pj = _as_points(points_j, "points_j")
-        if pi.shape[1] != pj.shape[1]:
-            raise DimensionMismatch(
-                "points have dimension %d vs %d" % (pi.shape[1], pj.shape[1])
-            )
-        center_i = pi.mean(axis=0)
-        center_j = pj.mean(axis=0)
-    diff = center_i - center_j
-    return float(np.dot(diff, diff))
-
-
-def jbw_oracle(points_i, points_j, alpha=1.0):
-    """Joint between-within distance computed from coordinates.
-
-    Uses the alpha-powered Euclidean distances: the size-scaled difference
-    between the mean cross value and the two mean within values (self pairs
-    included at zero).
-    """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise InvalidAlpha("alpha must lie in (0, 2], got %r" % (alpha,))
-    pi = _as_points(points_i, "points_i")
-    pj = _as_points(points_j, "points_j")
-    if pi.shape[1] != pj.shape[1]:
-        raise DimensionMismatch(
-            "points have dimension %d vs %d" % (pi.shape[1], pj.shape[1])
-        )
-
-    def mean_pow(a, b):
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        return float((d ** alpha).mean())
-
-    ni, nj = len(pi), len(pj)
-    theta_ij = mean_pow(pi, pj)
-    theta_ii = mean_pow(pi, pi)
-    theta_jj = mean_pow(pj, pj)
-    return (ni * nj / (ni + nj)) * (2.0 * theta_ij - theta_ii - theta_jj)

@@ -10,6 +10,11 @@ rounded values exist only for comparisons.
 
 Rounding and similarity conversion run through ``decimal`` so that written
 decimal digits behave the way they read: 1 - 0.962 really is 0.038.
+Arrays of comparison values are rounded with numpy instead
+(``round_half_away_array``), to the same bits: ``repr(v)`` reaches a
+half-quantum exactly when ``v`` reaches the float nearest to it, and that
+float is one correctly rounded division, so each value needs only a floor
+and one comparison on either side.
 
 Square and lower-triangle text is converted with one ``float`` pass over all
 tokens and its diagonal and symmetry are checked on the resulting array;
@@ -101,6 +106,48 @@ def round_half_away(value, places):
     """Round a float to ``places`` decimals, ties away from zero."""
     quantum = Decimal(1).scaleb(-places)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+# below this, |v| * 10**places has room for the float nearest a
+# half-quantum to be told apart from every other short decimal
+_EXACT_LIMIT = 2.0 ** 40
+# 10**places is an exact float up to here
+_EXACT_PLACES = 22
+
+
+def round_half_away_array(values, places):
+    """``round_half_away`` over a float64 array, bit for bit.
+
+    ``round_half_away`` rounds ``repr(v)``. Reading a decimal as a float is
+    monotone, so ``repr(v)`` reaches a half-quantum ``b`` exactly when ``v``
+    reaches ``float(b)``, as long as no other decimal as short as ``b``
+    rounds to the same float, which holds while ``|v| * 10**places`` stays
+    below 2**40. For ``t`` quanta that float is ``(t + 0.5) / 10**places``
+    (IEEE division is correctly rounded), so ``t = floor(|v| * 10**places +
+    0.5)`` is moved at most once up or down against those bounds.
+    The result ``t / 10**places`` is what ``float(Decimal)`` gives, and takes
+    the sign of ``v``. Larger, non-finite and over-precise values go through
+    ``round_half_away`` one at a time.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if places > _EXACT_PLACES:
+        return np.array([round_half_away(x, places) for x in v.tolist()],
+                        dtype=np.float64).reshape(v.shape)
+    scale = float(10 ** places)
+    mag = np.abs(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = mag * scale
+        t = np.floor(scaled + 0.5)
+        # t + 0.5 is exact below 2**52, so each bound is one rounding
+        up = mag >= (t + 0.5) / scale
+        t -= mag < (t - 0.5) / scale
+        t += up
+        out = np.copysign(t / scale, v)
+        if v.size == 0 or scaled.max() < _EXACT_LIMIT:
+            return out
+        wild = ~(scaled < _EXACT_LIMIT)
+    out[wild] = [round_half_away(x, places) for x in v[wild].tolist()]
+    return out
 
 
 def comparison_value(value, precision):
@@ -225,6 +272,9 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
     similarity_to_dissimilarity before clustering.
     """
     fmt = _normalize_format(fmt)
+    # a byte-order mark some editors write is no part of the first token
+    if text.startswith("\ufeff"):
+        text = text[1:]
     self_value = 1.0 if similarity else 0.0
     if fmt == "square":
         labels, values, inferred = _parse_square(text, self_value)
@@ -486,5 +536,5 @@ def round_to_precision(matrix, places):
     """
     if places < 0:
         raise FormatError("precision must be >= 0")
-    rounded = tuple(round_half_away(v, places) for v in matrix.values)
+    rounded = tuple(round_half_away_array(matrix.values, places).tolist())
     return replace(matrix, values=rounded, precision=places)

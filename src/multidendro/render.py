@@ -75,40 +75,52 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
             return x_of(0.0)
         return x_of(node.fusion if node.fusion is not None else node.h_lower)
 
-    def node_y(node):
-        ys = [rows[leaf.index] for leaf in node.leaves()]
-        return (min(ys) + max(ys)) / 2.0
-
-    def walk(node):
+    # the rows a node spans: its leaves sit on consecutive rows, so the
+    # first and last are the minimum and maximum, found in one postorder
+    span_of = {}
+    for node in _postorder(tree.root):
         if node.is_leaf:
-            return
+            y = rows[node.index]
+            span_of[id(node)] = (y, y)
+        else:
+            spans = [span_of[id(child)] for child in node.children]
+            span_of[id(node)] = (min(lo for lo, _ in spans),
+                                 max(hi for _, hi in spans))
+
+    def node_y(node):
+        lo, hi = span_of[id(node)]
+        return (lo + hi) / 2.0
+
+    def line(x1, y1, x2, y2):
+        return ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333" '
+                'stroke-width="1.5"/>' % (f(x1), f(y1), f(x2), f(y2)))
+
+    # preorder; a node's band comes before its children's, each child's
+    # join line before that child's subtree, and the node's upright line
+    # after all of them, so lines wait on the stack as finished text
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            joins.append(node)
+            continue
+        if node.is_leaf:
+            continue
         x = draw_x(node)
         if node.h_upper > node.h_lower:
-            ys = [rows[leaf.index] for leaf in node.leaves()]
+            lo, hi = span_of[id(node)]
             bands.append(
                 '<rect class="band" x="%s" y="%s" width="%s" height="%s" '
                 'fill="#888888" fill-opacity="0.35"/>'
-                % (f(x_of(node.h_lower)), f(min(ys) - row_height * 0.3),
+                % (f(x_of(node.h_lower)), f(lo - row_height * 0.3),
                    f(x_of(node.h_upper) - x_of(node.h_lower)),
-                   f(max(ys) - min(ys) + row_height * 0.6))
+                   f(hi - lo + row_height * 0.6))
             )
-        child_ys = []
-        for child in node.children:
-            cy = node_y(child)
-            child_ys.append(cy)
-            joins.append(
-                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333" '
-                'stroke-width="1.5"/>'
-                % (f(draw_x(child)), f(cy), f(x), f(cy))
-            )
-            walk(child)
-        joins.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333" '
-            'stroke-width="1.5"/>'
-            % (f(x), f(min(child_ys)), f(x), f(max(child_ys)))
-        )
-
-    walk(tree.root)
+        child_ys = [node_y(child) for child in node.children]
+        stack.append(line(x, min(child_ys), x, max(child_ys)))
+        for child, cy in zip(reversed(node.children), reversed(child_ys)):
+            stack.append(child)
+            stack.append(line(draw_x(child), cy, x, cy))
 
     axis = [
         '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#999999" '
@@ -133,6 +145,19 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
     parts.extend(axis)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _postorder(root):
+    # children before parents, without recursion
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not node.is_leaf:
+            stack.extend(node.children)
+    out.reverse()
+    return out
 
 
 def _escape(text):

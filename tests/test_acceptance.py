@@ -17,21 +17,19 @@ from multidendro import (
     MethodSpec,
     ProximityMatrix,
     TooManySolutions,
-    centroid_oracle,
     cluster_pair_group,
     cluster_variable_group,
     cophenetic_matrix,
-    direct_distance,
     enumerate_pair_group,
     fusion_value,
-    jbw_oracle,
     parse_matrix,
     pg_distance,
     to_newick_extended,
     tree_equal,
     vg_distance,
-    vg_distance_tabular,
 )
+
+from oracles import centroid_oracle, direct_distance, jbw_oracle, vg_distance_tabular
 
 TOY_TEXT = "0 2 4 7\n2 0 2 5\n4 2 0 3\n7 5 3 0\n"
 

@@ -1,4 +1,7 @@
 import itertools
+import json
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +30,17 @@ from multidendro import (
     to_newick_extended,
     tree_equal,
 )
+from multidendro import (
+    comparison_value,
+    records_to_json,
+    render_svg,
+    to_records,
+    validate_tree,
+)
+from multidendro.agglomerate import Cluster, _group_update, _merge_pair
 from multidendro.tree import Leaf, MultivaluedTree
+
+from oracles import row_minima_full_scan, shortest_full_scan
 
 
 def condensed(square):
@@ -82,6 +95,72 @@ def test_tie_groups_respect_precision():
     state = ClusterState.from_matrix(raw)
     _, low_key, _ = state.shortest()
     assert tie_groups(state, low_key) == ((0,), (1, 2))
+
+
+# ---- cached row minima ----
+
+def _merge_groups(state, groups, method):
+    # one variable-group merge step over the given slot groups, as the
+    # engine makes it, but with groups that need not be tied
+    formed = []
+    for parts in groups:
+        members = [state.clusters[state.cid_at[s]] for s in parts]
+        merged = Cluster(state.next_id,
+                         tuple(sorted(i for c in members for i in c.members)),
+                         internal([c.node for c in members], 0.0, 0.0))
+        state.next_id += 1
+        formed.append((merged, parts, [c.size for c in members],
+                       state.dist[np.ix_(parts, parts)].tolist()))
+    state.merge([(merged, parts) for merged, parts, _, _ in formed],
+                _group_update(state, formed, method))
+
+
+def _check_state(state):
+    bits = lambda values: [struct.pack("<d", v) for v in values]
+    assert bits(state.row_min.tolist()) == bits(
+        row_minima_full_scan(state).tolist())
+    live = state.live_slots().tolist()
+    for r in live:
+        if len(live) > 1:
+            assert state.keys[r, state.row_arg[r]] == state.row_min[r]
+        for c in live:
+            if c != r:
+                assert state.keys[r, c] == comparison_value(
+                    float(state.dist[r, c]), state.precision)
+    if len(live) > 1:
+        assert state.shortest() == shortest_full_scan(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
+def test_cached_minima_match_full_scan_after_random_merges(kind, data):
+    # quarter steps from few values: ties, rounding at 0 and 1 decimals,
+    # and with the centroid rules negative distances
+    n = data.draw(st.integers(2, 9))
+    values = data.draw(st.lists(st.integers(1, 12), min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    precision = data.draw(st.sampled_from([None, 0, 1]))
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
+                             tuple(v / 4 for v in values), precision=precision)
+    method = MethodSpec(kind)
+    state = ClusterState.from_matrix(matrix)
+    _check_state(state)
+    while len(state.clusters) > 1:
+        live = state.live_slots().tolist()
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.permutations(live))[:2]
+            _merge_pair(state, state.cid_at[a], state.cid_at[b], method)
+        else:
+            # random disjoint groups; at least one has two members
+            tags = data.draw(st.lists(st.integers(0, len(live) - 1),
+                                      min_size=len(live), max_size=len(live)))
+            tags[1] = tags[0]
+            by_tag = {}
+            for s, tag in zip(live, tags):
+                by_tag.setdefault(tag, []).append(s)
+            groups = sorted(tuple(g) for g in by_tag.values() if len(g) > 1)
+            _merge_groups(state, groups, method)
+        _check_state(state)
 
 
 # ---- fusion values ----
@@ -447,3 +526,36 @@ def test_vg_permutation_invariant_at_n60(kind):
     assert not is_tie_free(trace)  # one-decimal comparison makes ties
     again, _ = cluster_variable_group(shuffled, kind)
     assert tree_equal(tree, again, tol=0.0)
+
+
+# ---- trees deeper than the recursion limit ----
+
+def _chain_matrix(n):
+    # points at the triangular numbers: every gap is a new length, so
+    # single linkage adds one point per iteration
+    pos = [k * (k + 1) // 2 for k in range(n)]
+    values = tuple(float(pos[j] - pos[i])
+                   for i in range(n) for j in range(i + 1, n))
+    return ProximityMatrix(tuple("p%d" % i for i in range(n)), values,
+                           precision=0)
+
+
+def test_chain_deeper_than_recursion_limit_through_both_engines():
+    n = sys.getrecursionlimit() + 200
+    matrix = _chain_matrix(n)
+    tree, trace = cluster_variable_group(matrix, "single")
+    classical = cluster_pair_group(matrix, "single")
+    assert len(trace.iterations) == n - 1
+    depth, node = 0, tree.root
+    while not node.is_leaf:
+        depth += 1
+        node = node.children[0]
+    assert depth == n - 1
+    assert validate_tree(tree).ok
+    assert to_newick_extended(tree) == to_newick_extended(classical)
+    # the records without the trace: its pass-through entries alone would
+    # be n**2 / 2 groups here
+    records = json.loads(records_to_json(to_records(tree)))
+    assert len(records["merges"]) == n - 1
+    svg = render_svg(tree)
+    assert svg.count("<text ") == n + 2  # the labels and two axis marks

@@ -79,6 +79,23 @@ def test_text_output_of_deep_caterpillar(toy_file, capsys, monkeypatch):
     assert out.count("\n") == 2 * depth + 1
 
 
+def test_svg_output_of_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    # single linkage on points at the triangular numbers adds one point per
+    # iteration, so the tree is a caterpillar n - 1 levels deep
+    n = sys.getrecursionlimit() + 200
+    pos = [k * (k + 1) // 2 for k in range(n)]
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(
+        " ".join(str(pos[i] - pos[j]) for j in range(i + 1)) + "\n"
+        for i in range(n)))
+    rc, out, err = run_cli(capsys, "--input", str(path), "--format", "lower",
+                           "--method", "single", "--output", "svg")
+    assert (rc, err) == (0, "")
+    texts = [el.text for el in ET.fromstring(out).iter()
+             if el.tag.endswith("text")]
+    assert texts[:n] == ["x%d" % (i + 1) for i in range(n)]
+
+
 def test_svg_output(toy_file, capsys):
     rc, out, _ = run_cli(capsys, "--input", str(toy_file),
                          "--method", "unweighted_average",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,13 +15,12 @@ from multidendro import (
     MethodSpec,
     MissingDistance,
     UnsupportedMethod,
-    centroid_oracle,
-    direct_distance,
-    jbw_oracle,
     pg_distance,
     vg_distance,
-    vg_distance_tabular,
 )
+from multidendro.linkage import COMPLETE, SINGLE, pg_update, vg_kernel, vg_row
+
+from oracles import centroid_oracle, direct_distance, jbw_oracle, vg_distance_tabular
 
 ALL_METHODS = [MethodSpec(kind) for kind in METHOD_KINDS]
 
@@ -194,6 +195,88 @@ def test_pg_unweighted_centroid():
 def test_pg_sizes_checked():
     with pytest.raises(MissingDistance):
         pg_distance(MethodSpec("single"), (1, 0, 1), 1.0, 1.0, 1.0)
+
+
+# ---- row forms against the scalar updates ----
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# whole rows see negative values (centroid rules) and exact cancellations,
+# where the sign of a zero result is the first thing to go wrong
+signed = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0]),
+    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+)
+# the engine never stores -0.0 (the matrix keeps a written -0 as 0.0) and
+# single and complete only copy stored values, so their rows see none
+unsigned = st.floats(min_value=0.0, max_value=50.0).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
+def test_vg_row_matches_kernel(kind, data):
+    q = data.draw(st.integers(2, 6) if kind in (SINGLE, COMPLETE)
+                  else st.integers(2, 3))
+    m = data.draw(st.integers(0, 6))
+    value = unsigned if kind in (SINGLE, COMPLETE) else signed
+    sizes_i = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    sizes_j = data.draw(st.lists(st.integers(1, 40), min_size=q, max_size=q))
+    cross = [data.draw(st.lists(value, min_size=m, max_size=m))
+             for _ in range(q)]
+    within = [[0.0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(a + 1, q):
+            within[a][b] = within[b][a] = data.draw(value)
+    got = vg_row(kind, np.array(sizes_i, dtype=np.int64), sizes_j,
+                 np.array(cross, dtype=np.float64).reshape(q, m), within)
+    want = [vg_kernel(kind, (sizes_i[k],), sizes_j,
+                      ([cross[j][k] for j in range(q)],), None, within)
+            for k in range(m)]
+    assert list(map(bits, got.tolist())) == list(map(bits, want))
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_row_forms_keep_the_sign_of_zero(kind):
+    # every sign pattern of zero distances, where an fsum returns +0.0 and
+    # a plain IEEE sum of two -0.0 would not
+    zeros = (0.0, -0.0)
+    columns = list(itertools.product(zeros, repeat=2))
+    if kind in (SINGLE, COMPLETE):
+        columns = [(0.0, 0.0)]
+    cross = np.array(columns, dtype=np.float64).T
+    sizes_i = np.array([1, 2, 3, 4][:len(columns)], dtype=np.int64)
+    for w in zeros:
+        within = [[0.0, w], [w, 0.0]]
+        got = vg_row(kind, sizes_i, [2, 5], cross, within)
+        want = [vg_kernel(kind, (int(s),), [2, 5], (list(col),), None, within)
+                for s, col in zip(sizes_i, columns)]
+        assert list(map(bits, got.tolist())) == list(map(bits, want))
+    for h in zeros:
+        left, right = cross
+        got = pg_update(kind, 2, 5, sizes_i, h, left, right)
+        want = [pg_distance(MethodSpec(kind), (2, 5, int(s)), h, a, b)
+                for s, a, b in zip(sizes_i, left, right)]
+        assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
+def test_pg_update_row_matches_pg_distance(kind, data):
+    m = data.draw(st.integers(0, 6))
+    si, si2 = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    sj = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    h = data.draw(signed)
+    left = data.draw(st.lists(signed, min_size=m, max_size=m))
+    right = data.draw(st.lists(signed, min_size=m, max_size=m))
+    got = pg_update(kind, si, si2, np.array(sj, dtype=np.int64), h,
+                    np.array(left, dtype=np.float64),
+                    np.array(right, dtype=np.float64))
+    method = MethodSpec(kind)
+    want = [pg_distance(method, (si, si2, sj[k]), h, left[k], right[k])
+            for k in range(m)]
+    assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
 
 
 # ---- flat recomputation ----

@@ -1,6 +1,7 @@
 import math
+import struct
 import warnings
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,11 @@ from multidendro import (
     similarity_to_dissimilarity,
 )
 from multidendro.errors import MultidendroError
-from multidendro.proximity import _infer_precision, round_half_away
+from multidendro.proximity import (
+    _infer_precision,
+    round_half_away,
+    round_half_away_array,
+)
 
 from oracles import check_values_scalar, parse_lower_scalar, parse_square_scalar
 
@@ -45,6 +50,17 @@ def test_square_with_header():
     assert m.labels == ("a", "b")
     assert m.values == (1.5,)
     assert m.precision == 1
+
+
+@pytest.mark.parametrize("text,labels", [
+    ("\ufeff0 1\n1 0\n", ("x1", "x2")),
+    ("\ufeffa b\n0 1\n1 0\n", ("a", "b")),
+])
+def test_byte_order_mark_stripped(text, labels):
+    m = parse_matrix(text)
+    assert m.labels == labels
+    assert m.values == (1.0,)
+    assert m.precision == 0
 
 
 def test_square_asymmetric():
@@ -198,6 +214,58 @@ def test_round_half_away_from_zero():
     assert round_half_away(2.5, 0) == 3.0
     assert round_half_away(0.125, 2) == 0.13
     assert round_half_away(0.0375, 2) == 0.04
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _rounding_inputs(draw):
+    # half-quanta and their neighbours, where the two roundings could part
+    # ways, plus arbitrary, signed-zero and over-large values
+    places = draw(st.integers(0, 8))
+    scale = 10 ** places
+    half = st.integers(0, 10 ** 7).map(lambda t: (2 * t + 1) / (2 * scale))
+    near = st.tuples(half, st.sampled_from([0.0, math.inf])).map(
+        lambda hv: math.nextafter(*hv))
+    large = st.floats(1.0, 1000.0).map(lambda x: x * 2.0 ** 40 / scale)
+    value = st.one_of(half, near, large, st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e9, 1e9, allow_nan=False))
+    signed = st.tuples(value, st.booleans()).map(
+        lambda vs: -vs[0] if vs[1] else vs[0])
+    return places, draw(st.lists(signed, max_size=20))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rounding_inputs())
+def test_round_half_away_array_matches_scalar(case):
+    places, values = case
+    got = round_half_away_array(values, places).tolist()
+    assert list(map(_bits, got)) == [_bits(round_half_away(v, places))
+                                     for v in values]
+
+
+def test_round_half_away_array_edges():
+    # exact half-quanta, the float below each, the sign of zero, and the
+    # precisions where 10**places stops being an exact float
+    values = [0.5, 1.5, 2.5, 0.125, 0.0375, 1.005, 2.675, -0.5, -0.0004,
+              -0.0, 0.0, 1e15, 123456789.5]
+    values += [math.nextafter(v, 0.0) for v in values]
+    for places in (0, 1, 2, 3, 22, 23, 30):
+        # a quantized value holds at most 28 digits
+        fits = [v for v in values if abs(v) * 10.0 ** places < 1e27]
+        got = round_half_away_array(fits, places).tolist()
+        assert list(map(_bits, got)) == [_bits(round_half_away(v, places))
+                                         for v in fits]
+    assert round_half_away_array([], 2).shape == (0,)
+    # values outside the fast range go through the scalar rounding
+    assert math.isnan(round_half_away_array([1.0, math.nan], 2)[1])
+    for bad in (math.inf, 1e300):
+        with pytest.raises(InvalidOperation):
+            round_half_away(bad, 2)
+        with pytest.raises(InvalidOperation):
+            round_half_away_array([1.0, bad], 2)
 
 
 def test_round_to_precision_examples():

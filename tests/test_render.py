@@ -1,6 +1,20 @@
 import xml.etree.ElementTree as ET
 
-from multidendro import cluster_variable_group, render_svg, render_text
+import numpy as np
+import pytest
+
+from multidendro import (
+    METHOD_KINDS,
+    POLICIES,
+    ProximityMatrix,
+    cluster_pair_group,
+    cluster_variable_group,
+    render_svg,
+    render_text,
+    round_to_precision,
+)
+
+from oracles import render_svg_recursive
 
 
 def test_text_outline_toy(toy):
@@ -50,3 +64,26 @@ def test_svg_escapes_markup_in_labels():
     svg = render_svg(tree)
     assert "a&lt;b" in svg and "c&amp;d" in svg
     ET.fromstring(svg)
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_svg_matches_recursive_reference(kind):
+    # seeded clouds written raw, at one decimal and as whole numbers, so
+    # that trees come with and without tied groups and height bands
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n = (4, 9, 16, 30)[seed]
+        pts = rng.uniform(0.0, 10.0, size=(n, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        values = d[np.triu_indices(n, 1)]
+        labels = tuple("x%d" % (i + 1) for i in range(n))
+        raw = ProximityMatrix(labels, tuple(values.tolist()))
+        whole = ProximityMatrix(labels, tuple(np.round(values).tolist()),
+                                precision=0)
+        for matrix in (raw, round_to_precision(raw, 1), whole):
+            trees = [cluster_variable_group(matrix, kind, policy)[0]
+                     for policy in POLICIES]
+            trees.append(cluster_pair_group(matrix, kind))
+            for tree in trees:
+                assert render_svg(tree) == render_svg_recursive(tree)
