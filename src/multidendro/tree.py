@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import (
     DuplicateLabel,
@@ -26,6 +25,7 @@ from .errors import (
 from .proximity import KIND_DISTANCE, ProximityMatrix, condensed_size
 
 _LABEL_RE = re.compile(r"[^\s(),\[\];]+")
+_HEIGHT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,12 @@ def to_newick_extended(tree, decimals=None):
 
 
 def parse_newick_extended(text):
-    """Inverse of to_newick_extended on canonical output."""
+    """Inverse of to_newick_extended on canonical output.
+
+    Reads without recursion, so a tree of any depth parses.
+    """
     pos = 0
-    labels = []
+    labels = set()
     decimals_seen = 0
 
     def fail(message):
@@ -339,7 +342,7 @@ def parse_newick_extended(text):
     def parse_height():
         nonlocal pos, decimals_seen
         skip_ws()
-        m = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?").match(text, pos)
+        m = _HEIGHT_RE.match(text, pos)
         if not m:
             fail("expected a height")
         tok = m.group(0)
@@ -348,28 +351,18 @@ def parse_newick_extended(text):
             decimals_seen = max(decimals_seen, len(tok.split(".", 1)[1]))
         return float(tok)
 
-    def parse_node():
-        nonlocal pos
+    # postorder: a label for each leaf, (child count, h_lower, h_upper)
+    # for each internal node
+    ops = []
+    open_counts = []  # children read so far by each open internal node
+    while True:
         skip_ws()
         if pos >= len(text):
             fail("unexpected end of input")
         if text[pos] == "(":
             pos += 1
-            children = [parse_node()]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-                skip_ws()
-            expect(")")
-            if len(children) < 2:
-                fail("internal nodes need at least two children")
-            expect("[")
-            lo = parse_height()
-            expect(",")
-            up = parse_height()
-            expect("]")
-            return internal(children, lo, up)
+            open_counts.append(0)
+            continue
         m = _LABEL_RE.match(text, pos)
         if not m:
             fail("expected a label")
@@ -377,25 +370,44 @@ def parse_newick_extended(text):
         pos = m.end()
         if label in labels:
             raise ParseError("label %r appears twice" % (label,), pos)
-        labels.append(label)
-        return Leaf(len(labels) - 1, label)
-
-    root = parse_node()
+        labels.add(label)
+        ops.append(label)
+        # close every open node that this child completes
+        while open_counts:
+            open_counts[-1] += 1
+            skip_ws()
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+                break
+            expect(")")
+            if open_counts[-1] < 2:
+                fail("internal nodes need at least two children")
+            expect("[")
+            lo = parse_height()
+            expect(",")
+            up = parse_height()
+            expect("]")
+            ops.append((open_counts.pop(), lo, up))
+        else:
+            break
     expect(";")
     skip_ws()
     if pos != len(text):
         fail("trailing text after ';'")
 
-    # reindex leaves by sorted label so equal trees parse identically
-    order = {label: i for i, label in enumerate(sorted(labels))}
-
-    def remap(node):
-        if node.is_leaf:
-            return Leaf(order[node.label], node.label)
-        return internal([remap(c) for c in node.children],
-                        node.h_lower, node.h_upper, node.fusion)
-
-    return MultivaluedTree(root=remap(root), labels=tuple(sorted(labels)),
+    # leaves are indexed by sorted label so equal trees parse identically
+    labels = sorted(labels)
+    order = {label: i for i, label in enumerate(labels)}
+    nodes = []
+    for op in ops:
+        if isinstance(op, str):
+            nodes.append(Leaf(order[op], op))
+        else:
+            count, lo, up = op
+            children = nodes[-count:]
+            del nodes[-count:]
+            nodes.append(internal(children, lo, up))
+    return MultivaluedTree(root=nodes[0], labels=tuple(labels),
                            height_decimals=max(3, decimals_seen))
 
 
@@ -410,6 +422,10 @@ def to_records(tree, trace=None):
     Node ids: leaves are 0..n-1 in label order, merges continue upward in
     formation order (taken from the trace when present, otherwise assigned
     bottom-up by lowest height, then smallest member leaf).
+
+    The trace's group dicts are shared between iterations wherever the
+    trace shares a ``GroupRecord``, as it does for a cluster that passes
+    several iterations unmerged. Copy the document before mutating it.
     """
     index = {label: i for i, label in enumerate(tree.labels)}
     merges = []
@@ -480,6 +496,20 @@ def _ids_from_trace(tree, trace):
 
 
 def _trace_to_dict(trace):
+    # one dict per GroupRecord object, shared where the trace shares the
+    # record; ids are stable while the trace holds every record
+    groups = {}
+    for it in trace.iterations:
+        for g in it.groups:
+            if id(g) not in groups:
+                groups[id(g)] = {
+                    "cluster_id": g.cluster_id,
+                    "member_ids": list(g.member_ids),
+                    "leaves": list(g.leaves),
+                    "h_lower": g.h_lower,
+                    "h_upper": g.h_upper,
+                    "fusion": g.fusion,
+                }
     return {
         "n_items": trace.n_items,
         "labels": list(trace.labels),
@@ -494,42 +524,99 @@ def _trace_to_dict(trace):
                 "d_lower": it.d_lower,
                 "d_next": it.d_next,
                 "reversal": it.reversal,
-                "groups": [
-                    {
-                        "cluster_id": g.cluster_id,
-                        "member_ids": list(g.member_ids),
-                        "leaves": list(g.leaves),
-                        "h_lower": g.h_lower,
-                        "h_upper": g.h_upper,
-                        "fusion": g.fusion,
-                    }
-                    for g in it.groups
-                ],
+                "groups": [groups[id(g)] for g in it.groups],
             }
             for it in trace.iterations
         ],
     }
 
 
-# chunks joined at a time; the encoder yields a few per number, and joining
-# them all at once holds every chunk alive next to the finished text
-_JSON_BATCH = 16384
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def records_to_json(doc):
     """Deterministic text form of a records document.
 
-    Same text as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+    Same text as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    and the same exception types on what json refuses. Scalars go through
+    json's own helpers. A container met again at the same depth is written
+    once: the trace lists a pass-through cluster's group dict in every
+    iteration it survives (see ``to_records``).
     """
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    parts = []
-    while True:
-        batch = list(islice(chunks, _JSON_BATCH))
-        if not batch:
-            break
-        parts.append("".join(batch))
-    parts.append("\n")
-    return "".join(parts)
+    # keyed on (id, depth): the doc holds every container while it is
+    # written, so no id is reused
+    texts = {}  # text of each container met more than once
+    seen = set()  # containers met once so far
+    path = set()  # ids of the containers being written, to refuse cycles
+
+    def value_text(obj, depth):
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return _float_text(obj)
+        if isinstance(obj, (list, tuple, dict)):
+            if not obj:
+                return "{}" if isinstance(obj, dict) else "[]"
+            key = (id(obj), depth)
+            text = texts.get(key)
+            if text is None:
+                text = container_text(obj, depth, "")
+                if key in seen:
+                    texts[key] = text
+                else:
+                    seen.add(key)
+            return text
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % (obj.__class__.__name__,))
+
+    def container_text(obj, depth, end):
+        if id(obj) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(obj))
+        sep = ",\n" + "  " * (depth + 1)
+        parts = []
+        if isinstance(obj, dict):
+            for key, value in sorted(obj.items()):
+                if not isinstance(key, str):
+                    if not (key is None or isinstance(key, (int, float))):
+                        raise TypeError(
+                            "keys must be str, int, float, bool or None, "
+                            "not %s" % (key.__class__.__name__,))
+                    key = value_text(key, depth)
+                parts += (sep, _encode_str(key), ": ",
+                          value_text(value, depth + 1))
+            parts[0] = "{" + sep[1:]
+            parts.append("\n" + "  " * depth + "}" + end)
+        else:
+            for value in obj:
+                parts += (sep, value_text(value, depth + 1))
+            parts[0] = "[" + sep[1:]
+            parts.append("\n" + "  " * depth + "]" + end)
+        path.remove(id(obj))
+        return "".join(parts)
+
+    if isinstance(doc, (list, tuple, dict)) and doc:
+        return container_text(doc, 0, "\n")
+    return value_text(doc, 0) + "\n"
 
 
 def parse_records(source):

@@ -19,6 +19,7 @@ from multidendro.errors import (
     FormatError,
     InvalidAlpha,
     NegativeValue,
+    ParseError,
     UnsupportedMethod,
 )
 from multidendro.linkage import (
@@ -39,6 +40,13 @@ from multidendro.proximity import (
     _split_rows,
 )
 from multidendro.render import _escape, _fmt_height
+from multidendro.tree import (
+    _HEIGHT_RE,
+    _LABEL_RE,
+    Leaf,
+    MultivaluedTree,
+    internal,
+)
 
 
 def parse_square_scalar(text, self_value=0.0):
@@ -451,3 +459,88 @@ def render_svg_recursive(tree, width=720, row_height=24, margin=16,
     parts.extend(axis)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def parse_newick_extended_recursive(text):
+    """The recursive descent form of ``tree.parse_newick_extended``: one
+    call per node, labels checked by a list scan, and the parsed tree
+    rebuilt with leaves indexed by sorted label."""
+    pos = 0
+    labels = []
+    decimals_seen = 0
+
+    def fail(message):
+        raise ParseError(message, pos)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def expect(ch):
+        nonlocal pos
+        skip_ws()
+        if pos >= len(text) or text[pos] != ch:
+            fail("expected %r" % (ch,))
+        pos += 1
+
+    def parse_height():
+        nonlocal pos, decimals_seen
+        skip_ws()
+        m = _HEIGHT_RE.match(text, pos)
+        if not m:
+            fail("expected a height")
+        tok = m.group(0)
+        pos = m.end()
+        if "e" not in tok and "E" not in tok and "." in tok:
+            decimals_seen = max(decimals_seen, len(tok.split(".", 1)[1]))
+        return float(tok)
+
+    def parse_node():
+        nonlocal pos
+        skip_ws()
+        if pos >= len(text):
+            fail("unexpected end of input")
+        if text[pos] == "(":
+            pos += 1
+            children = [parse_node()]
+            skip_ws()
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                children.append(parse_node())
+                skip_ws()
+            expect(")")
+            if len(children) < 2:
+                fail("internal nodes need at least two children")
+            expect("[")
+            lo = parse_height()
+            expect(",")
+            up = parse_height()
+            expect("]")
+            return internal(children, lo, up)
+        m = _LABEL_RE.match(text, pos)
+        if not m:
+            fail("expected a label")
+        label = m.group(0)
+        pos = m.end()
+        if label in labels:
+            raise ParseError("label %r appears twice" % (label,), pos)
+        labels.append(label)
+        return Leaf(len(labels) - 1, label)
+
+    root = parse_node()
+    expect(";")
+    skip_ws()
+    if pos != len(text):
+        fail("trailing text after ';'")
+
+    order = {label: i for i, label in enumerate(sorted(labels))}
+
+    def remap(node):
+        if node.is_leaf:
+            return Leaf(order[node.label], node.label)
+        return internal([remap(c) for c in node.children],
+                        node.h_lower, node.h_upper, node.fusion)
+
+    return MultivaluedTree(root=remap(root), labels=tuple(sorted(labels)),
+                           height_decimals=max(3, decimals_seen))

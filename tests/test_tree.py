@@ -2,6 +2,7 @@ import json
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from multidendro import (
     Leaf,
     MultivaluedTree,
     ParseError,
+    ProximityMatrix,
     UnresolvedHeights,
     cluster_variable_group,
     cophenetic_matrix,
@@ -29,7 +31,7 @@ from multidendro import (
     tree_equal,
     validate_tree,
 )
-from multidendro.tree import _JSON_BATCH
+from oracles import parse_newick_extended_recursive
 
 
 def toy_vg_tree(toy, method="unweighted_average", policy="interval"):
@@ -362,6 +364,47 @@ def test_newick_round_trip(tree):
     assert to_newick_extended(again) == text
 
 
+def _newick_outcome(parse, text):
+    try:
+        tree = parse(text)
+    except ParseError as err:
+        return ("error", str(err), err.position)
+    return ("tree", to_newick_extended(tree), tree.labels,
+            tree.height_decimals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=random_trees(), data=st.data())
+def test_parse_newick_matches_recursive_reference(tree, data):
+    # canonical text with a few characters replaced, inserted or dropped:
+    # the same tree, or the same message at the same position
+    text = list(to_newick_extended(tree, decimals=data.draw(
+        st.integers(min_value=0, max_value=5))))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        edit = data.draw(st.sampled_from(["put", "insert", "drop"]))
+        ch = data.draw(st.sampled_from(list("(),[];t0. e-")))
+        if edit == "insert" or at == len(text):
+            text.insert(at, ch)
+        elif edit == "put":
+            text[at] = ch
+        else:
+            del text[at]
+    text = "".join(text)
+    assert (_newick_outcome(parse_newick_extended, text)
+            == _newick_outcome(parse_newick_extended_recursive, text))
+
+
+def test_newick_round_trip_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    node = Leaf(0, "c0")
+    for i in range(1, n):
+        node = internal((node, Leaf(i, "c%d" % i)), i, i)
+    tree = MultivaluedTree(root=node, labels=tuple("c%d" % i for i in range(n)))
+    again = parse_newick_extended(to_newick_extended(tree))
+    assert tree_equal(tree, again)
+
+
 # ---- records ----
 
 def test_records_include_trace_and_flags(toy):
@@ -402,13 +445,110 @@ def test_records_json_is_stable(toy):
     json.loads(a)
 
 
-def test_records_json_matches_dumps_beyond_one_batch():
+def test_records_json_matches_dumps_on_a_large_document():
     doc = {"merges": [{"id": i, "h": i / 7.0, "members": ["a", "b"],
                        "fusion": None, "reversal": i % 2 == 0}
                       for i in range(3000)],
            "labels": ["x\u00e9", "y"], "alpha": 1.0}
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    assert sum(1 for _ in chunks) > 2 * _JSON_BATCH
     assert records_to_json(doc) == expected
     assert records_to_json({}) == "{}\n"
+
+
+def _cloud_matrix(n, seed, precision):
+    pts = np.random.default_rng(seed).uniform(0, 10, size=(n, 2))
+    square = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return ProximityMatrix(tuple("p%d" % i for i in range(n)),
+                           tuple(square[np.triu_indices(n, 1)].tolist()),
+                           precision=precision)
+
+
+def test_records_share_pass_through_groups_and_round_trip():
+    tree, trace = cluster_variable_group(_cloud_matrix(40, 3, precision=1),
+                                         "unweighted_average")
+    assert any(len(g.member_ids) > 2 for it in trace.iterations
+               for g in it.groups)  # one decimal ties some groups
+    doc = to_records(tree, trace)
+    iterations = doc["trace"]["iterations"]
+    # a cluster passing two iterations unmerged is one shared dict
+    assert iterations[1]["groups"][-1] is iterations[0]["groups"][-1]
+    assert doc == json.loads(json.dumps(doc))
+    tree2, _ = parse_records(doc)
+    assert to_newick_extended(tree2) == to_newick_extended(tree)
+    tree3, _ = parse_records(records_to_json(doc))
+    assert to_newick_extended(tree3) == to_newick_extended(tree)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1.0, 1, True, False, 1e300, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(),
+    st.text(alphabet="\x00\x01\x1f\x7f\"\\/\n\t\u00e9\u2028\U0001f600ab"),
+)
+json_keys = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        # mostly one key type per dict; mixed types raise in both writers
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(json_keys, children, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(),
+                                  st.floats(allow_nan=False)),
+                        children, max_size=3),
+    )
+
+
+json_docs = st.recursive(json_scalars, _json_containers, max_leaves=25)
+
+
+@st.composite
+def docs_with_shared_containers(draw):
+    shared = draw(_json_containers(json_docs))
+    other = draw(json_docs)
+    # shared: twice at depth 2, once at depths 1 and 3; other: twice at 2
+    return {"a": [shared, other, shared], "b": shared,
+            "c": [other, [shared]], "d": draw(json_docs)}
+
+
+def _written(write, doc):
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as err:
+        return type(err)
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.one_of(json_docs, docs_with_shared_containers()))
+def test_records_json_matches_dumps(doc):
+    assert _written(records_to_json, doc) == _written(_dumps, doc)
+
+
+def test_records_json_refuses_what_dumps_refuses():
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    for doc, error in [({"a": {1, 2}}, TypeError),
+                       ({(1, 2): "a"}, TypeError),
+                       ([1, {"b": object()}], TypeError),
+                       ({"a": 1, 2: "b"}, TypeError),
+                       (loop, ValueError)]:
+        with pytest.raises(error):
+            _dumps(doc)
+        with pytest.raises(error):
+            records_to_json(doc)
