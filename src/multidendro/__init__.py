@@ -25,18 +25,15 @@ from .agglomerate import (
     detect_reversals,
     enumerate_pair_group,
     fusion_value,
-    tie_groups,
 )
 from .errors import (
     AsymmetricInput,
-    DimensionMismatch,
     DuplicateLabel,
     DuplicatePair,
     EmptyInput,
     FormatError,
     FusionFallbackWarning,
     InvalidAlpha,
-    MissingDistance,
     MissingPair,
     MultidendroError,
     NegativeValue,
@@ -48,19 +45,12 @@ from .errors import (
     UnsupportedMethod,
     ZeroDistanceWarning,
 )
-from .linkage import (
-    METHOD_KINDS,
-    BlockView,
-    MethodSpec,
-    pg_distance,
-    vg_distance,
-)
+from .linkage import METHOD_KINDS, MethodSpec
 from .proximity import (
     FORMATS,
     KIND_DISTANCE,
     KIND_FROM_SIMILARITY,
     ProximityMatrix,
-    comparison_value,
     parse_matrix,
     round_to_precision,
     serialize_matrix,

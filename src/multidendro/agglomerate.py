@@ -8,21 +8,24 @@ that merges one pair per iteration and needs a tie-break rule;
 ``enumerate_pair_group`` chases every tie-break choice of the classical
 procedure and returns the set of distinct outcomes.
 
-Ties are decided on comparison values (see proximity.comparison_value);
+Ties are decided on comparison values: distances rounded half away from
+zero to the matrix's precision (``proximity.round_half_away_array``);
 recorded heights always keep the raw full-precision numbers.
 
-All three engines work on a ``ClusterState``: a square working matrix of
-raw distances and one of comparison values, indexed by slot, plus each
-row's smallest comparison value and a column holding it (the
-nearest-neighbour list of Müllner's "generic" algorithm, arXiv:1109.2378).
-Finding the shortest distance scans those row minima and then only the rows
-at that level, which yield the tied edges in row-major order; the
-variable-group engine builds its groups from them. A merge is a few
+All three engines work on a ``ClusterState``, which keys everything by slot
+(a row of the working matrix), as Müllner's "generic" algorithm
+(arXiv:1109.2378) keys its state by row: a square working matrix of raw
+distances and one of comparison values, each row's smallest comparison
+value and a column holding it, and per slot the cluster's leaves, tree node,
+size and id. Ids exist only for the output: the trace's groups, and the
+order in which ``cluster_pair_group``'s tie-break rules see tied pairs.
+Finding the shortest distance scans the row minima and then only the rows
+at that level, which yield the tied edges as slot pairs in row-major order;
+the variable-group engine builds its groups from them. A merge is a few
 whole-row numpy operations: a merged cluster's distances to every unmerged
 survivor come from its constituents' rows (``linkage.vg_row``, or
 ``linkage.pg_update`` in the classical engine), bit for bit what the scalar
-update gives, and their comparison values from
-``proximity.round_half_away_array``. Only the merged rows are then scanned
+update ``linkage.vg_kernel`` gives. Only the merged rows are then scanned
 again in full; every other row folds in the new columns and is rescanned
 only when its minimum sat in a column that changed. A group's height
 interval is the minimum and maximum of its slice of the raw matrix. The
@@ -119,47 +122,43 @@ class DisjointSet:
         self.size[ra] += self.size[rb]
 
 
-@dataclass(frozen=True)
-class Cluster:
-    cid: int
-    members: tuple  # leaf indices, ascending
-    node: object
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    @property
-    def min_leaf(self):
-        return self.members[0]
+def _comparison_keys(raw, precision):
+    # +0.0 stands for both zeros (rounding -0.04 to 0 places gives -0.0), so
+    # a row minimum folded in column by column has the bits of a fresh scan
+    keys = raw if precision is None else round_half_away_array(raw, precision)
+    return np.asarray(keys, dtype=np.float64) + 0.0
 
 
 @dataclass
 class ClusterState:
-    """Active clusters plus the working distance matrix.
+    """Active clusters plus the working distance matrix, all indexed by slot.
 
     ``dist`` and ``keys`` are square float64 arrays over slots: ``dist``
     holds raw distances (zero diagonal) and ``keys`` the matching comparison
     values under ``precision``. Slot i starts as leaf i, and a merged
     cluster takes over the slot of its constituent with the smallest leaf,
-    so slot order is smallest-leaf order. ``slot[cid]`` and ``cid_at[slot]``
-    map between the two; ``sizes`` and ``live`` are per slot. A retired
-    slot's row and column of ``keys`` are inf, like the diagonal.
-    ``row_min[s]`` is the smallest key in row s (inf once retired) and
-    ``row_arg[s]`` a column holding it, so the shortest live comparison
-    value is ``row_min.min()``. Values leave the arrays as Python floats.
+    so slot order is smallest-leaf order and slot 0 ends up holding the
+    root. Per slot, ``members`` holds the cluster's leaf indices ascending,
+    ``nodes`` its tree node, ``cid_at`` its cluster id (the id output
+    reports), and ``sizes`` and ``live`` its size and whether it is active;
+    ``count`` is the number of active clusters. A retired slot's row and
+    column of ``keys`` are inf, like the diagonal. ``row_min[s]`` is the
+    smallest key in row s (inf once retired) and ``row_arg[s]`` a column
+    holding it, so the shortest live comparison value is
+    ``row_min.min()``. Values leave the arrays as Python floats.
     ``next_id`` is the id the next merged cluster gets.
     """
 
-    clusters: dict
     dist: np.ndarray
     keys: np.ndarray
-    slot: dict
+    members: list
+    nodes: list
     cid_at: list
     sizes: np.ndarray
     live: np.ndarray
     row_min: np.ndarray
     row_arg: np.ndarray
+    count: int
     precision: "int | None" = None
     iteration: int = 0
     next_id: int = 0
@@ -167,15 +166,8 @@ class ClusterState:
     @classmethod
     def from_matrix(cls, matrix):
         n = matrix.n
-        clusters = {
-            i: Cluster(i, (i,), Leaf(i, matrix.labels[i]))
-            for i in range(n)
-        }
         values = np.array(matrix.values, dtype=np.float64)
-        if matrix.precision is None:
-            key_values = values
-        else:
-            key_values = round_half_away_array(values, matrix.precision)
+        key_values = _comparison_keys(values, matrix.precision)
         rows, cols = np.triu_indices(n, 1)
         dist = np.zeros((n, n))
         dist[rows, cols] = values
@@ -183,50 +175,37 @@ class ClusterState:
         keys = np.full((n, n), np.inf)
         keys[rows, cols] = key_values
         keys[cols, rows] = key_values
-        return cls(clusters, dist, keys, {i: i for i in range(n)},
+        return cls(dist, keys, [(i,) for i in range(n)],
+                   [Leaf(i, label) for i, label in enumerate(matrix.labels)],
                    list(range(n)), np.ones(n, dtype=np.int64),
                    np.ones(n, dtype=bool), keys.min(axis=1),
-                   keys.argmin(axis=1), precision=matrix.precision,
+                   keys.argmin(axis=1), n, precision=matrix.precision,
                    next_id=n)
 
     def copy(self):
         """An independent state that can be merged on without touching this one."""
-        return ClusterState(dict(self.clusters), self.dist.copy(),
-                            self.keys.copy(), dict(self.slot), list(self.cid_at),
-                            self.sizes.copy(), self.live.copy(),
-                            self.row_min.copy(), self.row_arg.copy(),
-                            self.precision, self.iteration, self.next_id)
+        return ClusterState(self.dist.copy(), self.keys.copy(),
+                            list(self.members), list(self.nodes),
+                            list(self.cid_at), self.sizes.copy(),
+                            self.live.copy(), self.row_min.copy(),
+                            self.row_arg.copy(), self.count, self.precision,
+                            self.iteration, self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
 
-        Edges are (low cid, high cid) pairs in row-major slot order; the raw
+        Edges are (low slot, high slot) pairs in row-major order; the raw
         value is the smallest raw distance among them.
         """
         low_key = float(self.row_min.min())
-        rows, cols = self._tied_slots(low_key)
-        low_raw = float(self.dist[rows, cols].min())
-        return low_raw, low_key, self._edges(rows, cols)
-
-    def tied_edges(self, key):
-        """(low cid, high cid) of every active pair at comparison value key."""
-        return self._edges(*self._tied_slots(key))
-
-    def _tied_slots(self, key):
-        # only a row whose minimum is at most key can hold key
-        rows = (self.row_min <= key).nonzero()[0]
-        at, cols = np.nonzero(self.keys[rows] == key)
+        # only a row whose minimum is at most low_key can hold it
+        rows = (self.row_min <= low_key).nonzero()[0]
+        at, cols = np.nonzero(self.keys[rows] == low_key)
         rows = rows[at]
         upper = rows < cols
-        return rows[upper], cols[upper]
-
-    def _edges(self, rows, cols):
-        cid_at = self.cid_at
-        edges = []
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            a, b = cid_at[r], cid_at[c]
-            edges.append((a, b) if a < b else (b, a))
-        return edges
+        rows, cols = rows[upper], cols[upper]
+        low_raw = float(self.dist[rows, cols].min())
+        return low_raw, low_key, list(zip(rows.tolist(), cols.tolist()))
 
     def live_slots(self):
         """Slots of the active clusters, ascending."""
@@ -235,25 +214,24 @@ class ClusterState:
     def merge(self, formed, writes):
         """Replace constituents by merged clusters and store new distances.
 
-        ``formed`` lists (new Cluster, constituent slots ascending); the new
-        cluster takes over the first of those slots. ``writes`` lists (slot,
-        other slots, raw distances) triples, written symmetrically, and must
-        cover every pair that touches a new cluster; all other entries stay
-        as they are.
+        ``formed`` lists (constituent slots ascending, leaf members, node)
+        and may carry more fields after those; each new cluster takes over
+        the first of its slots and the next id, in list order. ``writes``
+        lists (slot, other slots, raw distances) triples, written
+        symmetrically, and must cover every pair that touches a new
+        cluster; all other entries stay as they are.
         """
         homes, gone = [], []
-        for cluster, parts in formed:
-            for s in parts:
-                cid = self.cid_at[s]
-                del self.clusters[cid]
-                del self.slot[cid]
+        for parts, members, node, *_ in formed:
             home = parts[0]
             homes.append(home)
             gone.extend(parts[1:])
-            self.clusters[cluster.cid] = cluster
-            self.slot[cluster.cid] = home
-            self.cid_at[home] = cluster.cid
-            self.sizes[home] = cluster.size
+            self.members[home] = members
+            self.nodes[home] = node
+            self.cid_at[home] = self.next_id
+            self.next_id += 1
+            self.sizes[home] = len(members)
+        self.count -= len(gone)
         # one slot at a time: a handful of scalar and view assignments cost
         # less than indexing with a list
         for s in gone:
@@ -262,10 +240,7 @@ class ClusterState:
             self.keys[:, s] = np.inf
             self.row_min[s] = np.inf
         for s, cols, raw in writes:
-            if self.precision is None:
-                key_values = raw
-            else:
-                key_values = round_half_away_array(raw, self.precision)
+            key_values = _comparison_keys(raw, self.precision)
             for table, new in ((self.dist, raw), (self.keys, key_values)):
                 table[s][cols] = new
                 table[:, s][cols] = new
@@ -295,34 +270,12 @@ class ClusterState:
         row_arg[rows] = block.argmin(axis=1)
 
 
-def tie_groups(state, d_lower):
-    """Partition active clusters by walking the tied shortest edges.
-
-    ``d_lower`` is a comparison value; clusters joined by any chain of edges
-    at that value land in one group, everything else stays alone. Groups and
-    their members come back ordered by smallest leaf index.
-    """
-    joined = {grp[0]: grp for grp in
-              _groups_from_edges(state, state.tied_edges(d_lower))}
-    inside = {s for grp in joined.values() for s in grp}
-    cid_at = state.cid_at
-    groups = []
-    for s in state.live_slots().tolist():
-        if s in joined:
-            groups.append(tuple(cid_at[x] for x in joined[s]))
-        elif s not in inside:
-            groups.append((cid_at[s],))
-    return tuple(groups)
-
-
-def _groups_from_edges(state, edges):
+def _groups_from_edges(edges):
     # the slots the edges join, one ascending tuple per connected set; in
     # ascending order the first slot met opens each set, so the sets come
     # out ordered by smallest leaf too
-    slot = state.slot
-    pairs = [(slot[a], slot[b]) for a, b in edges]
-    ds = DisjointSet(sorted({s for pair in pairs for s in pair}))
-    for a, b in pairs:
+    ds = DisjointSet(sorted({s for pair in edges for s in pair}))
+    for a, b in edges:
         ds.union(a, b)
     buckets = {}
     for s in ds.parent:
@@ -334,10 +287,11 @@ def fusion_value(sizes, within, method, policy):
     """A single representative height for a tied group.
 
     ``within`` is the symmetric matrix of current distances between the
-    group's constituent clusters. shortest picks the group minimum; natural
-    picks the method's own summary (minimum, maximum, size-weighted mean or
-    plain mean). The centroid and joint between-within rules have no natural
-    summary, so natural falls back to shortest with a warning.
+    group's constituent clusters; ``method`` is a MethodSpec or a method
+    name. shortest picks the group minimum; natural picks the method's own
+    summary (minimum, maximum, size-weighted mean or plain mean). The
+    centroid and joint between-within rules have no natural summary, so
+    natural falls back to shortest with a warning.
     """
     policy = normalize_policy(policy)
     if policy == POLICY_INTERVAL:
@@ -348,7 +302,7 @@ def fusion_value(sizes, within, method, policy):
     pair_values = [within[i][j] for i, j in combinations(range(k), 2)]
     if policy == POLICY_SHORTEST:
         return min(pair_values)
-    kind = method.kind
+    kind = _as_method(method).kind
     if kind == SINGLE:
         return min(pair_values)
     if kind == COMPLETE:
@@ -446,59 +400,56 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     # within blocks are read only by some rules' updates and by fusion values
     keep_within = policy != POLICY_INTERVAL or method.kind in WITHIN_METHODS
 
-    while len(state.clusters) > 1:
+    while state.count > 1:
         state.iteration += 1
         d_lower_raw, _, edges = low
-        formed = []  # (merged Cluster, constituent slots, sizes, within or None)
+        formed = []  # (constituent slots, members, node, sizes, within or None)
         reversal = False
 
-        for parts in _groups_from_edges(state, edges):
-            grp = tuple(state.cid_at[s] for s in parts)
-            members = [state.clusters[cid] for cid in grp]
+        for parts in _groups_from_edges(edges):
+            nodes = [state.nodes[s] for s in parts]
             block = state.dist[np.ix_(parts, parts)]
             pair_values = block[np.triu_indices(len(parts), 1)]
             h_lower = float(pair_values.min())
             h_upper = float(pair_values.max())
             within = block.tolist() if keep_within else None
-            sizes = [c.size for c in members]
+            sizes = state.sizes[list(parts)].tolist()
             fusion = None
             if policy != POLICY_INTERVAL:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", FusionFallbackWarning)
                     fusion = fusion_value(sizes, within, method, policy)
-            node = internal([c.node for c in members], h_lower, h_upper, fusion)
-            if any(reversals_between(c.node, node) for c in members):
+            node = internal(nodes, h_lower, h_upper, fusion)
+            if any(reversals_between(c, node) for c in nodes):
                 reversal = True
-            merged = Cluster(
-                state.next_id,
-                tuple(sorted(i for c in members for i in c.members)),
-                node,
-            )
-            state.next_id += 1
-            formed.append((merged, parts, sizes, within))
+            members = tuple(sorted(i for s in parts for i in state.members[s]))
+            # merge gives the new clusters the next ids in this order
             passing[parts[0]] = GroupRecord(
-                cluster_id=merged.cid, member_ids=grp, leaves=merged.members,
-                h_lower=h_lower, h_upper=h_upper, fusion=fusion)
+                cluster_id=state.next_id + len(formed),
+                member_ids=tuple(state.cid_at[s] for s in parts),
+                leaves=members, h_lower=h_lower, h_upper=h_upper,
+                fusion=fusion)
+            formed.append((parts, members, node, sizes, within))
 
         writes = _group_update(state, formed, method)
-        state.merge([(merged, parts) for merged, parts, _, _ in formed], writes)
+        state.merge(formed, writes)
         # slot order is smallest-leaf order, the order groups are recorded in
         group_records = tuple(map(passing.__getitem__,
                                   state.live_slots().tolist()))
-        for merged, parts, _, _ in formed:
+        for parts, members, *_ in formed:
+            cid = state.cid_at[parts[0]]
             passing[parts[0]] = GroupRecord(
-                cluster_id=merged.cid, member_ids=(merged.cid,),
-                leaves=merged.members, h_lower=None, h_upper=None, fusion=None)
+                cluster_id=cid, member_ids=(cid,), leaves=members,
+                h_lower=None, h_upper=None, fusion=None)
         d_next = None
-        if len(state.clusters) > 1:
+        if state.count > 1:
             low = state.shortest()
             d_next = low[0]
         records.append(IterationRecord(
             index=state.iteration, d_lower=d_lower_raw,
             groups=group_records, d_next=d_next, reversal=reversal))
 
-    root = next(iter(state.clusters.values())).node
-    tree = MultivaluedTree(root=root, labels=matrix.labels, **tags)
+    tree = MultivaluedTree(root=state.nodes[0], labels=matrix.labels, **tags)
     trace = MergeTrace(matrix.n, matrix.labels, method.kind, method.alpha,
                        policy, matrix.precision, tuple(records), tuple(notes))
     return tree, trace
@@ -508,21 +459,23 @@ def _group_update(state, formed, method):
     """Writes (slot, other slots, raw distances) from each newly merged
     cluster to every other survivor, for ``ClusterState.merge``.
 
-    Clusters that did not merge keep their distances to each other. A
-    merged cluster's distances to all unmerged ones are one row, computed
-    by ``linkage.vg_row`` from its constituents' rows of the working
-    matrix. Two clusters merged in the same iteration go through
-    ``linkage.vg_kernel`` with the earlier one (lower id) as block I.
+    ``formed`` lists (constituent slots, members, node, sizes, within or
+    None) per new cluster, in slot order. Clusters that did not merge keep
+    their distances to each other. A merged cluster's distances to all
+    unmerged ones are one row, computed by ``linkage.vg_row`` from its
+    constituents' rows of the working matrix. Two clusters merged in the
+    same iteration go through ``linkage.vg_kernel`` with the earlier one
+    (lower slot) as block I.
     """
     kind = method.kind
     kept = state.live.copy()
-    for _, parts, _, _ in formed:
+    for parts, *_ in formed:
         kept[list(parts)] = False
     kept = kept.nonzero()[0]
     kept_sizes = state.sizes[kept]
     dist = state.dist
     writes = []
-    for t, (_, parts, sizes, within) in enumerate(formed):
+    for t, (parts, _, _, sizes, within) in enumerate(formed):
         cross = dist[np.ix_(parts, kept)]
         writes.append((parts[0], kept,
                        vg_row(kind, kept_sizes, sizes, cross, within)))
@@ -531,8 +484,8 @@ def _group_update(state, formed, method):
             between = [vg_kernel(kind, sizes, other_sizes,
                                  dist[np.ix_(parts, others)].tolist(),
                                  within, other_within)
-                       for _, others, other_sizes, other_within in later]
-            writes.append((parts[0], [others[0] for _, others, _, _ in later],
+                       for others, _, _, other_sizes, other_within in later]
+            writes.append((parts[0], [others[0] for others, *_ in later],
                            np.array(between)))
     return writes
 
@@ -544,28 +497,25 @@ def _decimals_for(precision):
 # ---- classical pair-group engine ----
 
 def _merge_pair(state, a, b, method):
-    """Merge active clusters ``a`` and ``b`` at their current distance.
+    """Merge the active clusters in slots ``a`` and ``b`` at their current
+    distance.
 
-    The new cluster gets ``state.next_id``; its distances to every other
-    survivor are one row of the pair-group update. Returns the new Cluster.
+    The new cluster's distances to every other survivor are one row of the
+    pair-group update. Returns the slot the new cluster takes.
     """
-    left = state.clusters[a]
-    right = state.clusters[b]
-    sa, sb = state.slot[a], state.slot[b]
     dist = state.dist
-    h = float(dist[sa, sb])
-    node = internal([left.node, right.node], h, h, fusion=h)
-    merged = Cluster(state.next_id, tuple(sorted(left.members + right.members)),
-                     node)
-    state.next_id += 1
-    parts = (sa, sb) if sa < sb else (sb, sa)
+    h = float(dist[a, b])
+    node = internal([state.nodes[a], state.nodes[b]], h, h, fusion=h)
+    members = tuple(sorted(state.members[a] + state.members[b]))
+    parts = (a, b) if a < b else (b, a)
     kept = state.live.copy()
-    kept[sa] = kept[sb] = False
+    kept[a] = kept[b] = False
     kept = kept.nonzero()[0]
-    row = pg_update(method.kind, left.size, right.size, state.sizes[kept],
-                    h, dist[sa][kept], dist[sb][kept])
-    state.merge([(merged, parts)], [(parts[0], kept, row)])
-    return merged
+    size_a, size_b = state.sizes[[a, b]].tolist()
+    row = pg_update(method.kind, size_a, size_b, state.sizes[kept],
+                    h, dist[a][kept], dist[b][kept])
+    state.merge([(parts, members, node)], [(parts[0], kept, row)])
+    return parts[0]
 
 
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
@@ -585,8 +535,12 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
         return single_leaf_tree(matrix.labels[0], **tags)
     rng = random.Random(seed)
     state = ClusterState.from_matrix(matrix)
-    while len(state.clusters) > 1:
-        candidates = sorted(state.shortest()[2])
+    cid_at = state.cid_at
+    while state.count > 1:
+        # the rules order tied pairs by their cluster ids, low id first
+        candidates = sorted(
+            state.shortest()[2],
+            key=lambda edge: sorted(map(cid_at.__getitem__, edge)))
         if tiebreak == TIEBREAK_FIRST:
             a, b = candidates[0]
         elif tiebreak == TIEBREAK_LAST:
@@ -594,8 +548,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
         else:
             a, b = rng.choice(candidates)
         _merge_pair(state, a, b, method)
-    root = next(iter(state.clusters.values())).node
-    return MultivaluedTree(root=root, labels=matrix.labels, **tags)
+    return MultivaluedTree(root=state.nodes[0], labels=matrix.labels, **tags)
 
 
 # ---- enumeration of every tie-break outcome ----
@@ -621,11 +574,10 @@ def enumerate_pair_group(matrix, method, limit=10000):
     memo = {}
 
     def complete(state):
-        if len(state.clusters) == 1:
+        if state.count == 1:
             return (frozenset(),)
         slots = state.live_slots()
-        clusters, cid_at = state.clusters, state.cid_at
-        key = (tuple(clusters[cid_at[s]].members for s in slots.tolist()),
+        key = (tuple(map(state.members.__getitem__, slots.tolist())),
                state.dist[slots[:, None], slots].tobytes())
         found = memo.get(key)
         if found is not None:
@@ -636,8 +588,9 @@ def enumerate_pair_group(matrix, method, limit=10000):
             # nothing reads this state after its last pair, so that pair
             # merges in place; a run without ties then copies nothing
             after = state if k == len(pairs) - 1 else state.copy()
-            merged = _merge_pair(after, a, b, method)
-            step = frozenset(((merged.members, merged.node.h_lower),))
+            home = _merge_pair(after, a, b, method)
+            merged = (after.members[home], after.nodes[home].h_lower)
+            step = frozenset((merged,))
             for rest in complete(after):
                 acc.add(rest | step)
                 if len(acc) > limit:
@@ -741,7 +694,9 @@ def _reversals_from_tree(tree):
     reports = []
 
     def leaves_of(node):
-        return tuple(leaf.label for leaf in node.leaves())
+        # in leaf-index order, as the trace lists a group's leaves
+        leaves = sorted(node.leaves(), key=lambda leaf: leaf.index)
+        return tuple(leaf.label for leaf in leaves)
 
     # preorder over (node, parent), without recursion
     stack = [(tree.root, None)]

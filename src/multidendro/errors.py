@@ -41,20 +41,12 @@ class OutOfRange(MultidendroError):
 
 # ---- linkage evaluation ----
 
-class MissingDistance(MultidendroError):
-    """A block view lacks a required between-cluster distance."""
-
-
 class InvalidAlpha(MultidendroError):
     """Exponent parameter outside (0, 2], or given for a method without one."""
 
 
 class UnsupportedMethod(MultidendroError):
     """Method name unknown, or operation undefined for the method."""
-
-
-class DimensionMismatch(MultidendroError):
-    """Point sets whose coordinate dimensions disagree."""
 
 
 # ---- agglomeration ----

@@ -1,17 +1,16 @@
 """Linkage rules over clusters and over whole blocks of clusters.
 
-Seven rules are supported. ``pg_distance`` handles the classical case where
-exactly two clusters merge; ``vg_distance`` handles the general case where a
-block of tied clusters I merges against another block J, using only the
-current between-cluster distances and cluster sizes. Its arithmetic lives in
-``vg_kernel``, which takes plain sequences and checks nothing, while
-``vg_distance`` takes a ``BlockView``, whose construction coerces and
-validates the blocks once for outside callers.
+Seven rules are supported. ``vg_kernel`` is the paper's generalized
+Lance-Williams formula: the distance between a block I of clusters merged
+in one step and a block J, from the current between-cluster distances and
+cluster sizes alone. ``pg_update`` is the classical case where exactly two
+clusters merge. Both are unchecked internals: the engines call them with
+sizes and slices read from ``ClusterState``'s slot-indexed arrays.
 
 The engines update whole rows at once: ``vg_row`` gives a merged block's
 distances to many single clusters in a few numpy operations, and
-``pg_update`` is ``pg_distance``'s arithmetic applied to a row. Both equal
-the scalar results bit for bit.
+``pg_update`` accepts a row of other clusters. Both equal the scalar
+results bit for bit.
 
 Numerical notes: sums run through math.fsum, so results do not depend on
 term order. Single and complete are evaluated as exact min and max over the
@@ -27,11 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    InvalidAlpha,
-    MissingDistance,
-    UnsupportedMethod,
-)
+from .errors import InvalidAlpha, UnsupportedMethod
 
 SINGLE = "single"
 COMPLETE = "complete"
@@ -79,74 +74,19 @@ class MethodSpec:
             raise InvalidAlpha("method %r takes no alpha" % (kind,))
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """Distances needed to merge block I against block J.
-
-    cross[i][j] is the distance between the i-th cluster of I and the j-th
-    of J; within_i and within_j are full symmetric matrices with zero
-    diagonals. Sizes count individuals per cluster.
-    """
-
-    sizes_i: tuple
-    sizes_j: tuple
-    cross: tuple
-    within_i: tuple
-    within_j: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes_i", tuple(int(s) for s in self.sizes_i))
-        object.__setattr__(self, "sizes_j", tuple(int(s) for s in self.sizes_j))
-        object.__setattr__(self, "cross", tuple(tuple(map(float, r)) for r in self.cross))
-        object.__setattr__(self, "within_i", tuple(tuple(map(float, r)) for r in self.within_i))
-        object.__setattr__(self, "within_j", tuple(tuple(map(float, r)) for r in self.within_j))
-        p, q = len(self.sizes_i), len(self.sizes_j)
-        if p == 0 or q == 0:
-            raise MissingDistance("blocks must be non-empty")
-        if any(s < 1 for s in self.sizes_i + self.sizes_j):
-            raise MissingDistance("cluster sizes must be >= 1")
-        if len(self.cross) != p or any(len(row) != q for row in self.cross):
-            raise MissingDistance("cross block must be %d x %d" % (p, q))
-        if len(self.within_i) != p or any(len(row) != p for row in self.within_i):
-            raise MissingDistance("within_i block must be %d x %d" % (p, p))
-        if len(self.within_j) != q or any(len(row) != q for row in self.within_j):
-            raise MissingDistance("within_j block must be %d x %d" % (q, q))
-
-    @property
-    def p(self):
-        return len(self.sizes_i)
-
-    @property
-    def q(self):
-        return len(self.sizes_j)
-
-    @property
-    def total_i(self):
-        return sum(self.sizes_i)
-
-    @property
-    def total_j(self):
-        return sum(self.sizes_j)
-
-
 def _flat(rows):
     return [v for row in rows for v in row]
 
 
-def vg_distance(method, blocks):
-    """Distance between the merged block I and merged block J.
-
-    Works for any block shapes, reduces to the classical two-cluster update
-    when I has two members and J one, and returns the cross distance
-    unchanged when each block holds a single cluster.
-    """
-    return vg_kernel(method.kind, blocks.sizes_i, blocks.sizes_j,
-                     blocks.cross, blocks.within_i, blocks.within_j)
-
-
 def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
-    """``vg_distance`` over plain sequences shaped as in ``BlockView``.
+    """Distance between the merged block I and the merged block J.
 
+    ``sizes_i`` and ``sizes_j`` count individuals per cluster; ``cross[i][j]``
+    is the distance between the i-th cluster of I and the j-th of J, and
+    ``within_i`` and ``within_j`` are full symmetric matrices with zero
+    diagonals. Works for any block shapes, reduces to the classical
+    two-cluster update when I has two members and J one, and returns the
+    cross distance unchanged when each block holds a single cluster.
     Nothing is coerced or checked: sizes must be ints, distances floats and
     the shapes must agree. Only the rules in ``WITHIN_METHODS`` read the
     within blocks, and then only off the diagonal, so None stands in for the
@@ -243,22 +183,12 @@ def vg_row(kind, sizes_i, sizes_j, cross, within_j):
 
 # ---- classical two-way update ----
 
-def pg_distance(method, sizes, d_between, d_left, d_right):
-    """Distance from the merge of two clusters to a third.
-
-    ``sizes`` is (|left|, |right|, |other|); ``d_between`` the distance
-    separating the two merged clusters, ``d_left``/``d_right`` their
-    distances to the other cluster.
-    """
-    si, si2, sj = (int(s) for s in sizes)
-    if min(si, si2, sj) < 1:
-        raise MissingDistance("cluster sizes must be >= 1")
-    return pg_update(method.kind, si, si2, sj, d_between, d_left, d_right)
-
-
 def pg_update(kind, si, si2, sj, d_between, d_left, d_right):
-    """``pg_distance``'s arithmetic, unchecked.
+    """Distance from the merge of two clusters to a third, unchecked.
 
+    ``si`` and ``si2`` are the sizes of the merged clusters and ``sj`` that
+    of the other; ``d_between`` is the distance separating the two merged
+    clusters, ``d_left``/``d_right`` their distances to the other cluster.
     ``sj``, ``d_left`` and ``d_right`` may be numpy arrays, one entry per
     other cluster: the operations are the same IEEE ones in the same
     order, so each entry of the row equals the scalar result bit for bit.

@@ -150,13 +150,6 @@ def round_half_away_array(values, places):
     return out
 
 
-def comparison_value(value, precision):
-    """The value used when distances are compared or tested for ties."""
-    if precision is None:
-        return float(value)
-    return round_half_away(value, precision)
-
-
 def condensed_size(n):
     return n * (n - 1) // 2
 

@@ -628,6 +628,10 @@ def parse_records(source):
     nodes = {i: Leaf(i, lab) for i, lab in enumerate(labels)}
     consumed = set()
     for rec in sorted(doc["merges"], key=lambda r: r["id"]):
+        if rec["id"] in nodes:
+            raise FormatError("merge id %r is already taken" % (rec["id"],))
+        if len(rec["children"]) < 2:
+            raise FormatError("merge %r has fewer than two children" % (rec["id"],))
         children = []
         for cid in rec["children"]:
             if cid not in nodes:

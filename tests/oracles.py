@@ -9,15 +9,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from multidendro.errors import (
     AsymmetricInput,
-    DimensionMismatch,
     DuplicateLabel,
     FormatError,
     InvalidAlpha,
+    MultidendroError,
     NegativeValue,
     ParseError,
     UnsupportedMethod,
@@ -145,6 +146,38 @@ def check_values_scalar(labels, values):
 
 # ---- the block update through an explicit coefficient table ----
 
+class Blocks(NamedTuple):
+    """The arguments of ``linkage.vg_kernel`` after its rule name, in its
+    order, so ``vg_kernel(kind, *blocks)`` evaluates them.
+
+    ``cross[i][j]`` is the distance between the i-th cluster of I and the
+    j-th of J; ``within_i`` and ``within_j`` are full symmetric matrices
+    with zero diagonals; sizes count individuals per cluster.
+    """
+
+    sizes_i: tuple
+    sizes_j: tuple
+    cross: tuple
+    within_i: tuple
+    within_j: tuple
+
+    @property
+    def p(self):
+        return len(self.sizes_i)
+
+    @property
+    def q(self):
+        return len(self.sizes_j)
+
+    @property
+    def total_i(self):
+        return sum(self.sizes_i)
+
+    @property
+    def total_j(self):
+        return sum(self.sizes_j)
+
+
 @dataclass(frozen=True)
 class VGParams:
     """Per-term weights of the block update, plus the min/max switch.
@@ -203,7 +236,8 @@ def _params_for(method):
 
 
 def vg_distance_tabular(method, blocks):
-    """Same quantity as vg_distance, assembled term by term from weights."""
+    """Same quantity as ``vg_kernel(method.kind, *blocks)``, assembled term
+    by term from weights."""
     par = _params_for(method)
     p, q = blocks.p, blocks.q
     terms = [par.alpha(blocks, i, j) * blocks.cross[i][j]
@@ -265,6 +299,10 @@ def direct_distance(method, matrix, side_i, side_j):
 
 
 # ---- point oracles ----
+
+class DimensionMismatch(MultidendroError):
+    """Point sets whose coordinate dimensions disagree."""
+
 
 def _as_points(obj, what):
     pts = np.asarray(obj, dtype=float)
@@ -342,8 +380,8 @@ def row_minima_full_scan(state):
 def shortest_full_scan(state):
     """``ClusterState.shortest`` from a scan of every live pair.
 
-    (raw value, comparison value, edges), the edges as (low cid, high cid)
-    in row-major slot order.
+    (raw value, comparison value, edges), the edges as (low slot, high
+    slot) in row-major order.
     """
     live = np.flatnonzero(state.live).tolist()
     low_key = min(state.keys[r, c] for r in live for c in live if r < c)
@@ -351,8 +389,7 @@ def shortest_full_scan(state):
     for r in live:
         for c in live:
             if r < c and state.keys[r, c] == low_key:
-                a, b = state.cid_at[r], state.cid_at[c]
-                edges.append((min(a, b), max(a, b)))
+                edges.append((r, c))
                 raws.append(state.dist[r, c])
     return float(min(raws)), float(low_key), edges
 

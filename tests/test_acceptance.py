@@ -13,7 +13,6 @@ import numpy as np
 
 from multidendro import (
     METHOD_KINDS,
-    BlockView,
     MethodSpec,
     ProximityMatrix,
     TooManySolutions,
@@ -23,13 +22,18 @@ from multidendro import (
     enumerate_pair_group,
     fusion_value,
     parse_matrix,
-    pg_distance,
     to_newick_extended,
     tree_equal,
-    vg_distance,
 )
+from multidendro.linkage import pg_update, vg_kernel
 
-from oracles import centroid_oracle, direct_distance, jbw_oracle, vg_distance_tabular
+from oracles import (
+    Blocks,
+    centroid_oracle,
+    direct_distance,
+    jbw_oracle,
+    vg_distance_tabular,
+)
 
 TOY_TEXT = "0 2 4 7\n2 0 2 5\n4 2 0 3\n7 5 3 0\n"
 
@@ -225,9 +229,8 @@ def test_criterion_04_recurrence_equals_direct():
                                                       side_j[y])
                                  for y in range(len(side_j)))
                            for x in range(len(side_j)))
-                bv = BlockView(tuple(len(a) for a in side_i),
-                               tuple(len(b) for b in side_j), cross, wi, wj)
-                got = vg_distance(m, bv)
+                got = vg_kernel(kind, tuple(len(a) for a in side_i),
+                                tuple(len(b) for b in side_j), cross, wi, wj)
                 want = direct_distance(m, sq, sum(side_i, []), sum(side_j, []))
                 assert rel(got, want) <= 1e-9
             checked += 1
@@ -266,12 +269,9 @@ def run_centroid_config(rng, weighted):
         clusters.append(new)
         all_singletons = all(s == 1 for s in sizes)
         for other in rest:
-            blocks = BlockView(
-                sizes_i=sizes, sizes_j=(clusters[other]["size"],),
-                cross=tuple((look(dist, c, other),) for c in chosen),
-                within_i=within, within_j=((0.0,),),
-            )
-            d = vg_distance(method, blocks)
+            d = vg_kernel(method.kind, sizes, (clusters[other]["size"],),
+                          tuple((look(dist, c, other),) for c in chosen),
+                          within, ((0.0,),))
             dist[(min(other, next_id), max(other, next_id))] = d
             if weighted:
                 want = centroid_oracle([new["center"]],
@@ -323,12 +323,9 @@ def run_jbw_config(rng, alpha):
                    size=sum(sizes))
         clusters.append(new)
         for other in rest:
-            blocks = BlockView(
-                sizes_i=sizes, sizes_j=(clusters[other]["size"],),
-                cross=tuple((look(dist, c, other),) for c in chosen),
-                within_i=within, within_j=((0.0,),),
-            )
-            d = vg_distance(method, blocks)
+            d = vg_kernel(method.kind, sizes, (clusters[other]["size"],),
+                          tuple((look(dist, c, other),) for c in chosen),
+                          within, ((0.0,),))
             dist[(min(other, next_id), max(other, next_id))] = d
             want = jbw_oracle(pts[new["members"]],
                               pts[clusters[other]["members"]], alpha=alpha)
@@ -363,15 +360,15 @@ def test_criterion_07_reduction_to_classical():
                 if kind == "joint_between_within":
                     alpha = float(rng.choice((0.5, 1.0, 2.0)))
                 m = MethodSpec(kind, alpha)
-                blocks = BlockView(
+                blocks = Blocks(
                     sizes_i=sizes[:2], sizes_j=sizes[2:],
                     cross=((d_left,), (d_right,)),
                     within_i=((0.0, d_between), (d_between, 0.0)),
                     within_j=((0.0,),),
                 )
-                want = pg_distance(m, sizes, d_between, d_left, d_right)
+                want = pg_update(kind, *sizes, d_between, d_left, d_right)
                 assert rel(vg_distance_tabular(m, blocks), want) <= 1e-9
-                assert rel(vg_distance(m, blocks), want) <= 1e-9
+                assert rel(vg_kernel(kind, *blocks), want) <= 1e-9
 
 
 # ---- 8: without ties both engines build the same tree ----

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import struct
 import sys
 import warnings
@@ -25,19 +26,22 @@ from multidendro import (
     enumerate_pair_group,
     fusion_value,
     internal,
-    pg_distance,
-    tie_groups,
     to_newick_extended,
     tree_equal,
 )
 from multidendro import (
-    comparison_value,
     records_to_json,
     render_svg,
     to_records,
     validate_tree,
 )
-from multidendro.agglomerate import Cluster, _group_update, _merge_pair
+from multidendro.agglomerate import (
+    _group_update,
+    _groups_from_edges,
+    _merge_pair,
+)
+from multidendro.linkage import pg_update
+from multidendro.proximity import round_half_away
 from multidendro.tree import Leaf, MultivaluedTree
 
 from oracles import row_minima_full_scan, shortest_full_scan
@@ -61,8 +65,8 @@ def test_tie_groups_toy(toy):
     state = ClusterState.from_matrix(toy)
     low_raw, low_key, edges = state.shortest()
     assert low_raw == 2.0
-    assert sorted(edges) == [(0, 1), (1, 2)]
-    assert tie_groups(state, low_key) == ((0, 1, 2), (3,))
+    assert edges == [(0, 1), (1, 2)]
+    assert _groups_from_edges(edges) == [(0, 1, 2)]
 
 
 def test_tie_groups_many_components():
@@ -73,8 +77,8 @@ def test_tie_groups_many_components():
         for j in range(i + 1, 9):
             square[i][j] = square[j][i] = 1.0 if (i, j) in unit else 5.0
     state = ClusterState.from_matrix(matrix_from_square(square))
-    _, low_key, _ = state.shortest()
-    assert tie_groups(state, low_key) == ((0,), (1, 2), (3, 4, 5), (6, 7, 8))
+    _, _, edges = state.shortest()
+    assert _groups_from_edges(edges) == [(1, 2), (3, 4, 5), (6, 7, 8)]
 
 
 def test_tie_groups_respect_precision():
@@ -89,12 +93,12 @@ def test_tie_groups_respect_precision():
     low_raw, low_key, edges = state.shortest()
     assert low_key == 1.0
     assert low_raw == 0.96
-    assert tie_groups(state, low_key) == ((0, 1, 2),)
+    assert _groups_from_edges(edges) == [(0, 1, 2)]
 
     raw = matrix_from_square(square)
     state = ClusterState.from_matrix(raw)
-    _, low_key, _ = state.shortest()
-    assert tie_groups(state, low_key) == ((0,), (1, 2))
+    _, _, edges = state.shortest()
+    assert _groups_from_edges(edges) == [(1, 2)]
 
 
 # ---- cached row minima ----
@@ -104,15 +108,11 @@ def _merge_groups(state, groups, method):
     # engine makes it, but with groups that need not be tied
     formed = []
     for parts in groups:
-        members = [state.clusters[state.cid_at[s]] for s in parts]
-        merged = Cluster(state.next_id,
-                         tuple(sorted(i for c in members for i in c.members)),
-                         internal([c.node for c in members], 0.0, 0.0))
-        state.next_id += 1
-        formed.append((merged, parts, [c.size for c in members],
+        members = tuple(sorted(i for s in parts for i in state.members[s]))
+        node = internal([state.nodes[s] for s in parts], 0.0, 0.0)
+        formed.append((parts, members, node, state.sizes[list(parts)].tolist(),
                        state.dist[np.ix_(parts, parts)].tolist()))
-    state.merge([(merged, parts) for merged, parts, _, _ in formed],
-                _group_update(state, formed, method))
+    state.merge(formed, _group_update(state, formed, method))
 
 
 def _check_state(state):
@@ -125,8 +125,10 @@ def _check_state(state):
             assert state.keys[r, state.row_arg[r]] == state.row_min[r]
         for c in live:
             if c != r:
-                assert state.keys[r, c] == comparison_value(
-                    float(state.dist[r, c]), state.precision)
+                want = float(state.dist[r, c])
+                if state.precision is not None:
+                    want = round_half_away(want, state.precision)
+                assert state.keys[r, c] == want
     if len(live) > 1:
         assert state.shortest() == shortest_full_scan(state)
 
@@ -145,11 +147,11 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
     method = MethodSpec(kind)
     state = ClusterState.from_matrix(matrix)
     _check_state(state)
-    while len(state.clusters) > 1:
+    while state.count > 1:
         live = state.live_slots().tolist()
         if data.draw(st.booleans()):
             a, b = data.draw(st.permutations(live))[:2]
-            _merge_pair(state, state.cid_at[a], state.cid_at[b], method)
+            _merge_pair(state, a, b, method)
         else:
             # random disjoint groups; at least one has two members
             tags = data.draw(st.lists(st.integers(0, len(live) - 1),
@@ -161,6 +163,18 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
             groups = sorted(tuple(g) for g in by_tag.values() if len(g) > 1)
             _merge_groups(state, groups, method)
         _check_state(state)
+
+
+def test_cached_minima_keep_positive_zero():
+    # a centroid update of -0.0625 rounds to -0.0 at 0 places; the cached
+    # minimum of a row holding both zeros must match a fresh scan bit for bit
+    n = 7
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
+                             tuple(v / 4 for v in [1] * 19 + [5, 1]),
+                             precision=0)
+    state = ClusterState.from_matrix(matrix)
+    _merge_pair(state, 4, 6, MethodSpec("unweighted_centroid"))
+    _check_state(state)
 
 
 # ---- fusion values ----
@@ -202,6 +216,12 @@ def test_fusion_natural_falls_back_with_warning():
         got = fusion_value((1, 1, 1), TRIPLE_WITHIN,
                            MethodSpec("unweighted_centroid"), "natural")
     assert got == 2.0
+
+
+def test_fusion_takes_a_method_name():
+    assert fusion_value([1, 1], [[0, 1], [1, 0]], "single", "natural") == 1
+    assert fusion_value((1, 1, 1), TRIPLE_WITHIN, "weighted-average",
+                        "natural") == 3.0
 
 
 # ---- variable-group engine ----
@@ -297,6 +317,26 @@ def test_vg_reversal_flagged_on_toy_single(toy):
     # the finished tree shows the same inversion
     tree_reports = detect_reversals(tree)
     assert any(r.kind == "interval" for r in tree_reports)
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+def test_reversals_from_trace_and_tree_agree():
+    # whole-number squared distances of small integer clouds: the centroid
+    # rules reverse often there; reports may come in a different order
+    with_reversals = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 10))
+        pts = rng.integers(0, 6, size=(n, 2))
+        square = ((pts[:, None] - pts[None]) ** 2).sum(-1).astype(float)
+        matrix = matrix_from_square(square.tolist(), precision=0)
+        for kind in ("unweighted_centroid", "weighted_centroid"):
+            for policy in ("interval", "natural"):
+                tree, trace = cluster_variable_group(matrix, kind, policy)
+                from_trace = detect_reversals(trace)
+                assert Counter(from_trace) == Counter(detect_reversals(tree))
+                with_reversals += bool(from_trace)
+    assert with_reversals >= 10
 
 
 def is_tie_free(trace):
@@ -395,7 +435,6 @@ def test_enumerate_limit_guard():
 
 def brute_force_outcomes(matrix, kind):
     """Reference enumeration: plain recursion, no memo, no early collapse."""
-    method = MethodSpec(kind)
     n = matrix.n
     init = {}
     for i, j, v in matrix.pairs():
@@ -426,8 +465,8 @@ def brute_force_outcomes(matrix, kind):
             for c1, c2 in itertools.combinations(sorted(keep), 2):
                 table2[(c1, c2)] = look(table, c1, c2)
             for c in keep:
-                table2[(c, new)] = pg_distance(
-                    method, (sizes[a], sizes[b], sizes[c]),
+                table2[(c, new)] = pg_update(
+                    kind, sizes[a], sizes[b], sizes[c],
                     d, look(table, a, c), look(table, b, c))
             rec(nodes2, sizes2, table2)
 

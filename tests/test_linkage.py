@@ -8,19 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidendro import (
-    BlockView,
-    DimensionMismatch,
     InvalidAlpha,
     METHOD_KINDS,
     MethodSpec,
-    MissingDistance,
     UnsupportedMethod,
-    pg_distance,
-    vg_distance,
 )
 from multidendro.linkage import COMPLETE, SINGLE, pg_update, vg_kernel, vg_row
 
-from oracles import centroid_oracle, direct_distance, jbw_oracle, vg_distance_tabular
+from oracles import (
+    Blocks,
+    DimensionMismatch,
+    centroid_oracle,
+    direct_distance,
+    jbw_oracle,
+    vg_distance_tabular,
+)
 
 ALL_METHODS = [MethodSpec(kind) for kind in METHOD_KINDS]
 
@@ -57,19 +59,11 @@ def test_hyphenated_names_normalize():
     assert MethodSpec("unweighted-average").kind == "unweighted_average"
 
 
-# ---- block views ----
-
-def test_block_view_shape_checked():
-    with pytest.raises(MissingDistance):
-        BlockView((1, 1), (1,), ((1.0,),), ((0.0, 2.0), (2.0, 0.0)), ((0.0,),))
-    with pytest.raises(MissingDistance):
-        BlockView((1, 0), (1,), ((1.0,), (2.0,)),
-                  ((0.0, 2.0), (2.0, 0.0)), ((0.0,),))
-
+# ---- the block update ----
 
 def _toy_block():
     # three singletons against one: cross distances 7, 5, 3
-    return BlockView(
+    return Blocks(
         sizes_i=(1, 1, 1),
         sizes_j=(1,),
         cross=((7.0,), (5.0,), (3.0,)),
@@ -85,13 +79,13 @@ def _toy_block():
     ("weighted_average", 5.0),
 ])
 def test_vg_distance_toy_values(kind, expected):
-    assert vg_distance(MethodSpec(kind), _toy_block()) == expected
+    assert vg_kernel(kind, *_toy_block()) == expected
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_identity_on_single_cluster_blocks(method):
-    blocks = BlockView((3,), (2,), ((0.1,),), ((0.0,),), ((0.0,),))
-    assert vg_distance(method, blocks) == 0.1
+    blocks = Blocks((3,), (2,), ((0.1,),), ((0.0,),), ((0.0,),))
+    assert vg_kernel(method.kind, *blocks) == 0.1
     assert vg_distance_tabular(method, blocks) == 0.1
 
 
@@ -117,13 +111,13 @@ def block_views(draw, max_side=4):
                 w[a][b] = w[b][a] = draw(dist)
         return tuple(tuple(row) for row in w)
 
-    return BlockView(sizes_i, sizes_j, cross, within(p), within(q))
+    return Blocks(sizes_i, sizes_j, cross, within(p), within(q))
 
 
 @settings(max_examples=120, deadline=None)
 @given(blocks=block_views(), method=st.sampled_from(ALL_METHODS))
 def test_tabular_route_matches_grouped_route(blocks, method):
-    a = vg_distance(method, blocks)
+    a = vg_kernel(method.kind, *blocks)
     b = vg_distance_tabular(method, blocks)
     assert close(a, b, 1e-12)
 
@@ -136,15 +130,15 @@ def test_tabular_route_matches_grouped_route(blocks, method):
 )
 def test_two_against_one_reduces_to_classical(sizes, d_between, d_left,
                                               d_right, method):
-    blocks = BlockView(
+    blocks = Blocks(
         sizes_i=sizes[:2],
         sizes_j=sizes[2:],
         cross=((d_left,), (d_right,)),
         within_i=((0.0, d_between), (d_between, 0.0)),
         within_j=((0.0,),),
     )
-    expected = pg_distance(method, sizes, d_between, d_left, d_right)
-    assert close(vg_distance(method, blocks), expected, 1e-9)
+    expected = pg_update(method.kind, *sizes, d_between, d_left, d_right)
+    assert close(vg_kernel(method.kind, *blocks), expected, 1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,7 +148,7 @@ def test_block_order_and_side_swap_do_not_matter(blocks, method, seed):
     rng = np.random.default_rng(seed)
     perm_i = list(rng.permutation(blocks.p))
     perm_j = list(rng.permutation(blocks.q))
-    shuffled = BlockView(
+    shuffled = Blocks(
         sizes_i=tuple(blocks.sizes_i[i] for i in perm_i),
         sizes_j=tuple(blocks.sizes_j[j] for j in perm_j),
         cross=tuple(tuple(blocks.cross[i][j] for j in perm_j) for i in perm_i),
@@ -163,38 +157,30 @@ def test_block_order_and_side_swap_do_not_matter(blocks, method, seed):
         within_j=tuple(tuple(blocks.within_j[a][b] for b in perm_j)
                        for a in perm_j),
     )
-    swapped = BlockView(
+    swapped = Blocks(
         sizes_i=shuffled.sizes_j,
         sizes_j=shuffled.sizes_i,
         cross=tuple(zip(*shuffled.cross)),
         within_i=shuffled.within_j,
         within_j=shuffled.within_i,
     )
-    reference = vg_distance(method, blocks)
-    assert vg_distance(method, shuffled) == reference
-    assert vg_distance(method, swapped) == reference
+    reference = vg_kernel(method.kind, *blocks)
+    assert vg_kernel(method.kind, *shuffled) == reference
+    assert vg_kernel(method.kind, *swapped) == reference
 
 
 # ---- classical update goldens ----
 
 def test_pg_unweighted_average():
-    assert pg_distance(MethodSpec("unweighted_average"), (1, 1, 1),
-                       2.0, 4.0, 2.0) == 3.0
+    assert pg_update("unweighted_average", 1, 1, 1, 2.0, 4.0, 2.0) == 3.0
 
 
 def test_pg_single_is_minimum():
-    assert pg_distance(MethodSpec("single"), (1, 1, 1), 2.0, 4.0, 2.0) == 2.0
+    assert pg_update("single", 1, 1, 1, 2.0, 4.0, 2.0) == 2.0
 
 
 def test_pg_unweighted_centroid():
-    got = pg_distance(MethodSpec("unweighted_centroid"), (1, 1, 1),
-                      2.0, 7.0, 5.0)
-    assert got == 5.5
-
-
-def test_pg_sizes_checked():
-    with pytest.raises(MissingDistance):
-        pg_distance(MethodSpec("single"), (1, 0, 1), 1.0, 1.0, 1.0)
+    assert pg_update("unweighted_centroid", 1, 1, 1, 2.0, 7.0, 5.0) == 5.5
 
 
 # ---- row forms against the scalar updates ----
@@ -256,7 +242,7 @@ def test_row_forms_keep_the_sign_of_zero(kind):
     for h in zeros:
         left, right = cross
         got = pg_update(kind, 2, 5, sizes_i, h, left, right)
-        want = [pg_distance(MethodSpec(kind), (2, 5, int(s)), h, a, b)
+        want = [pg_update(kind, 2, 5, int(s), h, a, b)
                 for s, a, b in zip(sizes_i, left, right)]
         assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
 
@@ -273,8 +259,7 @@ def test_pg_update_row_matches_pg_distance(kind, data):
     got = pg_update(kind, si, si2, np.array(sj, dtype=np.int64), h,
                     np.array(left, dtype=np.float64),
                     np.array(right, dtype=np.float64))
-    method = MethodSpec(kind)
-    want = [pg_distance(method, (si, si2, sj[k]), h, left[k], right[k])
+    want = [pg_update(kind, si, si2, sj[k], h, left[k], right[k])
             for k in range(m)]
     assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
 

@@ -18,7 +18,6 @@ from multidendro import (
     OutOfRange,
     ProximityMatrix,
     ZeroDistanceWarning,
-    comparison_value,
     parse_matrix,
     round_to_precision,
     serialize_matrix,
@@ -282,8 +281,9 @@ def test_rounding_creates_ties():
 
 
 def test_comparison_value():
-    assert comparison_value(2.364, 2) == 2.36
-    assert comparison_value(2.364, None) == 2.364
+    # ties are decided on values rounded half away from zero, as written
+    assert round_half_away(2.364, 2) == 2.36
+    assert round_half_away_array([2.364, 2.365], 2).tolist() == [2.36, 2.37]
 
 
 @given(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multidendro import (
     DuplicateLabel,
+    FormatError,
     Internal,
     Leaf,
     MultivaluedTree,
@@ -434,6 +435,23 @@ def test_records_round_trip_without_trace(toy):
     tree2, trace2 = parse_records(text)
     assert trace2 is None
     assert tree_equal(tree, tree2)
+
+
+def test_records_reject_taken_ids_and_one_child_merges(toy):
+    tree, _ = toy_vg_tree(toy)
+    doc = to_records(tree)
+    # one more label makes the first merge's id that of a leaf
+    extra_label = dict(doc, labels=doc["labels"] + ["x5"])
+    with pytest.raises(FormatError, match="already taken"):
+        parse_records(extra_label)
+    repeated = json.loads(json.dumps(doc))
+    repeated["merges"].append(dict(repeated["merges"][0], children=[3, 5]))
+    with pytest.raises(FormatError, match="already taken"):
+        parse_records(repeated)
+    one_child = json.loads(json.dumps(doc))
+    one_child["merges"][0]["children"] = [0]
+    with pytest.raises(FormatError, match="fewer than two children"):
+        parse_records(one_child)
 
 
 def test_records_json_is_stable(toy):
