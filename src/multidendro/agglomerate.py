@@ -66,6 +66,8 @@ from .tree import (
     Leaf,
     MultivaluedTree,
     internal,
+    postorder,
+    reversal_edges,
     reversals_between,
     single_leaf_tree,
     to_newick_extended,
@@ -607,7 +609,7 @@ def enumerate_pair_group(matrix, method, limit=10000):
     for merges in complete(ClusterState.from_matrix(matrix)):
         root = _root_from_merges(merges, matrix.labels)
         collapsed = frozenset((members, round(h, 12)) for members, h in merges)
-        heights = _postorder_heights(root)
+        heights = [nd.h_lower for nd in postorder(root) if not nd.is_leaf]
         if collapsed not in kept or heights < kept[collapsed][0]:
             kept[collapsed] = (heights, root)
     if len(kept) > limit:
@@ -626,19 +628,6 @@ def _root_from_merges(merges, labels):
         for i in members:
             top[i] = node
     return node
-
-
-def _postorder_heights(root):
-    # preorder with the children taken last to first, reversed
-    heights = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            heights.append(node.h_lower)
-            stack.extend(node.children)
-    heights.reverse()
-    return heights
 
 
 # ---- reversal reporting ----
@@ -691,22 +680,13 @@ def _reversals_from_trace(trace):
 
 
 def _reversals_from_tree(tree):
-    reports = []
-
     def leaves_of(node):
         # in leaf-index order, as the trace lists a group's leaves
         leaves = sorted(node.leaves(), key=lambda leaf: leaf.index)
         return tuple(leaf.label for leaf in leaves)
 
-    # preorder over (node, parent), without recursion
-    stack = [(tree.root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if parent is not None:
-            for kind, value, parent_value in reversals_between(node, parent):
-                reports.append(ReversalReport(
-                    kind, leaves_of(node), leaves_of(parent),
-                    value, parent_value))
-        if not node.is_leaf:
-            stack.extend((child, node) for child in reversed(node.children))
-    return tuple(reports)
+    return tuple(
+        ReversalReport(kind, leaves_of(node), leaves_of(parent),
+                       value, parent_value)
+        for node, parent, kind, value, parent_value
+        in reversal_edges(tree.root))

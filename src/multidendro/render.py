@@ -9,6 +9,13 @@ visible as rectangles instead of a single join line.
 
 from __future__ import annotations
 
+from .tree import postorder
+
+# SVG layout, in pixels
+WIDTH = 720
+ROW_HEIGHT = 24
+MARGIN = 16
+
 
 def _fmt_height(h):
     return "%g" % (h,)
@@ -35,16 +42,12 @@ def render_text(tree):
     return "\n".join(lines) + "\n"
 
 
-def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
+def render_svg(tree):
     """Standalone SVG dendrogram with height along the horizontal axis."""
     leaves = list(tree.root.leaves())
-    n = len(leaves)
-    if label_gutter is None:
-        label_gutter = 8 * max(len(leaf.label) for leaf in leaves) + 16
-    top = margin
-    plot_left = margin + label_gutter
-    plot_right = width - margin
-    axis_y = top + n * row_height + 12
+    plot_left = MARGIN + 8 * max(len(leaf.label) for leaf in leaves) + 16
+    plot_right = WIDTH - MARGIN
+    axis_y = MARGIN + len(leaves) * ROW_HEIGHT + 12
 
     max_h = max([nd.h_upper for nd in tree.internal_nodes()] or [0.0])
     span = max_h if max_h > 0 else 1.0
@@ -55,41 +58,28 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
     def f(v):
         return "%.2f" % (v,)
 
-    rows = {leaf.index: top + (k + 0.5) * row_height
-            for k, leaf in enumerate(leaves)}
+    def draw_x(node):
+        # a leaf has no fusion value and sits at height 0.0
+        return x_of(node.fusion if node.fusion is not None else node.h_lower)
 
     texts = []
     joins = []
     bands = []
 
+    # the rows a node spans, from its first leaf's to its last leaf's
+    span_of = {}
     for k, leaf in enumerate(leaves):
-        y = rows[leaf.index]
+        y = MARGIN + (k + 0.5) * ROW_HEIGHT
+        span_of[id(leaf)] = (y, y)
         texts.append(
             '<text x="%s" y="%s" font-family="monospace" font-size="12" '
             'dominant-baseline="middle">%s</text>'
-            % (f(margin), f(y), _escape(leaf.label))
+            % (f(MARGIN), f(y), _escape(leaf.label))
         )
-
-    def draw_x(node):
-        if node.is_leaf:
-            return x_of(0.0)
-        return x_of(node.fusion if node.fusion is not None else node.h_lower)
-
-    # the rows a node spans: its leaves sit on consecutive rows, so the
-    # first and last are the minimum and maximum, found in one postorder
-    span_of = {}
-    for node in _postorder(tree.root):
-        if node.is_leaf:
-            y = rows[node.index]
-            span_of[id(node)] = (y, y)
-        else:
-            spans = [span_of[id(child)] for child in node.children]
-            span_of[id(node)] = (min(lo for lo, _ in spans),
-                                 max(hi for _, hi in spans))
-
-    def node_y(node):
-        lo, hi = span_of[id(node)]
-        return (lo + hi) / 2.0
+    for node in postorder(tree.root):
+        if not node.is_leaf:
+            span_of[id(node)] = (span_of[id(node.children[0])][0],
+                                 span_of[id(node.children[-1])][1])
 
     def line(x1, y1, x2, y2):
         return ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#333333" '
@@ -112,11 +102,11 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
             bands.append(
                 '<rect class="band" x="%s" y="%s" width="%s" height="%s" '
                 'fill="#888888" fill-opacity="0.35"/>'
-                % (f(x_of(node.h_lower)), f(lo - row_height * 0.3),
+                % (f(x_of(node.h_lower)), f(lo - ROW_HEIGHT * 0.3),
                    f(x_of(node.h_upper) - x_of(node.h_lower)),
-                   f(hi - lo + row_height * 0.6))
+                   f(hi - lo + ROW_HEIGHT * 0.6))
             )
-        child_ys = [node_y(child) for child in node.children]
+        child_ys = [sum(span_of[id(child)]) / 2.0 for child in node.children]
         stack.append(line(x, min(child_ys), x, max(child_ys)))
         for child, cy in zip(reversed(node.children), reversed(child_ys)):
             stack.append(child)
@@ -135,9 +125,9 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
     height = axis_y + 24
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (width, height, width, height),
+        'viewBox="0 0 %d %d">' % (WIDTH, height, WIDTH, height),
         '<rect x="0" y="0" width="%d" height="%d" fill="#ffffff"/>'
-        % (width, height),
+        % (WIDTH, height),
     ]
     parts.extend(bands)
     parts.extend(joins)
@@ -145,19 +135,6 @@ def render_svg(tree, width=720, row_height=24, margin=16, label_gutter=None):
     parts.extend(axis)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _postorder(root):
-    # children before parents, without recursion
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not node.is_leaf:
-            stack.extend(node.children)
-    out.reverse()
-    return out
 
 
 def _escape(text):

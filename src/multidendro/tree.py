@@ -8,6 +8,9 @@ groups are represented without picking an arbitrary pair order.
 Canonical form: children are ordered by the smallest leaf index they cover,
 and leaf indices follow input order. Two runs over relabeled input therefore
 serialize identically up to the labels themselves.
+
+Trees of any depth are walked by three iterative helpers: ``preorder``,
+``postorder`` and ``reversal_edges``, the one scan for reversals.
 """
 
 from __future__ import annotations
@@ -64,13 +67,7 @@ class Internal:
 
     def leaves(self):
         """Leaves left to right, without recursion."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend(reversed(node.children))
+        return (node for node in postorder(self) if node.is_leaf)
 
 
 def internal(children, h_lower, h_upper, fusion=None):
@@ -108,13 +105,7 @@ class MultivaluedTree:
 
     def internal_nodes(self):
         """Preorder over internal nodes."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            yield node
-            stack.extend(reversed(node.children))
+        return (node for node, _ in preorder(self.root) if not node.is_leaf)
 
     def node_heights(self):
         """Map frozenset of member labels -> (h_lower, h_upper, fusion)."""
@@ -127,6 +118,30 @@ class MultivaluedTree:
 
 def single_leaf_tree(label, **tags):
     return MultivaluedTree(root=Leaf(0, str(label)), labels=(str(label),), **tags)
+
+
+def preorder(root):
+    """(node, parent) pairs, each node before its children and children
+    left to right; the root's parent is None. Iterative."""
+    stack = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        yield node, parent
+        if not node.is_leaf:
+            stack.extend((child, node) for child in reversed(node.children))
+
+
+def postorder(root):
+    """The nodes as a list, children before parents and left to right."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not node.is_leaf:
+            stack.extend(node.children)
+    out.reverse()
+    return out
 
 
 def resolve_height(node):
@@ -161,6 +176,16 @@ def reversals_between(child, parent):
     return found
 
 
+def reversal_edges(root):
+    """(node, parent, kind, value, parent value) in preorder for every
+    internal node that tops its parent, by ``reversals_between``. A leaf
+    is never a reversal."""
+    for node, parent in preorder(root):
+        if parent is not None and not node.is_leaf:
+            for kind, value, parent_value in reversals_between(node, parent):
+                yield node, parent, kind, value, parent_value
+
+
 # ---- validation ----
 
 _REVERSAL_MESSAGES = {
@@ -191,16 +216,12 @@ def validate(tree):
     valid input.
     """
     errors = []
-    reversals = []
     seen = []
 
     def name(node):
         return "{%s}" % ",".join(sorted(leaf.label for leaf in node.leaves()))
 
-    # preorder over (node, parent), without recursion
-    stack = [(tree.root, None)]
-    while stack:
-        node, parent = stack.pop()
+    for node, _ in preorder(tree.root):
         if node.is_leaf:
             seen.append(node.index)
             if not (0 <= node.index < tree.n) or tree.labels[node.index] != node.label:
@@ -222,11 +243,9 @@ def validate(tree):
                 "fusion %r outside [%r, %r] on node %s"
                 % (node.fusion, node.h_lower, node.h_upper, name(node))
             )
-        if parent is not None:
-            for kind, value, parent_value in reversals_between(node, parent):
-                reversals.append(_REVERSAL_MESSAGES[kind]
-                                 % (name(node), value, parent_value))
-        stack.extend((child, node) for child in reversed(node.children))
+    reversals = [_REVERSAL_MESSAGES[kind] % (name(node), value, parent_value)
+                 for node, _, kind, value, parent_value
+                 in reversal_edges(tree.root)]
 
     if sorted(seen) != list(range(tree.n)):
         errors.append("leaves do not cover the label table exactly once")
@@ -264,12 +283,11 @@ def cophenetic_matrix(tree):
     """
     n = tree.n
     values = [0.0] * condensed_size(n)
-    nodes = list(tree.internal_nodes())
-    # resolved in preorder: the first unresolved node in preorder is reported
-    heights = [resolve_height(node) for node in nodes]
-    members = {}  # id of a node whose parent is still to come -> its leaves
-    for node, h in zip(reversed(nodes), reversed(heights)):
-        groups = [[c.index] if c.is_leaf else members.pop(id(c))
+    leaf_lists = _leaf_lists(tree.root)
+    # in preorder: the first unresolved node in preorder is reported
+    for node in tree.internal_nodes():
+        h = resolve_height(node)
+        groups = [[leaf.index for leaf in leaf_lists.get(id(c), (c,))]
                   for c in node.children]
         for gi in range(len(groups)):
             for gj in range(gi + 1, len(groups)):
@@ -277,7 +295,6 @@ def cophenetic_matrix(tree):
                     for j in groups[gj]:
                         a, b = (i, j) if i < j else (j, i)
                         values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
-        members[id(node)] = [i for g in groups for i in g]
 
     return ProximityMatrix(tree.labels, tuple(values), precision=None,
                            kind=KIND_DISTANCE)
@@ -285,13 +302,13 @@ def cophenetic_matrix(tree):
 
 # ---- extended newick ----
 
-def to_newick_extended(tree, decimals=None):
+def to_newick_extended(tree):
     """Serialize with bracketed intervals: (a,b,c)[h_lower,h_upper];
 
-    Labels must be free of whitespace and of the delimiters ()[],; so the
-    format stays unambiguous.
+    Heights get ``tree.height_decimals`` decimals. Labels must be free of
+    whitespace and of the delimiters ()[],; so the format stays unambiguous.
     """
-    d = tree.height_decimals if decimals is None else decimals
+    d = tree.height_decimals
 
     parts = []
     # nodes still to write, interleaved with the text that follows them
@@ -421,44 +438,34 @@ def to_records(tree, trace=None):
 
     Node ids: leaves are 0..n-1 in label order, merges continue upward in
     formation order (taken from the trace when present, otherwise assigned
-    bottom-up by lowest height, then smallest member leaf).
+    bottom-up by lowest height, then smallest member leaf). A trace that
+    does not describe the tree raises FormatError.
 
     The trace's group dicts are shared between iterations wherever the
     trace shares a ``GroupRecord``, as it does for a cluster that passes
     several iterations unmerged. Copy the document before mutating it.
     """
     index = {label: i for i, label in enumerate(tree.labels)}
-    merges = []
-
+    leaf_lists = _leaf_lists(tree.root)
     if trace is not None:
-        node_ids = _ids_from_trace(tree, trace)
+        node_ids = _ids_from_trace(tree, trace, leaf_lists)
     else:
         node_ids = _ids_bottom_up(tree)
+    reversed_nodes = {id(node) for node, *_ in reversal_edges(tree.root)}
 
-    # preorder over (node, parent), without recursion
-    stack = [(tree.root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if node.is_leaf:
-            continue
-        reversal = parent is not None and bool(reversals_between(node, parent))
-        child_ids = []
-        for child in node.children:
-            if child.is_leaf:
-                child_ids.append(index[child.label])
-            else:
-                child_ids.append(node_ids[id(child)])
+    merges = []
+    for node in tree.internal_nodes():
         merges.append({
             "id": node_ids[id(node)],
-            "children": child_ids,
-            "members": sorted((leaf.label for leaf in node.leaves()),
+            "children": [index[child.label] if child.is_leaf
+                         else node_ids[id(child)] for child in node.children],
+            "members": sorted((leaf.label for leaf in leaf_lists[id(node)]),
                               key=lambda lab: index[lab]),
             "h_lower": node.h_lower,
             "h_upper": node.h_upper,
             "fusion": node.fusion,
-            "reversal": reversal,
+            "reversal": id(node) in reversed_nodes,
         })
-        stack.extend((child, node) for child in reversed(node.children))
 
     merges.sort(key=lambda rec: rec["id"])
     doc = {
@@ -474,24 +481,40 @@ def to_records(tree, trace=None):
     return doc
 
 
+def _leaf_lists(root):
+    """Map id of each internal node -> its leaves, left to right."""
+    lists = {}
+    for node in postorder(root):
+        if not node.is_leaf:
+            lists[id(node)] = [leaf for child in node.children
+                               for leaf in lists.get(id(child), (child,))]
+    return lists
+
+
 def _ids_bottom_up(tree):
     nodes = list(tree.internal_nodes())
     nodes.sort(key=lambda nd: (nd.h_lower, nd.min_leaf))
     return {id(nd): tree.n + k for k, nd in enumerate(nodes)}
 
 
-def _ids_from_trace(tree, trace):
-    by_members = {}
+def _ids_from_trace(tree, trace, leaf_lists):
+    """Map id of each internal node -> its cluster id in the trace, which
+    must form every node with the same leaves, heights, labels and tags."""
+    if (tuple(trace.labels), trace.method, trace.alpha, trace.policy) != (
+            tree.labels, tree.method, tree.alpha, tree.policy):
+        raise FormatError("trace does not describe this tree")
+    formed = {}
     for it in trace.iterations:
         for grp in it.groups:
             if grp.h_lower is not None:
-                by_members[frozenset(grp.leaves)] = grp.cluster_id
+                formed[frozenset(grp.leaves)] = grp
     ids = {}
     for node in tree.internal_nodes():
-        members = frozenset(leaf.index for leaf in node.leaves())
-        if members not in by_members:
+        grp = formed.get(frozenset(leaf.index for leaf in leaf_lists[id(node)]))
+        if grp is None or (grp.h_lower, grp.h_upper, grp.fusion) != (
+                node.h_lower, node.h_upper, node.fusion):
             raise FormatError("trace does not describe this tree")
-        ids[id(node)] = by_members[members]
+        ids[id(node)] = grp.cluster_id
     return ids
 
 
@@ -687,4 +710,5 @@ def parse_records(source):
             ),
             notes=tuple(td["notes"]),
         )
+        _ids_from_trace(tree, trace, _leaf_lists(tree.root))
     return tree, trace

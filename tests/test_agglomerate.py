@@ -319,11 +319,10 @@ def test_vg_reversal_flagged_on_toy_single(toy):
     assert any(r.kind == "interval" for r in tree_reports)
 
 
-@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
-def test_reversals_from_trace_and_tree_agree():
-    # whole-number squared distances of small integer clouds: the centroid
-    # rules reverse often there; reports may come in a different order
-    with_reversals = 0
+def centroid_runs():
+    """(tree, trace) of seeded centroid runs on whole-number squared
+    distances of small integer clouds, where the centroid rules reverse
+    often."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 10))
@@ -332,11 +331,33 @@ def test_reversals_from_trace_and_tree_agree():
         matrix = matrix_from_square(square.tolist(), precision=0)
         for kind in ("unweighted_centroid", "weighted_centroid"):
             for policy in ("interval", "natural"):
-                tree, trace = cluster_variable_group(matrix, kind, policy)
-                from_trace = detect_reversals(trace)
-                assert Counter(from_trace) == Counter(detect_reversals(tree))
-                with_reversals += bool(from_trace)
+                yield cluster_variable_group(matrix, kind, policy)
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+def test_reversals_from_trace_and_tree_agree():
+    # reports may come in a different order
+    with_reversals = 0
+    for tree, trace in centroid_runs():
+        from_trace = detect_reversals(trace)
+        assert Counter(from_trace) == Counter(detect_reversals(tree))
+        with_reversals += bool(from_trace)
     assert with_reversals >= 10
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+def test_reversal_scan_consumers_agree():
+    # records flag the nodes detect_reversals names, and validate_tree
+    # words each report once; a node can top its parent in both ways
+    flagged_runs = 0
+    for tree, _ in centroid_runs():
+        reports = detect_reversals(tree)
+        flagged = {tuple(m["members"]) for m in to_records(tree)["merges"]
+                   if m["reversal"]}
+        assert flagged == {report.child for report in reports}
+        assert len(validate_tree(tree).reversals) == len(reports)
+        flagged_runs += bool(flagged)
+    assert flagged_runs >= 10
 
 
 def is_tie_free(trace):

@@ -1,6 +1,7 @@
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_deep_caterpillar_walks_without_recursion():
 
     assert [leaf.index for leaf in root.leaves()] == list(range(depth + 1))
     heights = [float(h) for h in range(1, depth)] + [depth - 1.5]
-    assert to_newick_extended(tree, decimals=1) == (
+    assert to_newick_extended(replace(tree, height_decimals=1)) == (
         "".join("(x%d," % i for i in range(depth)) + "x%d" % depth
         + "".join(")[%.1f,%.1f]" % (h, h) for h in heights) + ";")
     (report,) = detect_reversals(tree)
@@ -218,6 +219,16 @@ def test_validate_reports_reversal_without_failing():
     report = validate_tree(MultivaluedTree(root=root, labels=("a", "b", "c")))
     assert report.ok
     assert len(report.reversals) == 1
+
+
+def test_a_leaf_is_never_a_reversal():
+    # both leaves top the root's negative height; only the height is wrong
+    tree = parse_newick_extended("(a,b)[-1.000,-1.000];")
+    assert detect_reversals(tree) == ()
+    report = validate_tree(tree)
+    assert report.reversals == ()
+    assert any("negative" in e for e in report.errors)
+    assert to_records(tree)["merges"][0]["reversal"] is False
 
 
 def test_validate_accepts_zero_distance_merge():
@@ -379,8 +390,8 @@ def _newick_outcome(parse, text):
 def test_parse_newick_matches_recursive_reference(tree, data):
     # canonical text with a few characters replaced, inserted or dropped:
     # the same tree, or the same message at the same position
-    text = list(to_newick_extended(tree, decimals=data.draw(
-        st.integers(min_value=0, max_value=5))))
+    text = list(to_newick_extended(replace(tree, height_decimals=data.draw(
+        st.integers(min_value=0, max_value=5)))))
     for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
         at = data.draw(st.integers(min_value=0, max_value=len(text)))
         edit = data.draw(st.sampled_from(["put", "insert", "drop"]))
@@ -452,6 +463,27 @@ def test_records_reject_taken_ids_and_one_child_merges(toy):
     one_child["merges"][0]["children"] = [0]
     with pytest.raises(FormatError, match="fewer than two children"):
         parse_records(one_child)
+
+
+def test_records_reject_a_trace_of_another_run(toy):
+    # the toy's single-linkage, shortest-policy run forms the same leaf sets
+    # as its unweighted-average run, but its trace describes another tree
+    tree, trace = toy_vg_tree(toy)
+    other_tree, other = toy_vg_tree(toy, "single", "shortest")
+    with pytest.raises(FormatError, match="trace does not describe this tree"):
+        to_records(tree, other)
+    doc = json.loads(records_to_json(to_records(tree, trace)))
+    swapped = dict(doc, trace=to_records(other_tree, other)["trace"])
+    retagged = dict(doc, trace=dict(doc["trace"], policy="shortest"))
+    moved = json.loads(json.dumps(doc))
+    formed = [g for it in moved["trace"]["iterations"] for g in it["groups"]
+              if g["h_lower"] is not None]
+    formed[0]["h_upper"] += 1.0
+    for bad in (swapped, retagged, moved):
+        with pytest.raises(FormatError,
+                           match="trace does not describe this tree"):
+            parse_records(bad)
+    assert tree_equal(parse_records(doc)[0], tree)
 
 
 def test_records_json_is_stable(toy):
