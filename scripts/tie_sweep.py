@@ -26,9 +26,8 @@ METHOD = "unweighted_average"
 def random_matrix(rng, n):
     pts = rng.uniform(0.0, 10.0, size=(n, 2))
     sq = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    values = tuple(sq[i][j] for i in range(n) for j in range(i + 1, n))
     labels = tuple("p%d" % (i + 1) for i in range(n))
-    return ProximityMatrix(labels, values)
+    return ProximityMatrix(labels, sq[np.triu_indices(n, 1)])
 
 
 def tie_stats(trace):

@@ -61,7 +61,7 @@ from .linkage import (
     vg_kernel,
     vg_row,
 )
-from .proximity import round_half_away_array
+from .proximity import round_half_away_array, square_from_condensed
 from .tree import (
     Leaf,
     MultivaluedTree,
@@ -168,15 +168,9 @@ class ClusterState:
     @classmethod
     def from_matrix(cls, matrix):
         n = matrix.n
-        values = np.array(matrix.values, dtype=np.float64)
-        key_values = _comparison_keys(values, matrix.precision)
-        rows, cols = np.triu_indices(n, 1)
-        dist = np.zeros((n, n))
-        dist[rows, cols] = values
-        dist[cols, rows] = values
-        keys = np.full((n, n), np.inf)
-        keys[rows, cols] = key_values
-        keys[cols, rows] = key_values
+        dist = square_from_condensed(matrix.condensed, n)
+        keys = square_from_condensed(
+            _comparison_keys(matrix.condensed, matrix.precision), n, np.inf)
         return cls(dist, keys, [(i,) for i in range(n)],
                    [Leaf(i, label) for i, label in enumerate(matrix.labels)],
                    list(range(n)), np.ones(n, dtype=np.int64),
@@ -365,6 +359,16 @@ def _as_method(method):
     return method
 
 
+def _run_tags(matrix, method, policy=None):
+    """The method and the tags every engine's tree carries for a run."""
+    method = _as_method(method)
+    if matrix.n == 0:
+        raise EmptyInput("no individuals to cluster")
+    decimals = 3 if matrix.precision is None else max(3, matrix.precision + 1)
+    return method, dict(method=method.kind, alpha=method.alpha, policy=policy,
+                        height_decimals=decimals)
+
+
 # ---- variable-group engine ----
 
 def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
@@ -375,12 +379,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     of two or more at once, and computes each merged cluster's distances to
     every survivor from its constituents' rows of the working matrix.
     """
-    policy = normalize_policy(policy)
-    method = _as_method(method)
-    if matrix.n == 0:
-        raise EmptyInput("no individuals to cluster")
-    tags = dict(method=method.kind, alpha=method.alpha, policy=policy,
-                height_decimals=_decimals_for(matrix.precision))
+    method, tags = _run_tags(matrix, method, normalize_policy(policy))
     notes = []
     if policy == POLICY_NATURAL and method.kind not in _NATURAL_METHODS:
         notes.append(
@@ -492,10 +491,6 @@ def _group_update(state, formed, method):
     return writes
 
 
-def _decimals_for(precision):
-    return 3 if precision is None else max(3, precision + 1)
-
-
 # ---- classical pair-group engine ----
 
 def _merge_pair(state, a, b, method):
@@ -528,11 +523,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     degenerate intervals.
     """
     tiebreak = normalize_tiebreak(tiebreak)
-    method = _as_method(method)
-    if matrix.n == 0:
-        raise EmptyInput("no individuals to cluster")
-    tags = dict(method=method.kind, alpha=method.alpha, policy=None,
-                height_decimals=_decimals_for(matrix.precision))
+    method, tags = _run_tags(matrix, method)
     if matrix.n == 1:
         return single_leaf_tree(matrix.labels[0], **tags)
     rng = random.Random(seed)
@@ -566,11 +557,7 @@ def enumerate_pair_group(matrix, method, limit=10000):
     heights read in postorder. Raises TooManySolutions once more than
     ``limit`` distinct outcomes accumulate.
     """
-    method = _as_method(method)
-    if matrix.n == 0:
-        raise EmptyInput("no individuals to cluster")
-    tags = dict(method=method.kind, alpha=method.alpha, policy=None,
-                height_decimals=_decimals_for(matrix.precision))
+    method, tags = _run_tags(matrix, method)
     if matrix.n == 1:
         return (single_leaf_tree(matrix.labels[0], **tags),)
     memo = {}

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import chain
 
@@ -62,14 +61,6 @@ def _normalize_format(fmt):
     return fmt
 
 
-def _is_number(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _parse_value(token):
     try:
         return float(token)
@@ -83,22 +74,24 @@ def _token_decimals(token):
         return None
     if "." not in token:
         return 0
-    return len(token.split(".", 1)[1])
+    # "_" separates digits and is no decimal place
+    return len(token.split(".", 1)[1].replace("_", ""))
 
 
-def _infer_precision(tokens):
+def _infer_precision(rows):
     # a matrix repeats few distinct tokens when its values are coarse, so
-    # each is counted once; an exponent token still ends the scan at once
+    # each row adds only the tokens not seen before; an exponent token still
+    # ends the scan at once
     best = 0
     seen = set()
-    for tok in tokens:
-        if tok in seen:
-            continue
-        seen.add(tok)
-        d = _token_decimals(tok)
-        if d is None:
-            return None
-        best = max(best, d)
+    for row in rows:
+        new = set(row).difference(seen)
+        for tok in new:
+            d = _token_decimals(tok)
+            if d is None:
+                return None
+            best = max(best, d)
+        seen |= new
     return best
 
 
@@ -154,54 +147,44 @@ def condensed_size(n):
     return n * (n - 1) // 2
 
 
-def condensed_index(n, i, j):
-    if i > j:
-        i, j = j, i
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-@dataclass(frozen=True)
 class ProximityMatrix:
     """Immutable symmetric dissimilarities over labeled individuals.
 
     Parameters
     ----------
-    labels : tuple of str
+    labels : sequence of str
         Distinct names, one per individual, in input order.
-    values : tuple of float
-        Condensed upper triangle, row major: d(0,1), d(0,2), ..., d(n-2,n-1).
+    values : iterable of float or ndarray
+        Condensed upper triangle, row major: d(0,1), d(0,2), ..., d(n-2,n-1),
+        the layout of ``scipy.spatial.distance.pdist``. The values are copied.
     precision : int or None
         Decimals used for tie comparison; None compares raw values.
     kind : str
         Where the values came from, KIND_DISTANCE or KIND_FROM_SIMILARITY.
+
+    ``condensed`` holds the values as a read-only float64 array; ``values``
+    is the same as a tuple of Python floats, built on first use.
     """
 
-    labels: tuple
-    values: tuple
-    precision: "int | None" = None
-    kind: str = KIND_DISTANCE
+    __slots__ = ("labels", "condensed", "precision", "kind", "_values")
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
+    def __init__(self, labels, values, precision=None, kind=KIND_DISTANCE):
+        labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
-            seen = set()
-            for lab in labels:
-                if lab in seen:
-                    raise DuplicateLabel("label %r appears twice" % (lab,))
-                seen.add(lab)
+            lab = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+            raise DuplicateLabel("label %r appears twice" % (lab,))
         n = len(labels)
-        if len(values) != condensed_size(n):
+        # an iterator, which numpy cannot size, is read into a list first
+        arr = np.array(values if hasattr(values, "__len__") else list(values),
+                       dtype=np.float64)
+        if arr.shape != (condensed_size(n),):
             raise FormatError(
                 "expected %d condensed values for %d labels, got %d"
-                % (condensed_size(n), n, len(values))
+                % (condensed_size(n), n, arr.size)
             )
-        arr = np.array(values, dtype=np.float64)
         bad = ~np.isfinite(arr) | (arr < 0.0)
         if bad.any():
-            v = values[int(bad.argmax())]
+            v = float(arr[bad.argmax()])
             if not math.isfinite(v):
                 raise FormatError("distances must be finite, got %r" % (v,))
             raise NegativeValue("negative dissimilarity %r" % (v,))
@@ -209,17 +192,44 @@ class ProximityMatrix:
         if zero_pairs:
             # a written "-0" reads as -0.0, which passes the sign check but
             # would print as "-0.000" and order unpredictably against 0.0
-            values = tuple(0.0 if v == 0.0 else v for v in values)
-            object.__setattr__(self, "values", values)
+            arr += 0.0
             warnings.warn(
                 "%d distinct pair(s) at distance zero" % zero_pairs,
                 ZeroDistanceWarning,
                 stacklevel=2,
             )
-        if self.precision is not None and self.precision < 0:
+        if precision is not None and precision < 0:
             raise FormatError("precision must be >= 0")
-        if self.kind not in (KIND_DISTANCE, KIND_FROM_SIMILARITY):
-            raise FormatError("unknown matrix kind %r" % (self.kind,))
+        if kind not in (KIND_DISTANCE, KIND_FROM_SIMILARITY):
+            raise FormatError("unknown matrix kind %r" % (kind,))
+        arr.flags.writeable = False
+        for name, value in (("labels", labels), ("condensed", arr),
+                            ("precision", precision), ("kind", kind)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProximityMatrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ProximityMatrix):
+            return NotImplemented
+        return ((self.labels, self.precision, self.kind)
+                == (other.labels, other.precision, other.kind)
+                and np.array_equal(self.condensed, other.condensed))
+
+    def __hash__(self):
+        return hash((self.labels, self.condensed.tobytes(), self.precision,
+                     self.kind))
+
+    def __repr__(self):
+        return "ProximityMatrix(labels=%r, values=%r, precision=%r, kind=%r)" % (
+            self.labels, self.condensed, self.precision, self.kind)
+
+    @property
+    def values(self):
+        if not hasattr(self, "_values"):
+            object.__setattr__(self, "_values", tuple(self.condensed.tolist()))
+        return self._values
 
     @property
     def n(self):
@@ -233,24 +243,27 @@ class ProximityMatrix:
             j = self.labels.index(j)
         if i == j:
             return 0.0
-        return self.values[condensed_index(self.n, i, j)]
+        i, j = min(i, j), max(i, j)
+        return float(self.condensed[i * (2 * self.n - i - 1) // 2 + j - i - 1])
 
     def pairs(self):
         """Yield (i, j, value) over the upper triangle, row major."""
-        n = self.n
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield i, j, self.values[k]
-                k += 1
+        rows, cols = np.triu_indices(self.n, 1)
+        return zip(rows.tolist(), cols.tolist(), self.condensed.tolist())
 
     def as_square(self):
-        n = self.n
-        out = [[0.0] * n for _ in range(n)]
-        for i, j, v in self.pairs():
-            out[i][j] = v
-            out[j][i] = v
-        return out
+        """The full symmetric matrix as nested lists of floats."""
+        return square_from_condensed(self.condensed, self.n).tolist()
+
+
+def square_from_condensed(condensed, n, fill=0.0):
+    """An n x n float64 array holding ``condensed`` on both triangles."""
+    # a boolean mask selects in row-major order, which is condensed order
+    upper = ~np.tri(n, dtype=bool)
+    out = np.full((n, n), fill)
+    out[upper] = condensed
+    out.T[upper] = condensed
+    return out
 
 
 # ---- parsing ----
@@ -296,10 +309,20 @@ def _default_labels(n):
     return tuple("x%d" % (i + 1) for i in range(n))
 
 
-def _pop_header(rows):
-    if rows and not _is_number(rows[0][0]):
-        return rows[0], rows[1:]
-    return None, rows
+def _pop_header(rows, fmt):
+    """Rows without a header line, and the labels it names or defaults."""
+    try:
+        float(rows[0][0])
+    except ValueError:
+        header, rows = rows[0], rows[1:]
+    else:
+        return rows, _default_labels(len(rows))
+    if not rows:
+        raise FormatError("%s input has a header but no rows" % (fmt,))
+    if len(header) != len(rows):
+        raise FormatError("header names %d individuals but there are %d rows"
+                          % (len(header), len(rows)))
+    return rows, tuple(header)
 
 
 def _to_floats(rows, count):
@@ -313,15 +336,8 @@ def _to_floats(rows, count):
 
 
 def _parse_square(text, self_value=0.0):
-    rows = _split_rows(text)
-    header, rows = _pop_header(rows)
+    rows, labels = _pop_header(_split_rows(text), "square")
     n = len(rows)
-    if n == 0:
-        raise FormatError("square input has a header but no rows")
-    if header is not None and len(header) != n:
-        raise FormatError(
-            "header names %d individuals but there are %d rows" % (len(header), n)
-        )
     grid = None
     if all(len(row) == n for row in rows):
         grid = _to_floats(rows, n * n)
@@ -336,9 +352,8 @@ def _parse_square(text, self_value=0.0):
         raise AssertionError("bulk conversion failed on valid tokens")
     grid = grid.reshape(n, n)
     _check_square(grid, self_value)
-    values = tuple(grid[np.triu_indices(n, 1)].tolist())
-    labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision(chain.from_iterable(rows))
+    values = grid[~np.tri(n, dtype=bool)]
+    inferred = _infer_precision(rows)
     return labels, values, inferred
 
 
@@ -370,13 +385,8 @@ def _check_square(grid, self_value):
 
 def _parse_lower(text, self_value=0.0):
     # row i carries i entries and ends with the self entry
-    rows = _split_rows(text)
-    header, rows = _pop_header(rows)
+    rows, labels = _pop_header(_split_rows(text), "lower-triangle")
     n = len(rows)
-    if header is not None and len(header) != n:
-        raise FormatError(
-            "header names %d individuals but there are %d rows" % (len(header), n)
-        )
     flat = None
     if all(len(row) == r + 1 for r, row in enumerate(rows)):
         flat = _to_floats(rows, n * (n + 1) // 2)
@@ -400,11 +410,10 @@ def _parse_lower(text, self_value=0.0):
         r = int(bad.argmax())
         _check_lower_diagonal(r, float(diagonal[r]), self_value)
     lower = np.zeros((n, n))
-    lower[np.tril_indices(n)] = flat
-    i, j = np.triu_indices(n, 1)
-    values = tuple(lower[j, i].tolist())
-    labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision(chain.from_iterable(rows))
+    below = np.tri(n, dtype=bool)
+    lower[below] = flat
+    values = lower.T[~below]
+    inferred = _infer_precision(rows)
     return labels, values, inferred
 
 
@@ -467,8 +476,12 @@ def _parse_pairs(text, labeled, self_value=0.0):
                         "%d pair(s) absent, first is (%s, %s)"
                         % (missing, labels[i], labels[j])
                     )
-    values = tuple(seen[(i, j)] for i in range(n) for j in range(i + 1, n))
-    inferred = _infer_precision([row[2] for row in rows])
+    values = np.fromiter((seen[(i, j)] for i in range(n)
+                          for j in range(i + 1, n)), np.float64)
+    # rows of n tokens, as a square matrix would give them
+    tokens = [row[2] for row in rows]
+    inferred = _infer_precision(tokens[k:k + n]
+                                for k in range(0, len(tokens), n))
     return labels, values, inferred
 
 
@@ -512,13 +525,16 @@ def similarity_to_dissimilarity(matrix):
     number of decimals produce outputs exact at the same number of decimals,
     and applying the map twice restores the input bit for bit.
     """
+    sim = matrix.condensed
+    bad = (sim < 0.0) | (sim > 1.0)
+    if bad.any():
+        raise OutOfRange("similarity %r outside [0, 1]"
+                         % (float(sim[bad.argmax()]),))
     one = Decimal(1)
-    out = []
-    for v in matrix.values:
-        if v < 0.0 or v > 1.0:
-            raise OutOfRange("similarity %r outside [0, 1]" % (v,))
-        out.append(float(one - Decimal(repr(v))))
-    return replace(matrix, values=tuple(out), kind=KIND_FROM_SIMILARITY)
+    out = np.fromiter((float(one - Decimal(repr(v))) for v in sim.tolist()),
+                      np.float64, sim.size)
+    return ProximityMatrix(matrix.labels, out, matrix.precision,
+                           KIND_FROM_SIMILARITY)
 
 
 def round_to_precision(matrix, places):
@@ -529,5 +545,5 @@ def round_to_precision(matrix, places):
     """
     if places < 0:
         raise FormatError("precision must be >= 0")
-    rounded = tuple(round_half_away_array(matrix.values, places).tolist())
-    return replace(matrix, values=rounded, precision=places)
+    rounded = round_half_away_array(matrix.condensed, places)
+    return ProximityMatrix(matrix.labels, rounded, places, matrix.kind)

@@ -18,6 +18,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
+
+import numpy as np
 
 from .errors import (
     DuplicateLabel,
@@ -98,10 +101,6 @@ class MultivaluedTree:
     @property
     def n(self):
         return len(self.labels)
-
-    @property
-    def is_valued(self):
-        return all(nd.h_lower == nd.h_upper for nd in self.internal_nodes())
 
     def internal_nodes(self):
         """Preorder over internal nodes."""
@@ -282,21 +281,17 @@ def cophenetic_matrix(tree):
     via a fusion value; otherwise UnresolvedHeights.
     """
     n = tree.n
-    values = [0.0] * condensed_size(n)
+    values = np.zeros(condensed_size(n))
     leaf_lists = _leaf_lists(tree.root)
     # in preorder: the first unresolved node in preorder is reported
     for node in tree.internal_nodes():
         h = resolve_height(node)
-        groups = [[leaf.index for leaf in leaf_lists.get(id(c), (c,))]
+        groups = [np.array([leaf.index for leaf in leaf_lists.get(id(c), (c,))])
                   for c in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for i in groups[gi]:
-                    for j in groups[gj]:
-                        a, b = (i, j) if i < j else (j, i)
-                        values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
-
-    return ProximityMatrix(tree.labels, tuple(values), precision=None,
+        for gi, gj in combinations(groups, 2):
+            a, b = np.minimum.outer(gi, gj), np.maximum.outer(gi, gj)
+            values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
+    return ProximityMatrix(tree.labels, values, precision=None,
                            kind=KIND_DISTANCE)
 
 

