@@ -31,14 +31,9 @@ def random_matrix(rng, n):
 
 
 def tie_stats(trace):
-    widths = []
-    for it in trace.iterations:
-        for g in it.groups:
-            if g.h_lower is None:
-                continue
-            if len(g.member_ids) > 2 or g.h_upper > g.h_lower:
-                widths.append(g.h_upper - g.h_lower)
-    return widths
+    return [g.h_upper - g.h_lower
+            for it in trace.iterations for g in it.groups
+            if len(g.member_ids) > 2 or g.h_upper > g.h_lower]
 
 
 def main():

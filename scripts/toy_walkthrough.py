@@ -26,12 +26,11 @@ METHOD = "unweighted_average"
 
 def show_trace(trace):
     for it in trace.iterations:
-        merged = [g for g in it.groups if g.h_lower is not None]
         parts = ", ".join(
             "{%s} in [%g, %g]" % (
                 " ".join(trace.labels[i] for i in g.leaves),
                 g.h_lower, g.h_upper)
-            for g in merged
+            for g in it.groups
         )
         print("  step %d at %g: %s (next %s)"
               % (it.index, it.d_lower, parts, it.d_next))

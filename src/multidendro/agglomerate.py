@@ -323,11 +323,13 @@ def fusion_value(sizes, within, method, policy):
 
 @dataclass(frozen=True)
 class GroupRecord:
+    """One tied group merged into a new cluster, with its height interval."""
+
     cluster_id: int
-    member_ids: tuple
+    member_ids: tuple  # ids of the clusters merged
     leaves: tuple  # leaf indices of the union
-    h_lower: "float | None"  # None for pass-through singletons
-    h_upper: "float | None"
+    h_lower: float
+    h_upper: float
     fusion: "float | None"
 
 
@@ -342,6 +344,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MergeTrace:
+    """What a variable-group run merged, one IterationRecord per iteration.
+
+    An iteration lists only the groups it merged, in smallest-leaf order;
+    a cluster that passes an iteration unmerged appears in none of its
+    groups. Leaves have ids 0..n-1 and merged clusters continue from n.
+    """
+
     n_items: int
     labels: tuple
     method: str
@@ -377,7 +386,8 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     Returns (tree, trace). Each iteration finds the shortest current
     distance, partitions the tied clusters into groups, merges every group
     of two or more at once, and computes each merged cluster's distances to
-    every survivor from its constituents' rows of the working matrix.
+    every survivor from its constituents' rows of the working matrix. The
+    trace records each iteration's merged groups only.
     """
     method, tags = _run_tags(matrix, method, normalize_policy(policy))
     notes = []
@@ -393,10 +403,6 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
     state = ClusterState.from_matrix(matrix)
     records = []
-    # what each slot's cluster records while it passes an iteration unmerged
-    passing = [GroupRecord(cluster_id=i, member_ids=(i,), leaves=(i,),
-                           h_lower=None, h_upper=None, fusion=None)
-               for i in range(matrix.n)]
     low = state.shortest()
     # within blocks are read only by some rules' updates and by fusion values
     keep_within = policy != POLICY_INTERVAL or method.kind in WITHIN_METHODS
@@ -405,6 +411,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
         state.iteration += 1
         d_lower_raw, _, edges = low
         formed = []  # (constituent slots, members, node, sizes, within or None)
+        group_records = []
         reversal = False
 
         for parts in _groups_from_edges(edges):
@@ -425,30 +432,22 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 reversal = True
             members = tuple(sorted(i for s in parts for i in state.members[s]))
             # merge gives the new clusters the next ids in this order
-            passing[parts[0]] = GroupRecord(
+            group_records.append(GroupRecord(
                 cluster_id=state.next_id + len(formed),
                 member_ids=tuple(state.cid_at[s] for s in parts),
                 leaves=members, h_lower=h_lower, h_upper=h_upper,
-                fusion=fusion)
+                fusion=fusion))
             formed.append((parts, members, node, sizes, within))
 
         writes = _group_update(state, formed, method)
         state.merge(formed, writes)
-        # slot order is smallest-leaf order, the order groups are recorded in
-        group_records = tuple(map(passing.__getitem__,
-                                  state.live_slots().tolist()))
-        for parts, members, *_ in formed:
-            cid = state.cid_at[parts[0]]
-            passing[parts[0]] = GroupRecord(
-                cluster_id=cid, member_ids=(cid,), leaves=members,
-                h_lower=None, h_upper=None, fusion=None)
         d_next = None
         if state.count > 1:
             low = state.shortest()
             d_next = low[0]
         records.append(IterationRecord(
             index=state.iteration, d_lower=d_lower_raw,
-            groups=group_records, d_next=d_next, reversal=reversal))
+            groups=tuple(group_records), d_next=d_next, reversal=reversal))
 
     tree = MultivaluedTree(root=state.nodes[0], labels=matrix.labels, **tags)
     trace = MergeTrace(matrix.n, matrix.labels, method.kind, method.alpha,
@@ -648,8 +647,6 @@ def _reversals_from_trace(trace):
     reports = []
     for it in trace.iterations:
         for grp in it.groups:
-            if grp.h_lower is None:
-                continue
             parent_leaves = tuple(labels[i] for i in grp.leaves)
             for cid in grp.member_ids:
                 child = formed.get(cid)
@@ -660,9 +657,8 @@ def _reversals_from_trace(trace):
                     reports.append(ReversalReport(
                         kind, child_leaves, parent_leaves,
                         child_value, parent_value))
-        for grp in it.groups:
-            if grp.h_lower is not None:
-                formed[grp.cluster_id] = grp
+            # a group's own id is new, so no group of its iteration holds it
+            formed[grp.cluster_id] = grp
     return tuple(reports)
 
 

@@ -97,8 +97,14 @@ def _infer_precision(rows):
 
 def round_half_away(value, places):
     """Round a float to ``places`` decimals, ties away from zero."""
+    written = Decimal(repr(value))
+    # written with no digit below 10**-places, so already rounded; past
+    # this, the rounded value has at most the 17 digits of repr and a
+    # carry, well within the 28 of the default context
+    if written.is_finite() and written.as_tuple().exponent >= -places:
+        return float(value)
     quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(written.quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 # below this, |v| * 10**places has room for the float nearest a
@@ -524,15 +530,29 @@ def similarity_to_dissimilarity(matrix):
     The subtraction happens in decimal space, so inputs written with a fixed
     number of decimals produce outputs exact at the same number of decimals,
     and applying the map twice restores the input bit for bit.
+
+    A value k / 10**p on the grid of the matrix's precision p, with k below
+    2**40, reads back from ``repr`` as exactly that decimal (no other
+    decimal as short rounds to the same float), so 1 - v in decimal is
+    (10**p - k) / 10**p, and one IEEE division rounds it as ``float`` rounds
+    the Decimal. Those values are converted in one numpy pass; the rest go
+    through ``Decimal`` one at a time.
     """
     sim = matrix.condensed
     bad = (sim < 0.0) | (sim > 1.0)
     if bad.any():
         raise OutOfRange("similarity %r outside [0, 1]"
                          % (float(sim[bad.argmax()]),))
+    places = matrix.precision
+    out, slow = np.empty_like(sim), np.ones(sim.shape, dtype=bool)
+    # 10**places - k is an exact float while 10**places is below 2**53
+    if places is not None and 10 ** places < 2 ** 53:
+        scale = float(10 ** places)
+        k = np.rint(sim * scale)
+        slow = (k >= _EXACT_LIMIT) | (k / scale != sim)
+        out = (scale - k) / scale
     one = Decimal(1)
-    out = np.fromiter((float(one - Decimal(repr(v))) for v in sim.tolist()),
-                      np.float64, sim.size)
+    out[slow] = [float(one - Decimal(repr(v))) for v in sim[slow].tolist()]
     return ProximityMatrix(matrix.labels, out, matrix.precision,
                            KIND_FROM_SIMILARITY)
 

@@ -425,7 +425,7 @@ def parse_newick_extended(text):
 
 # ---- records document ----
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def to_records(tree, trace=None):
@@ -434,11 +434,8 @@ def to_records(tree, trace=None):
     Node ids: leaves are 0..n-1 in label order, merges continue upward in
     formation order (taken from the trace when present, otherwise assigned
     bottom-up by lowest height, then smallest member leaf). A trace that
-    does not describe the tree raises FormatError.
-
-    The trace's group dicts are shared between iterations wherever the
-    trace shares a ``GroupRecord``, as it does for a cluster that passes
-    several iterations unmerged. Copy the document before mutating it.
+    does not describe the tree raises FormatError. The trace lists each
+    iteration's merged groups, one plain dict per group.
     """
     index = {label: i for i, label in enumerate(tree.labels)}
     leaf_lists = _leaf_lists(tree.root)
@@ -498,11 +495,8 @@ def _ids_from_trace(tree, trace, leaf_lists):
     if (tuple(trace.labels), trace.method, trace.alpha, trace.policy) != (
             tree.labels, tree.method, tree.alpha, tree.policy):
         raise FormatError("trace does not describe this tree")
-    formed = {}
-    for it in trace.iterations:
-        for grp in it.groups:
-            if grp.h_lower is not None:
-                formed[frozenset(grp.leaves)] = grp
+    formed = {frozenset(grp.leaves): grp
+              for it in trace.iterations for grp in it.groups}
     ids = {}
     for node in tree.internal_nodes():
         grp = formed.get(frozenset(leaf.index for leaf in leaf_lists[id(node)]))
@@ -514,20 +508,6 @@ def _ids_from_trace(tree, trace, leaf_lists):
 
 
 def _trace_to_dict(trace):
-    # one dict per GroupRecord object, shared where the trace shares the
-    # record; ids are stable while the trace holds every record
-    groups = {}
-    for it in trace.iterations:
-        for g in it.groups:
-            if id(g) not in groups:
-                groups[id(g)] = {
-                    "cluster_id": g.cluster_id,
-                    "member_ids": list(g.member_ids),
-                    "leaves": list(g.leaves),
-                    "h_lower": g.h_lower,
-                    "h_upper": g.h_upper,
-                    "fusion": g.fusion,
-                }
     return {
         "n_items": trace.n_items,
         "labels": list(trace.labels),
@@ -542,105 +522,36 @@ def _trace_to_dict(trace):
                 "d_lower": it.d_lower,
                 "d_next": it.d_next,
                 "reversal": it.reversal,
-                "groups": [groups[id(g)] for g in it.groups],
+                "groups": [
+                    {
+                        "cluster_id": g.cluster_id,
+                        "member_ids": list(g.member_ids),
+                        "leaves": list(g.leaves),
+                        "h_lower": g.h_lower,
+                        "h_upper": g.h_upper,
+                        "fusion": g.fusion,
+                    }
+                    for g in it.groups
+                ],
             }
             for it in trace.iterations
         ],
     }
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def records_to_json(doc):
-    """Deterministic text form of a records document.
-
-    Same text as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
-    and the same exception types on what json refuses. Scalars go through
-    json's own helpers. A container met again at the same depth is written
-    once: the trace lists a pass-through cluster's group dict in every
-    iteration it survives (see ``to_records``).
-    """
-    # keyed on (id, depth): the doc holds every container while it is
-    # written, so no id is reused
-    texts = {}  # text of each container met more than once
-    seen = set()  # containers met once so far
-    path = set()  # ids of the containers being written, to refuse cycles
-
-    def value_text(obj, depth):
-        if isinstance(obj, str):
-            return _encode_str(obj)
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, float):
-            return _float_text(obj)
-        if isinstance(obj, (list, tuple, dict)):
-            if not obj:
-                return "{}" if isinstance(obj, dict) else "[]"
-            key = (id(obj), depth)
-            text = texts.get(key)
-            if text is None:
-                text = container_text(obj, depth, "")
-                if key in seen:
-                    texts[key] = text
-                else:
-                    seen.add(key)
-            return text
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % (obj.__class__.__name__,))
-
-    def container_text(obj, depth, end):
-        if id(obj) in path:
-            raise ValueError("Circular reference detected")
-        path.add(id(obj))
-        sep = ",\n" + "  " * (depth + 1)
-        parts = []
-        if isinstance(obj, dict):
-            for key, value in sorted(obj.items()):
-                if not isinstance(key, str):
-                    if not (key is None or isinstance(key, (int, float))):
-                        raise TypeError(
-                            "keys must be str, int, float, bool or None, "
-                            "not %s" % (key.__class__.__name__,))
-                    key = value_text(key, depth)
-                parts += (sep, _encode_str(key), ": ",
-                          value_text(value, depth + 1))
-            parts[0] = "{" + sep[1:]
-            parts.append("\n" + "  " * depth + "}" + end)
-        else:
-            for value in obj:
-                parts += (sep, value_text(value, depth + 1))
-            parts[0] = "[" + sep[1:]
-            parts.append("\n" + "  " * depth + "]" + end)
-        path.remove(id(obj))
-        return "".join(parts)
-
-    if isinstance(doc, (list, tuple, dict)) and doc:
-        return container_text(doc, 0, "\n")
-    return value_text(doc, 0) + "\n"
+    """Deterministic text form of a records document."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_records(source):
-    """Rebuild (tree, trace) from a records document or its JSON text."""
+    """Rebuild (tree, trace) from a records document or its JSON text.
+
+    Reads versions "1" and "2"; a version 1 trace's pass-through groups,
+    the ones with null heights, are dropped.
+    """
     doc = json.loads(source) if isinstance(source, str) else source
-    if doc.get("format_version") != FORMAT_VERSION:
+    if doc.get("format_version") not in ("1", FORMAT_VERSION):
         raise FormatError("unsupported records version %r" % (doc.get("format_version"),))
     labels = tuple(doc["labels"])
     nodes = {i: Leaf(i, lab) for i, lab in enumerate(labels)}
@@ -696,7 +607,7 @@ def parse_records(source):
                             h_upper=g["h_upper"],
                             fusion=g["fusion"],
                         )
-                        for g in it["groups"]
+                        for g in it["groups"] if g["h_lower"] is not None
                     ),
                     d_next=it["d_next"],
                     reversal=it["reversal"],

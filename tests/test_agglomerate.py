@@ -241,8 +241,7 @@ def test_vg_toy_tree_and_trace(toy):
     assert merged.member_ids == (0, 1, 2)
     assert merged.leaves == (0, 1, 2)
     assert (merged.h_lower, merged.h_upper) == (2.0, 4.0)
-    passthrough = first.groups[1]
-    assert passthrough.h_lower is None
+    assert len(first.groups) == 1  # x4 passes unmerged and is not recorded
     assert second.d_lower == 5.0
     assert second.d_next is None
 

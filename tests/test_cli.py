@@ -88,7 +88,7 @@ def test_records_output(toy_file, capsys):
                          "--output", "records")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["format_version"] == "1"
+    assert doc["format_version"] == "2"
     assert doc["method"] == "unweighted_average"
     assert len(doc["merges"]) == 2
     assert doc["trace"]["iterations"][0]["d_lower"] == 2.0
@@ -297,3 +297,39 @@ def test_alpha_flag(tmp_path, capsys):
                          "--alpha", "2.0")
     assert rc == 0
     assert out == "(x1,x2)[9.000,9.000];\n"
+
+
+HUGE_TEXT = "0 1e30 2\n1e30 0 3\n2 3 0\n"
+
+
+def test_values_beyond_28_digits_round_at_any_precision(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_TEXT)
+    rc, raw_out, _ = run_cli(capsys, "--input", str(path),
+                             "--method", "single")
+    assert rc == 0
+    rc, rounded_out, err = run_cli(capsys, "--input", str(path),
+                                   "--method", "single", "--precision", "0")
+    assert (rc, err) == (0, "")
+    assert rounded_out == raw_out == "((x1,x3)[2.000,2.000],x2)[3.000,3.000];\n"
+
+
+@pytest.mark.parametrize("text,flags", [
+    (HUGE_TEXT, ("--precision", "0")),
+    ("", ()),
+    ("0 nan\nnan 0\n", ()),
+    ("1 1.5\n1.5 1\n", ("--similarity",)),
+    ("0 2\n2 0\n", ("--precision", "-1")),
+    ("a b c\n", ("--format", "lower")),
+])
+def test_extreme_and_malformed_input_never_raises(tmp_path, capsys, text,
+                                                  flags):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "--input", str(path),
+                           "--method", "single", *flags)
+    if rc == 1:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert rc == 0

@@ -2,10 +2,11 @@ import math
 import struct
 import warnings
 from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multidendro import (
@@ -273,19 +274,45 @@ def test_round_half_away_array_edges():
               -0.0, 0.0, 1e15, 123456789.5]
     values += [math.nextafter(v, 0.0) for v in values]
     for places in (0, 1, 2, 3, 22, 23, 30):
-        # a quantized value holds at most 28 digits
-        fits = [v for v in values if abs(v) * 10.0 ** places < 1e27]
-        got = round_half_away_array(fits, places).tolist()
+        got = round_half_away_array(values, places).tolist()
         assert list(map(_bits, got)) == [_bits(round_half_away(v, places))
-                                         for v in fits]
+                                         for v in values]
     assert round_half_away_array([], 2).shape == (0,)
     # values outside the fast range go through the scalar rounding
     assert math.isnan(round_half_away_array([1.0, math.nan], 2)[1])
-    for bad in (math.inf, 1e300):
-        with pytest.raises(InvalidOperation):
-            round_half_away(bad, 2)
-        with pytest.raises(InvalidOperation):
-            round_half_away_array([1.0, bad], 2)
+    assert round_half_away_array([1.0, 1e300], 2)[1] == 1e300
+    with pytest.raises(InvalidOperation):
+        round_half_away(math.inf, 2)
+    with pytest.raises(InvalidOperation):
+        round_half_away_array([1.0, math.inf], 2)
+
+
+def _round_half_away_exact(value, places):
+    # the decimal repr(value) writes, rounded half away in exact fractions
+    scaled = Fraction(repr(value)) * 10 ** places
+    quanta = math.floor(abs(scaled) + Fraction(1, 2))
+    return math.copysign(float(Fraction(quanta, 10 ** places)), value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    value=st.one_of(
+        st.floats(2.0 ** 40, 2.0 ** 53),
+        st.floats(2.0 ** 40, 1e300),
+        st.sampled_from([2.0 ** 40 + 0.5, 1e28, 1e29, 1e30, 1.5e30, 1e300,
+                         123456789012345.67, 999999999999.9999]),
+    ),
+    negative=st.booleans(),
+    places=st.integers(0, 6),
+)
+@example(value=1e30, negative=False, places=0)
+@example(value=1e28, negative=True, places=6)
+def test_round_half_away_of_large_values_is_exact(value, negative, places):
+    # beyond 28 digits too, where the default decimal context stops
+    value = -value if negative else value
+    want = _bits(_round_half_away_exact(value, places))
+    assert _bits(round_half_away(value, places)) == want
+    assert _bits(round_half_away_array([value], places)[0]) == want
 
 
 def test_round_to_precision_examples():
@@ -348,6 +375,29 @@ def test_similarity_conversion_is_involution(numerators, places):
     m = ProximityMatrix(tuple("s%d" % i for i in range(n)), tuple(values))
     twice = similarity_to_dissimilarity(similarity_to_dissimilarity(m))
     assert twice.values == m.values
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    precision=st.one_of(st.none(), st.integers(0, 17)),
+    grid=st.integers(0, 17),
+    data=st.data(),
+)
+def test_similarity_conversion_matches_decimal(precision, grid, data):
+    # values on a decimal grid, as written input gives them, and values on
+    # no grid at all, under every matrix precision
+    on_grid = st.integers(0, 10 ** grid).map(lambda k: k / 10 ** grid)
+    value = st.one_of(on_grid, st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 1.0, 5e-324, 0.1, 0.3]))
+    values = data.draw(st.lists(value, min_size=1, max_size=10))
+    n = next(m for m in range(2, 10) if m * (m - 1) // 2 >= len(values))
+    values += [1.0] * (n * (n - 1) // 2 - len(values))
+    m = ProximityMatrix(tuple("s%d" % i for i in range(n)), values,
+                        precision=precision)
+    got = similarity_to_dissimilarity(m).condensed.tolist()
+    assert list(map(_bits, got)) == [_bits(float(1 - Decimal(repr(v))))
+                                     for v in values]
 
 
 # ---- serialization round trips ----

@@ -8,11 +8,15 @@ tied groups grow large). The sha256 of the extended newick text and of the
 records JSON of each run are pinned in ``data/regression_sha256.json``; any
 change to the engines that moves a single output byte fails here.
 
-The raw and one-decimal hashes were recorded from the dict-backed engine
-that preceded the array-backed working matrix; the whole-number hashes from
-the array-backed engine that still built every distance update through
-``BlockView`` and scanned for ties twice per iteration. To record them again
-after an intended output change, run
+The raw and one-decimal newick hashes were recorded from the dict-backed
+engine that preceded the array-backed working matrix; the whole-number ones
+from the array-backed engine that still built every distance update through
+``BlockView`` and scanned for ties twice per iteration. The records hashes
+were recorded again for records format version 2, whose trace lists merged
+groups only. Before that, each case's version 2 document was checked to
+equal its version 1 document with "format_version" set to "2" and with the
+null-height groups, which listed clusters passing an iteration unmerged,
+removed. To record them again after an intended output change, run
 ``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
 
@@ -92,15 +96,19 @@ def _cases():
                 yield "%s-%s-pg-%s" % (name, method, tiebreak)
 
 
-def _run(case):
+@lru_cache(maxsize=None)
+def _result(case):
+    """(tree, trace) of a case; the trace is None for the classical engine."""
     name, method, engine, rule = case.split("-")
     matrix = _matrix(name)
     if engine == "vg":
-        tree, trace = cluster_variable_group(matrix, method, policy=rule)
-    else:
-        seed = RANDOM_TIEBREAK_SEED if rule == "random" else None
-        tree = cluster_pair_group(matrix, method, tiebreak=rule, seed=seed)
-        trace = None
+        return cluster_variable_group(matrix, method, policy=rule)
+    seed = RANDOM_TIEBREAK_SEED if rule == "random" else None
+    return cluster_pair_group(matrix, method, tiebreak=rule, seed=seed), None
+
+
+def _run(case):
+    tree, trace = _result(case)
     newick = to_newick_extended(tree).encode()
     records = records_to_json(to_records(tree, trace)).encode()
     return [hashlib.sha256(newick).hexdigest(),
@@ -118,6 +126,13 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", list(_cases()))
 def test_output_bytes_unchanged(case):
     assert _run(case) == _golden()[case]
+
+
+@pytest.mark.parametrize("case", [c for c in _cases() if "-vg-" in c])
+def test_trace_lists_one_group_per_merge(case):
+    tree, trace = _result(case)
+    groups = sum(len(it.groups) for it in trace.iterations)
+    assert groups == sum(1 for _ in tree.internal_nodes())
 
 
 # whole numbers, so almost every distance ties with another
