@@ -16,9 +16,12 @@ All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
 (arXiv:1109.2378) keys its state by row: a square working matrix of raw
 distances and one of comparison values, each row's smallest comparison
-value and a column holding it, and per slot the cluster's leaves, tree node,
-size and id. Ids exist only for the output: the trace's groups, and the
-order in which ``cluster_pair_group``'s tie-break rules see tied pairs.
+value and a column holding it, and per slot the cluster's leaves, size and
+id. The state holds no tree nodes: the two clustering engines each keep
+their own slot-indexed list of nodes, and the enumerator builds trees only
+for the outcomes it returns. Ids exist only for the output: the trace's
+groups, and the order in which ``cluster_pair_group``'s tie-break rules see
+tied pairs.
 Finding the shortest distance scans the row minima and then only the rows
 at that level, which yield the tied edges as slot pairs in row-major order;
 the variable-group engine builds its groups from them. A merge is a few
@@ -30,8 +33,10 @@ again in full; every other row folds in the new columns and is rescanned
 only when its minimum sat in a column that changed. A group's height
 interval is the minimum and maximum of its slice of the raw matrix. The
 classical engine and the enumerator share one pair merge step
-(``_merge_pair``); the enumerator searches depth first over copies of the
-state, one per tied pair.
+(``_merge_pair``), which returns the merge as (members, height); the
+enumerator searches depth first over copies of the state, one per tied
+pair, gives each distinct merge of a run one bit, and so holds every
+outcome as an int bitmask.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ from .tree import (
     Leaf,
     MultivaluedTree,
     internal,
-    postorder,
     reversal_edges,
     reversals_between,
     single_leaf_tree,
@@ -141,20 +145,21 @@ class ClusterState:
     cluster takes over the slot of its constituent with the smallest leaf,
     so slot order is smallest-leaf order and slot 0 ends up holding the
     root. Per slot, ``members`` holds the cluster's leaf indices ascending,
-    ``nodes`` its tree node, ``cid_at`` its cluster id (the id output
-    reports), and ``sizes`` and ``live`` its size and whether it is active;
+    ``cid_at`` its cluster id (the id output reports), and ``sizes`` and
+    ``live`` its size and whether it is active;
     ``count`` is the number of active clusters. A retired slot's row and
     column of ``keys`` are inf, like the diagonal. ``row_min[s]`` is the
     smallest key in row s (inf once retired) and ``row_arg[s]`` a column
     holding it, so the shortest live comparison value is
     ``row_min.min()``. Values leave the arrays as Python floats.
-    ``next_id`` is the id the next merged cluster gets.
+    ``next_id`` is the id the next merged cluster gets. The state holds
+    no tree nodes: an engine that builds a tree keeps its nodes by slot
+    beside the state.
     """
 
     dist: np.ndarray
     keys: np.ndarray
     members: list
-    nodes: list
     cid_at: list
     sizes: np.ndarray
     live: np.ndarray
@@ -171,21 +176,19 @@ class ClusterState:
         dist = square_from_condensed(matrix.condensed, n)
         keys = square_from_condensed(
             _comparison_keys(matrix.condensed, matrix.precision), n, np.inf)
-        return cls(dist, keys, [(i,) for i in range(n)],
-                   [Leaf(i, label) for i, label in enumerate(matrix.labels)],
-                   list(range(n)), np.ones(n, dtype=np.int64),
-                   np.ones(n, dtype=bool), keys.min(axis=1),
-                   keys.argmin(axis=1), n, precision=matrix.precision,
-                   next_id=n)
+        return cls(dist, keys, [(i,) for i in range(n)], list(range(n)),
+                   np.ones(n, dtype=np.int64), np.ones(n, dtype=bool),
+                   keys.min(axis=1), keys.argmin(axis=1), n,
+                   precision=matrix.precision, next_id=n)
 
     def copy(self):
         """An independent state that can be merged on without touching this one."""
         return ClusterState(self.dist.copy(), self.keys.copy(),
-                            list(self.members), list(self.nodes),
-                            list(self.cid_at), self.sizes.copy(),
-                            self.live.copy(), self.row_min.copy(),
-                            self.row_arg.copy(), self.count, self.precision,
-                            self.iteration, self.next_id)
+                            list(self.members), list(self.cid_at),
+                            self.sizes.copy(), self.live.copy(),
+                            self.row_min.copy(), self.row_arg.copy(),
+                            self.count, self.precision, self.iteration,
+                            self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
@@ -210,20 +213,19 @@ class ClusterState:
     def merge(self, formed, writes):
         """Replace constituents by merged clusters and store new distances.
 
-        ``formed`` lists (constituent slots ascending, leaf members, node)
-        and may carry more fields after those; each new cluster takes over
+        ``formed`` lists (constituent slots ascending, leaf members) and
+        may carry more fields after those; each new cluster takes over
         the first of its slots and the next id, in list order. ``writes``
         lists (slot, other slots, raw distances) triples, written
         symmetrically, and must cover every pair that touches a new
         cluster; all other entries stay as they are.
         """
         homes, gone = [], []
-        for parts, members, node, *_ in formed:
+        for parts, members, *_ in formed:
             home = parts[0]
             homes.append(home)
             gone.extend(parts[1:])
             self.members[home] = members
-            self.nodes[home] = node
             self.cid_at[home] = self.next_id
             self.next_id += 1
             self.sizes[home] = len(members)
@@ -402,6 +404,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
         return tree, trace
 
     state = ClusterState.from_matrix(matrix)
+    nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
     records = []
     low = state.shortest()
     # within blocks are read only by some rules' updates and by fusion values
@@ -410,12 +413,12 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     while state.count > 1:
         state.iteration += 1
         d_lower_raw, _, edges = low
-        formed = []  # (constituent slots, members, node, sizes, within or None)
+        formed = []  # (constituent slots, members, sizes, within or None)
         group_records = []
         reversal = False
 
         for parts in _groups_from_edges(edges):
-            nodes = [state.nodes[s] for s in parts]
+            children = [nodes[s] for s in parts]
             block = state.dist[np.ix_(parts, parts)]
             pair_values = block[np.triu_indices(len(parts), 1)]
             h_lower = float(pair_values.min())
@@ -427,8 +430,8 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", FusionFallbackWarning)
                     fusion = fusion_value(sizes, within, method, policy)
-            node = internal(nodes, h_lower, h_upper, fusion)
-            if any(reversals_between(c, node) for c in nodes):
+            node = internal(children, h_lower, h_upper, fusion)
+            if any(reversals_between(c, node) for c in children):
                 reversal = True
             members = tuple(sorted(i for s in parts for i in state.members[s]))
             # merge gives the new clusters the next ids in this order
@@ -437,7 +440,9 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 member_ids=tuple(state.cid_at[s] for s in parts),
                 leaves=members, h_lower=h_lower, h_upper=h_upper,
                 fusion=fusion))
-            formed.append((parts, members, node, sizes, within))
+            formed.append((parts, members, sizes, within))
+            # the groups are disjoint, so no later group reads this slot
+            nodes[parts[0]] = node
 
         writes = _group_update(state, formed, method)
         state.merge(formed, writes)
@@ -449,7 +454,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             index=state.iteration, d_lower=d_lower_raw,
             groups=tuple(group_records), d_next=d_next, reversal=reversal))
 
-    tree = MultivaluedTree(root=state.nodes[0], labels=matrix.labels, **tags)
+    tree = MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
     trace = MergeTrace(matrix.n, matrix.labels, method.kind, method.alpha,
                        policy, matrix.precision, tuple(records), tuple(notes))
     return tree, trace
@@ -459,8 +464,8 @@ def _group_update(state, formed, method):
     """Writes (slot, other slots, raw distances) from each newly merged
     cluster to every other survivor, for ``ClusterState.merge``.
 
-    ``formed`` lists (constituent slots, members, node, sizes, within or
-    None) per new cluster, in slot order. Clusters that did not merge keep
+    ``formed`` lists (constituent slots, members, sizes, within or None)
+    per new cluster, in slot order. Clusters that did not merge keep
     their distances to each other. A merged cluster's distances to all
     unmerged ones are one row, computed by ``linkage.vg_row`` from its
     constituents' rows of the working matrix. Two clusters merged in the
@@ -475,7 +480,7 @@ def _group_update(state, formed, method):
     kept_sizes = state.sizes[kept]
     dist = state.dist
     writes = []
-    for t, (parts, _, _, sizes, within) in enumerate(formed):
+    for t, (parts, _, sizes, within) in enumerate(formed):
         cross = dist[np.ix_(parts, kept)]
         writes.append((parts[0], kept,
                        vg_row(kind, kept_sizes, sizes, cross, within)))
@@ -484,7 +489,7 @@ def _group_update(state, formed, method):
             between = [vg_kernel(kind, sizes, other_sizes,
                                  dist[np.ix_(parts, others)].tolist(),
                                  within, other_within)
-                       for others, _, _, other_sizes, other_within in later]
+                       for others, _, other_sizes, other_within in later]
             writes.append((parts[0], [others[0] for others, *_ in later],
                            np.array(between)))
     return writes
@@ -496,12 +501,13 @@ def _merge_pair(state, a, b, method):
     """Merge the active clusters in slots ``a`` and ``b`` at their current
     distance.
 
-    The new cluster's distances to every other survivor are one row of the
-    pair-group update. Returns the slot the new cluster takes.
+    The new cluster takes the lower of the two slots, and its distances to
+    every other survivor are one row of the pair-group update. Returns the
+    merge as (members, height): the new cluster's leaves ascending and the
+    raw distance it formed at.
     """
     dist = state.dist
     h = float(dist[a, b])
-    node = internal([state.nodes[a], state.nodes[b]], h, h, fusion=h)
     members = tuple(sorted(state.members[a] + state.members[b]))
     parts = (a, b) if a < b else (b, a)
     kept = state.live.copy()
@@ -510,8 +516,8 @@ def _merge_pair(state, a, b, method):
     size_a, size_b = state.sizes[[a, b]].tolist()
     row = pg_update(method.kind, size_a, size_b, state.sizes[kept],
                     h, dist[a][kept], dist[b][kept])
-    state.merge([(parts, members, node)], [(parts[0], kept, row)])
-    return parts[0]
+    state.merge([(parts, members)], [(parts[0], kept, row)])
+    return members, h
 
 
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
@@ -527,6 +533,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
         return single_leaf_tree(matrix.labels[0], **tags)
     rng = random.Random(seed)
     state = ClusterState.from_matrix(matrix)
+    nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
     cid_at = state.cid_at
     while state.count > 1:
         # the rules order tied pairs by their cluster ids, low id first
@@ -539,8 +546,9 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
             a, b = candidates[-1]
         else:
             a, b = rng.choice(candidates)
-        _merge_pair(state, a, b, method)
-    return MultivaluedTree(root=state.nodes[0], labels=matrix.labels, **tags)
+        _, h = _merge_pair(state, a, b, method)
+        nodes[min(a, b)] = internal([nodes[a], nodes[b]], h, h, fusion=h)
+    return MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
 
 
 # ---- enumeration of every tie-break outcome ----
@@ -549,21 +557,36 @@ def enumerate_pair_group(matrix, method, limit=10000):
     """Every distinct tree the classical procedure can produce.
 
     Searches depth first over working states, merging each tied pair in turn
-    on a copy of the state. An outcome is the set of (members, height)
-    merges made from a state onward, memoized on the live clusters' members
-    plus their raw distances. Outcomes whose nesting and heights (to 12
-    decimals) agree collapse into one; the one kept has the smallest
-    heights read in postorder. Raises TooManySolutions once more than
-    ``limit`` distinct outcomes accumulate.
+    on a copy of the state, and memoizes each state on the live clusters'
+    members plus their raw distances. An outcome is the set of (members,
+    height) merges made from a state onward. The first time the run makes a
+    merge it gets the next bit of a per-run table, so an outcome is an int
+    bitmask and a state's outcomes are a set of ints.
+
+    Outcomes whose nesting and heights (to 12 decimals) agree collapse into
+    one; the one kept has the smallest heights read in postorder, with
+    children ordered by smallest leaf. Only kept outcomes become trees, one
+    each, and they come back sorted by their extended newick text, then by
+    those heights. Raises TooManySolutions once some state has more than
+    ``limit`` distinct (collapsed) outcomes; a state's distinct outcomes
+    are distinct outcomes of the whole run, so the result never holds more
+    than ``limit`` trees.
     """
     method, tags = _run_tags(matrix, method)
     if matrix.n == 1:
         return (single_leaf_tree(matrix.labels[0], **tags),)
+    merges = []  # bit -> (members, h)
+    bit_of = {}  # (members, h) -> bit
+    collapsed = []  # bit -> collapsed id of its merge
+    collapsed_id = {}  # (members, h to 12 decimals) -> collapsed id
     memo = {}
+
+    def collapse(bits):
+        return frozenset(map(collapsed.__getitem__, bits))
 
     def complete(state):
         if state.count == 1:
-            return (frozenset(),)
+            return (0,)
         slots = state.live_slots()
         key = (tuple(map(state.members.__getitem__, slots.tolist())),
                state.dist[slots[:, None], slots].tobytes())
@@ -576,43 +599,93 @@ def enumerate_pair_group(matrix, method, limit=10000):
             # nothing reads this state after its last pair, so that pair
             # merges in place; a run without ties then copies nothing
             after = state if k == len(pairs) - 1 else state.copy()
-            home = _merge_pair(after, a, b, method)
-            merged = (after.members[home], after.nodes[home].h_lower)
-            step = frozenset((merged,))
-            for rest in complete(after):
-                acc.add(rest | step)
-                if len(acc) > limit:
-                    raise TooManySolutions(
-                        "more than %d tie-break outcomes" % (limit,)
-                    )
+            merge = _merge_pair(after, a, b, method)
+            bit = bit_of.get(merge)
+            if bit is None:
+                bit = bit_of[merge] = len(merges)
+                merges.append(merge)
+                members, h = merge
+                collapsed.append(collapsed_id.setdefault(
+                    (members, round(h, 12)), len(collapsed_id)))
+            step = 1 << bit
+            acc.update([rest | step for rest in complete(after)])
+            # only outcomes that differ past 12 decimals make the raw count
+            # larger than the distinct one
+            if (len(acc) > limit
+                    and len({collapse(_bits(m)) for m in acc}) > limit):
+                raise TooManySolutions(
+                    "more than %d tie-break outcomes" % (limit,))
         memo[key] = acc
         return acc
 
-    # outcomes that collapse differ only past 12 decimals; keeping the one
-    # with the smallest postorder heights makes the choice independent of
-    # the order the search met them in
-    kept = {}
-    for merges in complete(ClusterState.from_matrix(matrix)):
-        root = _root_from_merges(merges, matrix.labels)
-        collapsed = frozenset((members, round(h, 12)) for members, h in merges)
-        heights = [nd.h_lower for nd in postorder(root) if not nd.is_leaf]
-        if collapsed not in kept or heights < kept[collapsed][0]:
-            kept[collapsed] = (heights, root)
-    if len(kept) > limit:
-        raise TooManySolutions("more than %d tie-break outcomes" % (limit,))
-    trees = (MultivaluedTree(root=root, labels=matrix.labels, **tags)
-             for _, root in kept.values())
-    return tuple(sorted(trees, key=to_newick_extended))
+    groups = {}
+    for mask in complete(ClusterState.from_matrix(matrix)):
+        bits = _bits(mask)
+        groups.setdefault(collapse(bits), []).append(
+            [merges[bit] for bit in bits])
+    leaves = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
+    kept = []
+    for made in groups.values():
+        # every outcome of a group has the same nesting
+        order = _nesting(members for members, _ in made[0])
+
+        def heights(outcome):
+            h_of = dict(outcome)
+            return [h_of[members] for members, _ in order]
+
+        # keeping the outcome with the smallest postorder heights makes the
+        # choice independent of the order the search met them in
+        best = min(made, key=heights)
+        tree = MultivaluedTree(root=_build(order, dict(best), leaves),
+                               labels=matrix.labels, **tags)
+        kept.append((to_newick_extended(tree), heights(best), tree))
+    kept.sort(key=lambda entry: entry[:2])
+    return tuple(tree for _, _, tree in kept)
 
 
-def _root_from_merges(merges, labels):
-    # a merge's children are the largest clusters already formed inside it
-    top = [Leaf(i, label) for i, label in enumerate(labels)]
-    for members, h in sorted(merges, key=lambda merge: len(merge[0])):
-        children = {id(top[i]): top[i] for i in members}
-        node = internal(children.values(), h, h, fusion=h)
+def _bits(mask):
+    """The positions of the set bits of a non-negative int, highest first."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out
+
+
+def _nesting(clusters):
+    """The clusters of one hierarchy, each an ascending tuple of leaf
+    indices, in the order ``tree.postorder`` reads the tree they form,
+    each with its children: the largest clusters formed inside it, and its
+    other leaves as 1-tuples, ordered by smallest leaf."""
+    clusters = sorted(clusters, key=len)
+    root = clusters[-1]
+    # leaf -> the largest cluster met so far that holds it
+    top = [(i,) for i in range(len(root))]
+    children = {}
+    for members in clusters:
+        children[members] = sorted(set(map(top.__getitem__, members)))
         for i in members:
-            top[i] = node
+            top[i] = members
+    out = []
+    stack = [root]
+    while stack:
+        members = stack.pop()
+        out.append((members, children[members]))
+        stack.extend(c for c in children[members] if len(c) > 1)
+    out.reverse()
+    return out
+
+
+def _build(order, h_of, leaves):
+    """The root of the tree whose clusters ``order`` lists as ``_nesting``
+    gives them, with heights ``h_of`` (members -> height)."""
+    made = {}
+    for members, children in order:
+        h = h_of[members]
+        made[members] = node = internal(
+            [made[c] if len(c) > 1 else leaves[c[0]] for c in children],
+            h, h, fusion=h)
     return node
 
 

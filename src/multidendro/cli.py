@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .agglomerate import (
@@ -20,7 +21,7 @@ from .agglomerate import (
     detect_reversals,
     enumerate_pair_group,
 )
-from .errors import MultidendroError
+from .errors import MultidendroError, ZeroDistanceWarning
 from .linkage import METHOD_KINDS, MethodSpec
 from .proximity import (
     FORMATS,
@@ -63,7 +64,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="seed for --tiebreak random")
     p.add_argument("--limit", type=int, default=10000,
-                   help="abort enumeration past this many outcomes")
+                   help="abort enumeration past this many distinct outcomes")
     return p
 
 
@@ -72,11 +73,25 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    default_format = warnings.formatwarning
+
+    def format_warning(message, category, *where):
+        # a plain diagnostic, without the source location and line of code
+        # Python's default format adds
+        if issubclass(category, ZeroDistanceWarning):
+            return "warning: %s\n" % (message,)
+        return default_format(message, category, *where)
+
+    # only Python's own display of a warning uses this format; a caller
+    # that records warnings still receives the ZeroDistanceWarning itself
+    warnings.formatwarning = format_warning
     try:
         return run(ns)
     except (MultidendroError, OSError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 def run(config):

@@ -31,6 +31,7 @@ from multidendro.linkage import (
     UNWEIGHTED_CENTROID,
     WEIGHTED_AVERAGE,
     WEIGHTED_CENTROID,
+    pg_update,
 )
 from multidendro.proximity import (
     _SYM_TOL,
@@ -38,6 +39,7 @@ from multidendro.proximity import (
     _parse_value,
     _pop_header,
     _split_rows,
+    round_half_away,
 )
 from multidendro.render import _escape, _fmt_height
 from multidendro.tree import (
@@ -46,6 +48,8 @@ from multidendro.tree import (
     Leaf,
     MultivaluedTree,
     internal,
+    postorder,
+    to_newick_extended,
 )
 
 
@@ -377,6 +381,79 @@ def shortest_full_scan(state):
                 edges.append((r, c))
                 raws.append(state.dist[r, c])
     return float(min(raws)), float(low_key), edges
+
+
+# ---- every classical tie-break outcome ----
+
+def pair_group_outcomes(matrix, kind):
+    """Every raw outcome of the classical procedure, by plain recursion.
+
+    No memo and no early collapse: each tied pair at each step is merged on
+    its own copy of a pair -> distance table, with the scalar update.
+    Ties are decided on distances rounded half away from zero to the
+    matrix's precision. An outcome is the frozenset of its (members,
+    height) merges, members as ascending leaf indices and heights raw.
+    """
+    precision = matrix.precision
+
+    def key(value):
+        return value if precision is None else round_half_away(value,
+                                                               precision)
+
+    found = set()
+
+    def rec(members, sizes, table, made):
+        if len(members) == 1:
+            found.add(frozenset(made))
+            return
+        low = min(key(v) for v in table.values())
+        for (a, b), d in table.items():
+            if key(d) != low:
+                continue
+            new = max(members) + 1
+            keep = [c for c in members if c not in (a, b)]
+            table2 = {pair: v for pair, v in table.items()
+                      if a not in pair and b not in pair}
+            for c in keep:
+                table2[(c, new)] = pg_update(
+                    kind, sizes[a], sizes[b], sizes[c], d,
+                    table[min(a, c), max(a, c)], table[min(b, c), max(b, c)])
+            merged = tuple(sorted(members[a] + members[b]))
+            members2 = {c: members[c] for c in keep}
+            members2[new] = merged
+            sizes2 = {c: sizes[c] for c in keep}
+            sizes2[new] = sizes[a] + sizes[b]
+            rec(members2, sizes2, table2, made + [(merged, d)])
+
+    n = matrix.n
+    rec({i: (i,) for i in range(n)}, {i: 1 for i in range(n)},
+        {(i, j): v for i, j, v in matrix.pairs()}, [])
+    return found
+
+
+def kept_pair_group_outcomes(outcomes, labels):
+    """The outcomes ``enumerate_pair_group`` keeps, one tree built per raw
+    outcome: (extended newick, postorder heights) per kept tree, sorted.
+
+    Outcomes whose nesting and heights to 12 decimals agree collapse into
+    one, and the one kept has the smallest heights read in postorder.
+    """
+    kept = {}
+    for merges in outcomes:
+        top = [Leaf(i, label) for i, label in enumerate(labels)]
+        for members, h in sorted(merges, key=lambda merge: len(merge[0])):
+            children = {id(top[i]): top[i] for i in members}
+            node = internal(children.values(), h, h, fusion=h)
+            for i in members:
+                top[i] = node
+        collapsed = frozenset((members, round(h, 12)) for members, h in merges)
+        heights = [nd.h_lower for nd in postorder(node) if not nd.is_leaf]
+        if collapsed not in kept or heights < kept[collapsed][0]:
+            kept[collapsed] = (heights, node)
+    return sorted(
+        (to_newick_extended(MultivaluedTree(root=root, labels=labels)),
+         heights)
+        for heights, root in kept.values())
 
 
 # ---- rendering ----

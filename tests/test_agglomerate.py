@@ -35,16 +35,21 @@ from multidendro import (
     to_records,
     validate_tree,
 )
+from multidendro import agglomerate
 from multidendro.agglomerate import (
     _group_update,
     _groups_from_edges,
     _merge_pair,
 )
-from multidendro.linkage import pg_update
 from multidendro.proximity import round_half_away
-from multidendro.tree import Leaf, MultivaluedTree
+from multidendro.tree import postorder
 
-from oracles import row_minima_full_scan, shortest_full_scan
+from oracles import (
+    kept_pair_group_outcomes,
+    pair_group_outcomes,
+    row_minima_full_scan,
+    shortest_full_scan,
+)
 
 
 def condensed(square):
@@ -109,8 +114,7 @@ def _merge_groups(state, groups, method):
     formed = []
     for parts in groups:
         members = tuple(sorted(i for s in parts for i in state.members[s]))
-        node = internal([state.nodes[s] for s in parts], 0.0, 0.0)
-        formed.append((parts, members, node, state.sizes[list(parts)].tolist(),
+        formed.append((parts, members, state.sizes[list(parts)].tolist(),
                        state.dist[np.ix_(parts, parts)].tolist()))
     state.merge(formed, _group_update(state, formed, method))
 
@@ -452,63 +456,74 @@ def test_enumerate_limit_guard():
                              "unweighted_average", limit=5)
 
 
-def brute_force_outcomes(matrix, kind):
-    """Reference enumeration: plain recursion, no memo, no early collapse."""
-    n = matrix.n
-    init = {}
-    for i, j, v in matrix.pairs():
-        init[(i, j)] = v
-    seen = {}
-
-    def look(table, a, b):
-        return table[(a, b) if a < b else (b, a)]
-
-    def rec(nodes, sizes, table):
-        if len(nodes) == 1:
-            (node,) = nodes.values()
-            tree = MultivaluedTree(root=node, labels=matrix.labels)
-            seen[to_newick_extended(tree)] = tree
-            return
-        low = min(table.values())
-        ties = [pair for pair, v in table.items() if v == low]
-        for a, b in ties:
-            d = look(table, a, b)
-            merged = internal((nodes[a], nodes[b]), d, d, fusion=d)
-            keep = [c for c in nodes if c not in (a, b)]
-            nodes2 = {c: nodes[c] for c in keep}
-            sizes2 = {c: sizes[c] for c in keep}
-            new = max(nodes) + 1
-            nodes2[new] = merged
-            sizes2[new] = sizes[a] + sizes[b]
-            table2 = {}
-            for c1, c2 in itertools.combinations(sorted(keep), 2):
-                table2[(c1, c2)] = look(table, c1, c2)
-            for c in keep:
-                table2[(c, new)] = pg_update(
-                    kind, sizes[a], sizes[b], sizes[c],
-                    d, look(table, a, c), look(table, b, c))
-            rec(nodes2, sizes2, table2)
-
-    rec({i: Leaf(i, matrix.labels[i]) for i in range(n)},
-        {i: 1 for i in range(n)}, init)
-    return tuple(sorted(seen))
+# the first matrix of the benchmark's enumerate workload at seed 1: 674
+# distinct outcomes from 1,240 raw ones
+ENUMERATE_SEED1_FIRST = (
+    3, 4, 4, 5, 7, 3, 4, 2, 4, 6, 7, 7, 8, 4, 4, 6, 6, 5, 6, 3, 5, 8, 9, 9,
+    9, 7, 7, 9, 4, 7, 4, 7, 7, 10, 9, 10, 5, 4, 6, 5, 4, 3, 8, 7, 8, 8, 8,
+    4, 2, 4, 3, 4, 4, 4, 4, 9, 7, 7, 6, 11, 9, 10, 10, 4, 3, 5, 4, 7, 6, 7,
+    4, 2, 5, 4, 4, 5, 4, 6, 7, 7, 7, 6, 5, 5, 5, 5, 4, 5, 3, 2, 2)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10 ** 6),
-       kind=st.sampled_from(["single", "complete", "unweighted_average",
-                             "weighted_average"]))
-def test_enumerate_matches_brute_force(seed, kind):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 7))
-    square = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            square[i][j] = square[j][i] = float(rng.integers(1, 5))
-    matrix = matrix_from_square(square.tolist())
-    got = tuple(to_newick_extended(t)
-                for t in enumerate_pair_group(matrix, kind, limit=200000))
-    assert got == brute_force_outcomes(matrix, kind)
+def test_enumerate_limit_counts_distinct_outcomes():
+    matrix = ProximityMatrix(tuple("x%d" % (i + 1) for i in range(14)),
+                             ENUMERATE_SEED1_FIRST, precision=0)
+    trees = enumerate_pair_group(matrix, "unweighted_average", limit=1000)
+    assert len(trees) == 674
+    assert len(enumerate_pair_group(matrix, "unweighted_average",
+                                    limit=674)) == 674
+    with pytest.raises(TooManySolutions):
+        enumerate_pair_group(matrix, "unweighted_average", limit=673)
+
+
+def test_enumerate_builds_one_tree_per_outcome(toy, monkeypatch):
+    # internal() runs n - 1 times per returned tree and never in the merge
+    # step, which leaves the nodes to the engines that build trees
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return internal(*args, **kwargs)
+
+    monkeypatch.setattr(agglomerate, "internal", counting)
+    trees = enumerate_pair_group(toy, "unweighted_average")
+    assert len(trees) == 3
+    assert len(calls) == len(trees) * (toy.n - 1)
+    calls.clear()
+    state = ClusterState.from_matrix(toy)
+    assert _merge_pair(state, 0, 1, MethodSpec("unweighted_average")) == (
+        (0, 1), 2.0)
+    assert calls == []
+    assert not hasattr(state, "nodes")
+
+
+def postorder_heights(tree):
+    return [node.h_lower for node in postorder(tree.root) if not node.is_leaf]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
+def test_enumerate_matches_brute_force(kind, data):
+    # whole numbers or quarter steps, with ties decided on raw values or at
+    # 0 decimals; the oracle builds a tree for every raw outcome of a
+    # memo-free search and keeps, of each collapsed set, the one with the
+    # smallest postorder heights
+    n = data.draw(st.integers(2, 7))
+    step = data.draw(st.sampled_from([1.0, 0.25]))
+    values = data.draw(st.lists(st.integers(1, 8), min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    precision = data.draw(st.sampled_from([None, 0]))
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
+                             tuple(v * step for v in values),
+                             precision=precision)
+    trees = enumerate_pair_group(matrix, kind, limit=200000)
+    got = [(to_newick_extended(t), postorder_heights(t)) for t in trees]
+    want = kept_pair_group_outcomes(pair_group_outcomes(matrix, kind),
+                                    matrix.labels)
+    assert [text for text, _ in got] == [text for text, _ in want]
+    # bit for bit, -0.0 apart from 0.0
+    hexes = lambda pairs: [[h.hex() for h in hs] for _, hs in pairs]
+    assert hexes(got) == hexes(want)
 
 
 def whole_number_matrix(n, seed):

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,23 @@ def test_negative_zero_prints_as_zero(tmp_path, capsys):
                              "--method", "complete")
     assert rc == 0
     assert out == "((x1,x2)[0.000,0.000],x3)[3.000,3.000];\n"
+
+
+def test_zero_distance_warning_is_one_plain_line(tmp_path):
+    # in a fresh interpreter, so that Python's own warning display runs
+    path = tmp_path / "z.txt"
+    path.write_text("0 0 3\n0 0 3\n3 3 0\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from multidendro.cli import main; sys.exit(main())",
+         "--input", str(path), "--method", "single"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "((x1,x2)[0.000,0.000],x3)[3.000,3.000];\n"
+    assert proc.stderr == "warning: 1 distinct pair(s) at distance zero\n"
 
 
 SIMILARITY_TEXT = "1 0.8 0.1\n0.8 1 0.4\n0.1 0.4 1\n"
