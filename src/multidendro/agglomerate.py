@@ -572,9 +572,17 @@ def enumerate_pair_group(matrix, method, limit=10000):
     are distinct outcomes of the whole run, so the result never holds more
     than ``limit`` trees.
     """
+    return tuple(tree for _, tree in _enumerate_newick(matrix, method, limit))
+
+
+def _enumerate_newick(matrix, method, limit):
+    """``enumerate_pair_group``'s trees in its order, each as (extended
+    newick text, tree), so a caller that writes the text need not
+    serialize a tree a second time."""
     method, tags = _run_tags(matrix, method)
     if matrix.n == 1:
-        return (single_leaf_tree(matrix.labels[0], **tags),)
+        tree = single_leaf_tree(matrix.labels[0], **tags)
+        return [(to_newick_extended(tree), tree)]
     merges = []  # bit -> (members, h)
     bit_of = {}  # (members, h) -> bit
     collapsed = []  # bit -> collapsed id of its merge
@@ -640,7 +648,7 @@ def enumerate_pair_group(matrix, method, limit=10000):
                                labels=matrix.labels, **tags)
         kept.append((to_newick_extended(tree), heights(best), tree))
     kept.sort(key=lambda entry: entry[:2])
-    return tuple(tree for _, _, tree in kept)
+    return [(text, tree) for text, _, tree in kept]
 
 
 def _bits(mask):

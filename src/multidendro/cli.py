@@ -16,10 +16,10 @@ from .agglomerate import (
     POLICIES,
     POLICY_INTERVAL,
     TIEBREAKS,
+    _enumerate_newick,
     cluster_pair_group,
     cluster_variable_group,
     detect_reversals,
-    enumerate_pair_group,
 )
 from .errors import MultidendroError, ZeroDistanceWarning
 from .linkage import METHOD_KINDS, MethodSpec
@@ -116,11 +116,11 @@ def run(config):
         matrix = round_to_precision(matrix, config.precision)
 
     if config.enumerate_all:
-        trees = enumerate_pair_group(matrix, method, limit=config.limit)
-        print("%d distinct outcome(s)" % (len(trees),), file=sys.stderr)
-        for tree in trees:
-            sys.stdout.write(to_newick_extended(tree) + "\n")
-        reversed_any = any(detect_reversals(t) for t in trees)
+        found = _enumerate_newick(matrix, method, config.limit)
+        print("%d distinct outcome(s)" % (len(found),), file=sys.stderr)
+        for text, _ in found:
+            sys.stdout.write(text + "\n")
+        reversed_any = any(detect_reversals(tree) for _, tree in found)
         return 2 if reversed_any else 0
 
     if config.tiebreak is not None:

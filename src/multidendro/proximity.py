@@ -16,8 +16,11 @@ half-quantum exactly when ``v`` reaches the float nearest to it, and that
 float is one correctly rounded division, so each value needs only a floor
 and one comparison on either side.
 
-Square and lower-triangle text is converted with one ``float`` pass over all
-tokens and its diagonal and symmetry are checked on the resulting array;
+Square text goes to numpy's C reader one line at a time, so no token
+list is built; it converts each token with the routine ``float`` uses, to
+the same bits. Text that reader refuses, and all lower-triangle text, is
+split into tokens and converted with one ``float`` pass. Either way the
+diagonal and symmetry are checked on the resulting array, and
 ``ProximityMatrix`` checks its values in one numpy pass too. When anything
 fails, the error raised is the one a row-by-row reading meets first.
 """
@@ -50,6 +53,11 @@ FORMATS = ("square", "lower", "pairs", "labeled-pairs")
 _FORMAT_ALIASES = {"lower-triangle": "lower"}
 
 _INT_RE = re.compile(r"[+-]?\d+")
+_DECIMALS_RE = re.compile(r"\.([0-9_]*)")
+_NONBLANK_RE = re.compile(r"\S")
+# the line breaks of str.splitlines other than "\n", which numpy's reader
+# does not break lines on
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # tolerance for symmetry and diagonal checks on parsed text
 _SYM_TOL = 1e-12
 
@@ -341,7 +349,61 @@ def _to_floats(rows, count):
         return None
 
 
+def _lines(text, start):
+    # one "\n"-terminated line at a time; the text is never split whole
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _read_square(text):
+    """(labels, n x n grid, precision) from numpy's reader, or None to
+    leave the text to the token path, which also words every error."""
+    if any(brk in text for brk in _OTHER_BREAKS):
+        return None
+    # the first non-blank line is a header when _pop_header takes it for one
+    header, start = None, 0
+    for line in _lines(text, 0):
+        first = line.split()
+        if first:
+            try:
+                float(first[0])
+            except ValueError:
+                header, start = first, start + len(line)
+            break
+        start += len(line)
+    # no rows: the token path raises, and loadtxt would warn
+    if not _NONBLANK_RE.search(text, start):
+        return None
+    try:
+        grid = np.loadtxt(_lines(text, start), dtype=np.float64,
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    n = len(grid)
+    if grid.shape != (n, n) or (header is not None and len(header) != n):
+        return None
+    # every body token parsed, so this is _infer_precision over its rows
+    if text.find("e", start) >= 0 or text.find("E", start) >= 0:
+        precision = None
+    else:
+        precision = max((len(m.group(1).replace("_", ""))
+                         for m in _DECIMALS_RE.finditer(text, start)),
+                        default=0)
+    labels = _default_labels(n) if header is None else tuple(header)
+    return labels, grid, precision
+
+
 def _parse_square(text, self_value=0.0):
+    labels, grid, inferred = _read_square(text) or _split_square(text)
+    _check_square(grid, self_value)
+    values = grid[~np.tri(len(grid), dtype=bool)]
+    return labels, values, inferred
+
+
+def _split_square(text):
     rows, labels = _pop_header(_split_rows(text), "square")
     n = len(rows)
     grid = None
@@ -356,11 +418,7 @@ def _parse_square(text, self_value=0.0):
             for tok in row:
                 _parse_value(tok)
         raise AssertionError("bulk conversion failed on valid tokens")
-    grid = grid.reshape(n, n)
-    _check_square(grid, self_value)
-    values = grid[~np.tri(n, dtype=bool)]
-    inferred = _infer_precision(rows)
-    return labels, values, inferred
+    return labels, grid.reshape(n, n), _infer_precision(rows)
 
 
 def _check_square(grid, self_value):

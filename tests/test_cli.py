@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from multidendro import (
     render_text,
     to_newick_extended,
 )
-from multidendro import cli
+from multidendro import agglomerate, cli
 from multidendro.cli import main
 
 TOY_NEWICK = "((x1,x2,x3)[2.000,4.000],x4)[5.000,5.000];"
@@ -174,6 +175,23 @@ def test_enumerate_lists_all_outcomes(toy_file, capsys):
     assert len(lines) == 3
     assert lines == sorted(lines)
     assert "3 distinct outcome(s)" in err
+
+
+def test_enumerate_serializes_each_tree_once(toy_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(tree):
+        calls.append(tree)
+        return to_newick_extended(tree)
+
+    monkeypatch.setattr(agglomerate, "to_newick_extended", counting)
+    monkeypatch.setattr(cli, "to_newick_extended", counting)
+    rc, out, _ = run_cli(capsys, "--input", str(toy_file),
+                         "--method", "unweighted_average", "--enumerate")
+    assert rc == 0
+    # one call per written tree, made before the trees are sorted
+    assert len(calls) == 3
+    assert out.splitlines() == sorted(map(to_newick_extended, calls))
 
 
 def test_reversal_exit_code(toy_file, capsys):
@@ -353,3 +371,15 @@ def test_extreme_and_malformed_input_never_raises(tmp_path, capsys, text,
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert rc == 0
+
+
+@pytest.mark.parametrize("text", ["a b\n", "a b\n \n\t\n"])
+def test_header_only_input_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "header.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "--input", str(path),
+                               "--method", "single")
+    assert (rc, out) == (1, "")
+    assert err == "error: square input has a header but no rows\n"

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -30,6 +31,7 @@ from multidendro import (
 from multidendro.errors import MultidendroError
 from multidendro.proximity import (
     _infer_precision,
+    _read_square,
     round_half_away,
     round_half_away_array,
 )
@@ -171,6 +173,10 @@ def test_unknown_format():
     # "_" separates digits: float reads 0.1_5 as 0.15 and 1_0.2_5 as 10.25
     ("0 0.1_5\n0.1_5 0\n", 2),
     ("0 1_0.2_5\n1_0.2_5 0\n", 2),
+    ("0 .5\n.5 0\n", 1),
+    ("0 1.\n1. 0\n", 0),
+    # header labels are no values: neither their dots nor their "e"s count
+    ("a.123 e.f\n0 1.5\n1.5 0\n", 1),
 ])
 def test_precision_inferred_from_written_decimals(text, expected):
     assert parse_matrix(text, "square").precision == expected
@@ -178,6 +184,7 @@ def test_precision_inferred_from_written_decimals(text, expected):
 
 def test_precision_not_inferable_from_exponents():
     assert parse_matrix("0 1e-3\n1e-3 0\n", "square").precision is None
+    assert parse_matrix("0 2.5E-1\n2.5E-1 0\n", "square").precision is None
 
 
 def _precision_from_every_token(tokens):
@@ -513,9 +520,17 @@ def test_parse_similarity_pairs_self_entry():
 # ---- bulk reading against the token-by-token reference ----
 
 _NUMBER_TOKENS = ["0", "1", "3", "-2", "12", "0.5", "2.25", "-1.50", "1e2",
-                  "2.5E-1", "-0", "-0.0", "1_0", "nan", "inf", "-inf",
-                  "1e400"]
-_OTHER_TOKENS = ["abc", "1,5", "--1", "1.2.3", "_1", "0x10"]
+                  "2.5E-1", "-0", "-0.0", "nan", "inf", "-inf", "1e400",
+                  "+1", ".5", "1.", "Infinity"]
+# float() reads these and numpy's reader does not; "\u0663" is an
+# Arabic-Indic three
+_FLOAT_ONLY_TOKENS = ["1_0", "1e5_0", "\u0663"]
+_OTHER_TOKENS = ["abc", "1,5", "--1", "1.2.3", "_1", "0x10", "#", '"1"']
+# str.split separates tokens on all of these; "\u2003" is an em space
+_SEPARATORS = [" ", " ", "\t", "   ", " \t ", "\u2003"]
+# str.splitlines ends a line at each of these, numpy's reader only at "\n"
+_OTHER_LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                      "\u2028"]
 
 
 def _same_outcome(text, fmt, parse, similarity):
@@ -554,6 +569,7 @@ def _token_rows(draw, lower):
     similarity = draw(st.booleans())
     diag = "1" if similarity else "0"
     good = st.sampled_from(_NUMBER_TOKENS)
+    sep = st.sampled_from(_SEPARATORS)
     rows = [[diag] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = draw(st.sampled_from([diag, diag + ".0", "-" + diag]))
@@ -563,11 +579,13 @@ def _token_rows(draw, lower):
         rows = [row[:r + 1] for r, row in enumerate(rows)]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(
-            ["token", "asym", "near", "diag", "short", "long"]))
+            ["token", "float_only", "asym", "near", "diag", "short", "long"]))
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
         if kind == "token" and rows[i]:
             rows[i][j] = draw(st.sampled_from(_OTHER_TOKENS))
+        elif kind == "float_only" and rows[i]:
+            rows[i][j] = draw(st.sampled_from(_FLOAT_ONLY_TOKENS))
         elif kind == "asym" and rows[i] and j != i:
             rows[i][j] = draw(good)
         elif kind == "near" and rows[i] and _is_finite_token(rows[i][j]):
@@ -579,7 +597,8 @@ def _token_rows(draw, lower):
             rows[i].pop()
         elif kind == "long":
             rows[i].append(draw(good))
-    lines = [" ".join(row) for row in rows if row]
+    lines = [draw(st.sampled_from(["", " "])) + draw(sep).join(row)
+             for row in rows if row]
     header = draw(st.sampled_from(["none", "labels", "long", "repeat"]))
     if header != "none":
         names = ["s%d" % k for k in range(n)]
@@ -587,8 +606,19 @@ def _token_rows(draw, lower):
             names.append("extra")
         elif header == "repeat" and n > 1:
             names[-1] = names[0]
-        lines.insert(0, " ".join(names))
-    return "\n".join(lines) + "\n", similarity
+        lines.insert(0, draw(sep).join(names))
+    # blank lines anywhere: before the header, between rows, at the end
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t "])))
+    # every line ends in "\n" but at most one, and the last may end in nothing
+    ends = ["\n"] * len(lines)
+    if lines and draw(st.booleans()):
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(
+            st.sampled_from(_OTHER_LINE_BREAKS))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)), similarity
 
 
 def _is_finite_token(token):
@@ -610,6 +640,70 @@ def test_bulk_square_matches_scalar_reader(case):
 def test_bulk_lower_matches_scalar_reader(case):
     text, similarity = case
     _same_outcome(text, "lower", parse_lower_scalar, similarity)
+
+
+@pytest.mark.parametrize("text", [
+    "0 1\n1 0\n",
+    "\n a\tb \n\n0  1\n \n1\u20030",
+    "0 +1 .5\n1. 0 Infinity\n0.5 inf -0\n",
+])
+def test_square_text_takes_numpy_reader(text):
+    assert _read_square(text) is not None
+
+
+@pytest.mark.parametrize("text", [
+    # line breaks numpy's reader does not honour
+    "0 1\r\n1 0\r\n", "0 1\r1 0\r", "0 1\x0b1 0\n", "0 1\x0c1 0\n",
+    "0 1\x1c1 0\n", "0 1\x851 0\n", "0 1\u20281 0\n",
+    # tokens only float() reads, and no numbers at all
+    "0 1_0\n1_0 0\n", "0 1e5_0\n1e5_0 0\n", "0 \u0663\n\u0663 0\n",
+    "0 #\n# 0\n", '0 "1"\n"1" 0\n',
+    # no rows, or rows of the wrong shape
+    "", " \n\t\n", "a b\n", "a b\n \n", "0 1\n", "0\n1\n",
+    "0 1\n1 0 2\n", "a b c\n0 1\n1 0\n",
+])
+def test_numpy_reader_declines(text):
+    assert _read_square(text) is None
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a b\n", "square input has a header but no rows"),
+    ("a b\n \n\t\n", "square input has a header but no rows"),
+    (" \n\t\n", "empty matrix text"),
+])
+def test_rowless_square_text_raises_without_warnings(text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError) as info:
+            parse_matrix(text, "square")
+    assert str(info.value) == message
+
+
+def test_square_text_parses_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = parse_matrix("a b c\n0 1 2\n1 0 3\n2 3 0\n", "square")
+    assert (m.labels, m.values, m.precision) == (("a", "b", "c"),
+                                                 (1.0, 2.0, 3.0), 0)
+
+
+@pytest.mark.parametrize("fmt", ["%.18e", "%.0f"])
+def test_square_reader_memory_stays_near_the_matrix(fmt):
+    # all tokens of the text alive at once would take several times n*n
+    # floats; the limit is four n x n float64 arrays
+    n = 600
+    pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    d[~np.eye(n, dtype=bool)] += 1.0
+    text = "\n".join(" ".join(fmt % v for v in row) for row in d) + "\n"
+    tracemalloc.start()
+    try:
+        m = parse_matrix(text, "square")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n == n
+    assert peak < 4 * n * n * 8
 
 
 @pytest.mark.parametrize("text,error,message", [
