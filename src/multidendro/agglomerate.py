@@ -14,26 +14,26 @@ recorded heights always keep the raw full-precision numbers.
 
 All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
-(arXiv:1109.2378) keys its state by row: a square working matrix of raw
-distances and one of comparison values, each row's smallest comparison
-value and a column holding it, and per slot the cluster's leaves, size and
-id. The state holds no tree nodes: the two clustering engines each keep
-their own slot-indexed list of nodes, and the enumerator builds trees only
-for the outcomes it returns. Ids exist only for the output: the trace's
-groups, and the order in which ``cluster_pair_group``'s tie-break rules see
-tied pairs.
-Finding the shortest distance scans the row minima and then only the rows
-at that level, which yield the tied edges as slot pairs in row-major order;
-the variable-group engine builds its groups from them. A merge is a few
-whole-row numpy operations: a merged cluster's distances to every unmerged
-survivor come from its constituents' rows (``linkage.vg_row``, or
+(arXiv:1109.2378) keys its state by row: one square working matrix of raw
+distances, each row's smallest distance and a column holding it, and per
+slot the cluster's leaves, size and id. The state holds no tree nodes: the
+two clustering engines each keep their own slot-indexed list of nodes, and
+the enumerator builds trees only for the outcomes it returns. Ids exist
+only for the output: the trace's groups, and the order in which
+``cluster_pair_group``'s tie-break rules see tied pairs.
+Finding the shortest distance scans the row minima, then rounds only the
+entries within two quanta of the smallest: those at the smallest
+comparison value are the tied edges, as slot pairs in row-major order,
+from which the variable-group engine builds its groups. A merge is a
+few whole-row numpy operations: a merged cluster's distances to every
+unmerged survivor come from its constituents' rows (``linkage.vg_row``, or
 ``linkage.pg_update`` in the classical engine), bit for bit what the scalar
 update ``linkage.vg_kernel`` gives. Only the merged rows are then scanned
 again in full; every other row folds in the new columns and is rescanned
 only when its minimum sat in a column that changed. A group's height
-interval is the minimum and maximum of its slice of the raw matrix. The
-classical engine and the enumerator share one pair merge step
-(``_merge_pair``), which returns the merge as (members, height); the
+interval is the minimum and maximum of the raw distances between its
+constituents. The classical engine and the enumerator share one pair merge
+step (``_merge_pair``), which returns the merge as (members, height); the
 enumerator searches depth first over copies of the state, one per tied
 pair, gives each distinct merge of a run one bit, and so holds every
 outcome as an int bitmask.
@@ -128,37 +128,27 @@ class DisjointSet:
         self.size[ra] += self.size[rb]
 
 
-def _comparison_keys(raw, precision):
-    # +0.0 stands for both zeros (rounding -0.04 to 0 places gives -0.0), so
-    # a row minimum folded in column by column has the bits of a fresh scan
-    keys = raw if precision is None else round_half_away_array(raw, precision)
-    return np.asarray(keys, dtype=np.float64) + 0.0
-
-
 @dataclass
 class ClusterState:
     """Active clusters plus the working distance matrix, all indexed by slot.
 
-    ``dist`` and ``keys`` are square float64 arrays over slots: ``dist``
-    holds raw distances (zero diagonal) and ``keys`` the matching comparison
-    values under ``precision``. Slot i starts as leaf i, and a merged
-    cluster takes over the slot of its constituent with the smallest leaf,
-    so slot order is smallest-leaf order and slot 0 ends up holding the
-    root. Per slot, ``members`` holds the cluster's leaf indices ascending,
-    ``cid_at`` its cluster id (the id output reports), and ``sizes`` and
-    ``live`` its size and whether it is active;
-    ``count`` is the number of active clusters. A retired slot's row and
-    column of ``keys`` are inf, like the diagonal. ``row_min[s]`` is the
-    smallest key in row s (inf once retired) and ``row_arg[s]`` a column
-    holding it, so the shortest live comparison value is
-    ``row_min.min()``. Values leave the arrays as Python floats.
-    ``next_id`` is the id the next merged cluster gets. The state holds
-    no tree nodes: an engine that builds a tree keeps its nodes by slot
-    beside the state.
+    ``dist`` is a square float64 array of raw distances over slots, inf on
+    the diagonal and, once a slot retires, along its row and column.
+    Slot i starts as leaf i, and a merged cluster takes over the slot of
+    its constituent with the smallest leaf, so slot order is smallest-leaf
+    order and slot 0 ends up holding the root. Per slot, ``members`` holds
+    the cluster's leaf indices ascending, ``cid_at`` its cluster id (the id
+    output reports), and ``sizes`` and ``live`` its size and whether it is
+    active; ``count`` is the number of active clusters. ``row_min[s]`` is
+    the smallest distance in row s (inf once retired) and ``row_arg[s]`` a
+    column holding it, so the shortest live distance is ``row_min.min()``.
+    Comparison values under ``precision`` are made only by ``shortest``.
+    Values leave the array as Python floats. ``next_id`` is the id the next
+    merged cluster gets. The state holds no tree nodes: an engine that
+    builds a tree keeps its nodes by slot beside the state.
     """
 
     dist: np.ndarray
-    keys: np.ndarray
     members: list
     cid_at: list
     sizes: np.ndarray
@@ -173,38 +163,46 @@ class ClusterState:
     @classmethod
     def from_matrix(cls, matrix):
         n = matrix.n
-        dist = square_from_condensed(matrix.condensed, n)
-        keys = square_from_condensed(
-            _comparison_keys(matrix.condensed, matrix.precision), n, np.inf)
-        return cls(dist, keys, [(i,) for i in range(n)], list(range(n)),
+        dist = square_from_condensed(matrix.condensed, n, np.inf)
+        return cls(dist, [(i,) for i in range(n)], list(range(n)),
                    np.ones(n, dtype=np.int64), np.ones(n, dtype=bool),
-                   keys.min(axis=1), keys.argmin(axis=1), n,
+                   dist.min(axis=1), dist.argmin(axis=1), n,
                    precision=matrix.precision, next_id=n)
 
     def copy(self):
         """An independent state that can be merged on without touching this one."""
-        return ClusterState(self.dist.copy(), self.keys.copy(),
-                            list(self.members), list(self.cid_at),
-                            self.sizes.copy(), self.live.copy(),
-                            self.row_min.copy(), self.row_arg.copy(),
-                            self.count, self.precision, self.iteration,
-                            self.next_id)
+        return ClusterState(self.dist.copy(), list(self.members),
+                            list(self.cid_at), self.sizes.copy(),
+                            self.live.copy(), self.row_min.copy(),
+                            self.row_arg.copy(), self.count, self.precision,
+                            self.iteration, self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
 
-        Edges are (low slot, high slot) pairs in row-major order; the raw
-        value is the smallest raw distance among them.
+        Edges are (low slot, high slot) pairs in row-major order whose
+        comparison values equal the smallest one; the raw value is the
+        smallest raw distance among them.
         """
-        low_key = float(self.row_min.min())
-        # only a row whose minimum is at most low_key can hold it
-        rows = (self.row_min <= low_key).nonzero()[0]
-        at, cols = np.nonzero(self.keys[rows] == low_key)
+        low = float(self.row_min.min())
+        # Rounding is monotone, so low has the smallest comparison value K.
+        # An entry rounding to K has its repr within q/2 of a decimal nearest
+        # K (q = 10**-p, 0 without a precision), so for normal floats it
+        # exceeds low by under q + 2**-51 * (|low| + 2q) < reach - low.
+        q = 0.0 if self.precision is None else 10.0 ** -self.precision
+        reach = low + 2 * q + abs(low) * 2.0 ** -50
+        rows = (self.row_min <= reach).nonzero()[0]
+        at, cols = np.nonzero(self.dist[rows] <= reach)
         rows = rows[at]
         upper = rows < cols
         rows, cols = rows[upper], cols[upper]
-        low_raw = float(self.dist[rows, cols].min())
-        return low_raw, low_key, list(zip(rows.tolist(), cols.tolist()))
+        raw = self.dist[rows, cols]
+        keys = (raw if self.precision is None
+                else round_half_away_array(raw, self.precision))
+        low_key = float(keys.min())
+        tied = keys == low_key
+        return low, low_key, list(zip(rows[tied].tolist(),
+                                      cols[tied].tolist()))
 
     def live_slots(self):
         """Slots of the active clusters, ascending."""
@@ -234,28 +232,26 @@ class ClusterState:
         # less than indexing with a list
         for s in gone:
             self.live[s] = False
-            self.keys[s] = np.inf
-            self.keys[:, s] = np.inf
+            self.dist[s] = np.inf
+            self.dist[:, s] = np.inf
             self.row_min[s] = np.inf
         for s, cols, raw in writes:
-            key_values = _comparison_keys(raw, self.precision)
-            for table, new in ((self.dist, raw), (self.keys, key_values)):
-                table[s][cols] = new
-                table[:, s][cols] = new
+            self.dist[s][cols] = raw
+            self.dist[:, s][cols] = raw
         self._refresh_minima(homes, gone)
 
     def _refresh_minima(self, homes, gone):
         # every live row folds in the new columns; it is scanned again only
         # when its old minimum sat in a column that changed and no new
         # entry matches it, and the merged rows are always scanned again
-        keys, row_min, row_arg = self.keys, self.row_min, self.row_arg
+        dist, row_min, row_arg = self.dist, self.row_min, self.row_arg
         changed = np.zeros(len(row_min), dtype=bool)
         for s in homes + gone:
             changed[s] = True
         stale = changed[row_arg]
         stale &= self.live
         for home in homes:
-            column = keys[:, home]
+            column = dist[:, home]
             better = column <= row_min
             row_arg[better] = home
             np.minimum(row_min, column, out=row_min)
@@ -263,7 +259,7 @@ class ClusterState:
         for home in homes:
             stale[home] = True
         rows = stale.nonzero()[0]
-        block = keys[rows]
+        block = dist[rows]
         row_min[rows] = block.min(axis=1)
         row_arg[rows] = block.argmin(axis=1)
 
@@ -285,11 +281,11 @@ def fusion_value(sizes, within, method, policy):
     """A single representative height for a tied group.
 
     ``within`` is the symmetric matrix of current distances between the
-    group's constituent clusters; ``method`` is a MethodSpec or a method
-    name. shortest picks the group minimum; natural picks the method's own
-    summary (minimum, maximum, size-weighted mean or plain mean). The
-    centroid and joint between-within rules have no natural summary, so
-    natural falls back to shortest with a warning.
+    group's constituent clusters, read off the diagonal only; ``method`` is
+    a MethodSpec or a method name. shortest picks the group minimum;
+    natural picks the method's own summary (minimum, maximum, size-weighted
+    mean or plain mean). The centroid and joint between-within rules have
+    no natural summary, so natural falls back to shortest with a warning.
     """
     policy = normalize_policy(policy)
     if policy == POLICY_INTERVAL:
@@ -579,6 +575,8 @@ def _enumerate_newick(matrix, method, limit):
     """``enumerate_pair_group``'s trees in its order, each as (extended
     newick text, tree), so a caller that writes the text need not
     serialize a tree a second time."""
+    if limit < 1:
+        raise ValueError("the outcome limit must be at least 1, not %d" % limit)
     method, tags = _run_tags(matrix, method)
     if matrix.n == 1:
         tree = single_leaf_tree(matrix.labels[0], **tags)

@@ -192,11 +192,11 @@ def pg_update(kind, si, si2, sj, d_between, d_left, d_right):
     ``sj``, ``d_left`` and ``d_right`` may be numpy arrays, one entry per
     other cluster: the operations are the same IEEE ones in the same
     order, so each entry of the row equals the scalar result bit for bit.
+    Single and complete are an exact minimum and maximum, as in ``vg_row``.
     """
-    if kind == SINGLE:
-        return 0.5 * d_left + 0.5 * d_right - 0.5 * abs(d_left - d_right)
-    if kind == COMPLETE:
-        return 0.5 * d_left + 0.5 * d_right + 0.5 * abs(d_left - d_right)
+    if kind in (SINGLE, COMPLETE):
+        out = (np.minimum if kind == SINGLE else np.maximum)(d_left, d_right)
+        return out if np.ndim(out) else float(out)
     if kind == UNWEIGHTED_AVERAGE:
         return (si * d_left + si2 * d_right) / (si + si2)
     if kind == WEIGHTED_AVERAGE:

@@ -255,6 +255,8 @@ class ProximityMatrix:
             i = self.labels.index(i)
         if isinstance(j, str):
             j = self.labels.index(j)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError("index out of range for %d labels" % (self.n,))
         if i == j:
             return 0.0
         i, j = min(i, j), max(i, j)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from multidendro.proximity import (
     _pop_header,
     _split_rows,
     round_half_away,
+    round_half_away_array,
 )
 from multidendro.render import _escape, _fmt_height
 from multidendro.tree import (
@@ -360,27 +361,102 @@ def jbw_oracle(points_i, points_j, alpha=1.0):
 # ---- the working state, scanned in full ----
 
 def row_minima_full_scan(state):
-    """Each slot's smallest comparison value, inf for a retired slot."""
-    keys = np.where(state.live[:, None] & state.live[None, :], state.keys,
-                    np.inf)
-    return keys.min(axis=1)
+    """Each slot's smallest distance to another live slot, inf for a
+    retired slot."""
+    live = state.live[:, None] & state.live[None, :]
+    np.fill_diagonal(live, False)
+    return np.where(live, state.dist, np.inf).min(axis=1)
+
+
+def comparison_value(state, value):
+    """A raw distance as ``state``'s ties compare it, one value at a time."""
+    if state.precision is None:
+        return float(value)
+    return round_half_away(float(value), state.precision) + 0.0
 
 
 def shortest_full_scan(state):
-    """``ClusterState.shortest`` from a scan of every live pair.
+    """``ClusterState.shortest`` from a scan of every live pair, rounding
+    each raw distance with the scalar ``round_half_away``.
 
     (raw value, comparison value, edges), the edges as (low slot, high
     slot) in row-major order.
     """
     live = np.flatnonzero(state.live).tolist()
-    low_key = min(state.keys[r, c] for r in live for c in live if r < c)
-    edges, raws = [], []
-    for r in live:
-        for c in live:
-            if r < c and state.keys[r, c] == low_key:
-                edges.append((r, c))
-                raws.append(state.dist[r, c])
-    return float(min(raws)), float(low_key), edges
+    pairs = [(r, c) for r in live for c in live if r < c]
+    keys = [comparison_value(state, state.dist[r, c]) for r, c in pairs]
+    low_key = min(keys)
+    edges = [pair for pair, key in zip(pairs, keys) if key == low_key]
+    raws = [state.dist[r, c] for r, c in edges]
+    return float(min(raws)), low_key, edges
+
+
+# ---- single linkage as a minimum spanning tree ----
+
+def single_linkage_mst(matrix):
+    """Single linkage's tied groups from a minimum spanning tree, after
+    Gower & Ross (1969).
+
+    The tree is taken over the dense ranks of the comparison values (ranks
+    keep ties exact, and start at 1 because csgraph drops zero weights).
+    Single linkage joins, at each comparison level, every cluster that an
+    edge of that level reaches, so all of one level's tree edges are
+    joined at once. Returns one (comparison value, groups) entry per level
+    that merges, ascending; a group is (leaves, children, h_lower,
+    h_upper), leaves and each child as ascending leaf indices, children
+    and groups ordered by smallest leaf, and the interval the smallest and
+    largest raw single-linkage distance between two of its children.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.spatial.distance import squareform
+
+    n = matrix.n
+    raw = squareform(matrix.condensed)
+    keys = matrix.condensed
+    if matrix.precision is not None:
+        keys = round_half_away_array(keys, matrix.precision)
+    levels, ranks = np.unique(keys, return_inverse=True)
+    graph = coo_array((ranks + 1.0, np.triu_indices(n, 1)), shape=(n, n))
+    mst = minimum_spanning_tree(graph).tocoo()
+    edges = sorted(zip(mst.data.astype(np.int64).tolist(), mst.row.tolist(),
+                       mst.col.tolist()))
+    # each cluster is named by its smallest leaf
+    label = np.arange(n)
+    leaves_of = {i: np.array([i]) for i in range(n)}
+    out = []
+    for rank, level in groupby(edges, key=lambda edge: edge[0]):
+        parent = {}
+
+        def find(x):
+            while parent.get(x, x) != x:
+                x = parent[x]
+            return x
+
+        for _, u, v in level:
+            a, b = find(label[u]), find(label[v])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        joined = {}
+        for x in parent:
+            joined.setdefault(find(x), [find(x)]).append(x)
+        groups = []
+        for root in sorted(joined):
+            children = [leaves_of.pop(x) for x in sorted(joined[root])]
+            values = []
+            for k, child in enumerate(children[:-1]):
+                rest = np.concatenate(children[k + 1:])
+                cuts = np.cumsum([0] + [len(c) for c in children[k + 1:-1]])
+                nearest = raw[np.ix_(child, rest)].min(axis=0)
+                values.extend(np.minimum.reduceat(nearest, cuts).tolist())
+            leaves = np.sort(np.concatenate(children))
+            leaves_of[root] = leaves
+            label[leaves] = root
+            groups.append((tuple(leaves.tolist()),
+                           tuple(tuple(c.tolist()) for c in children),
+                           min(values), max(values)))
+        out.append((float(levels[rank - 1]), groups))
+    return out
 
 
 # ---- every classical tie-break outcome ----

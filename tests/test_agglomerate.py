@@ -3,6 +3,7 @@ import json
 from collections import Counter
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,7 @@ from oracles import (
     pair_group_outcomes,
     row_minima_full_scan,
     shortest_full_scan,
+    single_linkage_mst,
 )
 
 
@@ -126,13 +128,11 @@ def _check_state(state):
     live = state.live_slots().tolist()
     for r in live:
         if len(live) > 1:
-            assert state.keys[r, state.row_arg[r]] == state.row_min[r]
-        for c in live:
-            if c != r:
-                want = float(state.dist[r, c])
-                if state.precision is not None:
-                    want = round_half_away(want, state.precision)
-                assert state.keys[r, c] == want
+            assert state.dist[r, state.row_arg[r]] == state.row_min[r]
+        assert state.dist[r, r] == np.inf
+    retired = (~state.live).nonzero()[0]
+    assert (state.dist[retired] == np.inf).all()
+    assert (state.dist[:, retired] == np.inf).all()
     if len(live) > 1:
         assert state.shortest() == shortest_full_scan(state)
 
@@ -140,14 +140,19 @@ def _check_state(state):
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
 def test_cached_minima_match_full_scan_after_random_merges(kind, data):
-    # quarter steps from few values: ties, rounding at 0 and 1 decimals,
-    # and with the centroid rules negative distances
+    # quarter quanta from few values: ties, rounding at 0, 1, 2 and 25
+    # decimals (the last one value at a time), and with the centroid rules
+    # negative distances; an offset of 2**41 quanta takes the values past
+    # the 2**40 quanta where rounding leaves the whole-array path
     n = data.draw(st.integers(2, 9))
     values = data.draw(st.lists(st.integers(1, 12), min_size=n * (n - 1) // 2,
                                 max_size=n * (n - 1) // 2))
-    precision = data.draw(st.sampled_from([None, 0, 1]))
+    precision = data.draw(st.sampled_from([None, 0, 1, 2, 25]))
+    quantum = 10.0 ** -(precision or 0)
+    offset = data.draw(st.sampled_from([0.0, 2.0 ** 41]))
     matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
-                             tuple(v / 4 for v in values), precision=precision)
+                             tuple((offset + v / 4) * quantum for v in values),
+                             precision=precision)
     method = MethodSpec(kind)
     state = ClusterState.from_matrix(matrix)
     _check_state(state)
@@ -170,8 +175,8 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
 
 
 def test_cached_minima_keep_positive_zero():
-    # a centroid update of -0.0625 rounds to -0.0 at 0 places; the cached
-    # minimum of a row holding both zeros must match a fresh scan bit for bit
+    # a centroid update of -0.0625 is the smallest distance and rounds to
+    # -0.0 at 0 places, so it ties with the distances that round to +0.0
     n = 7
     matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
                              tuple(v / 4 for v in [1] * 19 + [5, 1]),
@@ -179,6 +184,59 @@ def test_cached_minima_keep_positive_zero():
     state = ClusterState.from_matrix(matrix)
     _merge_pair(state, 4, 6, MethodSpec("unweighted_centroid"))
     _check_state(state)
+
+
+@pytest.mark.parametrize("precision", [None, 0, 2])
+def test_state_setup_builds_one_square(precision):
+    # one n x n float64 working matrix plus its n x n boolean triangle
+    # mask; a second, rounded square would pass 2 * n * n * 8 bytes
+    n = 600
+    values = np.random.default_rng(5).uniform(0.0, 10.0, n * (n - 1) // 2)
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)), values,
+                             precision=precision)
+    tracemalloc.start()
+    try:
+        state = ClusterState.from_matrix(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.dist.shape == (n, n)
+    assert peak < 1.5 * n * n * 8
+
+
+# ---- single linkage at scale ----
+
+def _variable_group_levels(matrix):
+    # cluster_variable_group's trace in single_linkage_mst's form
+    _, trace = cluster_variable_group(matrix, "single")
+    leaves = {i: (i,) for i in range(matrix.n)}
+    out = []
+    for it in trace.iterations:
+        groups = []
+        for g in it.groups:
+            leaves[g.cluster_id] = g.leaves
+            children = tuple(sorted(leaves[c] for c in g.member_ids))
+            groups.append((g.leaves, children, g.h_lower, g.h_upper))
+        level = it.d_lower
+        if matrix.precision is not None:
+            level = round_half_away(level, matrix.precision)
+        out.append((level, groups))
+    return out
+
+
+@pytest.mark.parametrize("precision", [None, 0, 1, 2])
+def test_single_linkage_matches_minimum_spanning_tree(precision):
+    pytest.importorskip("scipy.sparse.csgraph")
+    # a square 1000 quanta wide: 44 levels merge 1,225 groups, the
+    # largest of 13 clusters
+    n = 1500
+    width = 10.0 if precision is None else 1000 * 10.0 ** -precision
+    points = np.random.default_rng(11).uniform(0.0, width, (n, 2))
+    rows, cols = np.triu_indices(n, 1)
+    values = np.hypot(*(points[rows] - points[cols]).T)
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)), values,
+                             precision=precision)
+    assert _variable_group_levels(matrix) == single_linkage_mst(matrix)
 
 
 # ---- fusion values ----
@@ -448,12 +506,30 @@ def test_enumerate_collapses_commuting_merges():
     assert to_newick_extended(trees[0]) == want
 
 
+def test_classical_single_and_complete_merge_at_input_distances():
+    # d(ab, c) is exactly 0.1 under single linkage, tying with d(c, d)
+    m = ProximityMatrix("abcd", [0.05, 0.1, 5.0, 0.3, 5.0, 0.1])
+    assert len(enumerate_pair_group(m, "single")) == 2
+    # d(ab, c) is min(1e20, 1.0), not 0.0
+    m = ProximityMatrix("abc", [0.1, 1e20, 1.0])
+    assert to_newick_extended(cluster_pair_group(m, "single")) == (
+        "((a,b)[0.100,0.100],c)[1.000,1.000];")
+    tree = cluster_pair_group(m, "complete")
+    assert tree.root.h_lower == 1e20
+
+
 def test_enumerate_limit_guard():
     n = 7
     square = [[0.0 if i == j else 1.0 for j in range(n)] for i in range(n)]
     with pytest.raises(TooManySolutions):
         enumerate_pair_group(matrix_from_square(square),
                              "unweighted_average", limit=5)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumerate_limit_below_one_is_rejected(toy, limit):
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_pair_group(toy, "single", limit=limit)
 
 
 # the first matrix of the benchmark's enumerate workload at seed 1: 674

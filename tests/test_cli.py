@@ -327,6 +327,17 @@ def test_enumeration_limit_is_enforced(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_enumeration_limit_below_one_is_rejected(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("0 9\n9 0\n")
+    rc, out, err = run_cli(capsys, "--input", str(path),
+                           "--method", "single", "--enumerate",
+                           "--limit", "0")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: the outcome limit must be at least 1, not 0\n"
+
+
 def test_alpha_flag(tmp_path, capsys):
     path = tmp_path / "two.txt"
     path.write_text("0 9\n9 0\n")

@@ -179,6 +179,23 @@ def test_pg_single_is_minimum():
     assert pg_update("single", 1, 1, 1, 2.0, 4.0, 2.0) == 2.0
 
 
+@pytest.mark.parametrize("kind, left, right, want", [
+    (SINGLE, 0.1, 0.3, 0.1),
+    (COMPLETE, 0.1, 0.3, 0.3),
+    (SINGLE, 0.1, 1e20, 0.1),
+    (COMPLETE, 1e20, 0.1, 1e20),
+])
+def test_pg_single_and_complete_are_exact(kind, left, right, want):
+    # halving a sum and a difference loses bits: 0.1 and 0.3 gave
+    # 0.10000000000000002, and 0.1 against 1e20 gave 0.0
+    got = pg_update(kind, 1, 1, 1, 0.05, left, right)
+    assert type(got) is float
+    assert bits(got) == bits(want)
+    row = pg_update(kind, 1, 1, np.ones(2, dtype=np.int64), 0.05,
+                    np.array([left, right]), np.array([right, left]))
+    assert row.tolist() == [want, want]
+
+
 def test_pg_unweighted_centroid():
     assert pg_update("unweighted_centroid", 1, 1, 1, 2.0, 7.0, 5.0) == 5.5
 

@@ -50,6 +50,13 @@ def test_square_toy(toy):
     assert toy.get(1, 1) == 0.0
 
 
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1), (3, 3)])
+def test_get_rejects_indices_out_of_range(i, j):
+    m = ProximityMatrix(("x1", "x2", "x3"), (1.0, 2.0, 3.0))
+    with pytest.raises(IndexError):
+        m.get(i, j)
+
+
 def test_square_with_header():
     m = parse_matrix("a b\n0 1.5\n1.5 0\n", "square")
     assert m.labels == ("a", "b")

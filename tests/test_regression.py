@@ -16,7 +16,13 @@ were recorded again for records format version 2, whose trace lists merged
 groups only. Before that, each case's version 2 document was checked to
 equal its version 1 document with "format_version" set to "2" and with the
 null-height groups, which listed clusters passing an iteration unmerged,
-removed. To record them again after an intended output change, run
+removed. The raw and one-decimal classical single and complete records
+hashes were recorded once more when their update became an exact min and
+max: each document was checked to hold the same labels, nesting and
+newick text as before, with only heights moved by an ulp or two, and the
+id order and reversal flags that follow from them; every height is now
+one of the input distances. To record them again after an intended
+output change, run
 ``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
 
