@@ -103,31 +103,6 @@ def normalize_tiebreak(tiebreak):
     return tiebreak
 
 
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 @dataclass
 class ClusterState:
     """Active clusters plus the working distance matrix, all indexed by slot.
@@ -265,16 +240,26 @@ class ClusterState:
 
 
 def _groups_from_edges(edges):
-    # the slots the edges join, one ascending tuple per connected set; in
-    # ascending order the first slot met opens each set, so the sets come
-    # out ordered by smallest leaf too
-    ds = DisjointSet(sorted({s for pair in edges for s in pair}))
+    # the slots the edges join, one ascending tuple per connected set, in
+    # order of smallest slot: a union keeps the smaller root, so every
+    # parent is at most its child and each set's root is its smallest slot
+    parent = {s: s for pair in edges for s in pair}
     for a, b in edges:
-        ds.union(a, b)
-    buckets = {}
-    for s in ds.parent:
-        buckets.setdefault(ds.find(s), []).append(s)
-    return [tuple(bucket) for bucket in buckets.values()]
+        # path halving: point the slot at its grandparent (assignments run
+        # left to right), then step there
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+    groups = {}
+    for s in sorted(parent):
+        # a smaller slot, met before, already points at its root
+        root = parent[s] = parent[parent[s]]
+        groups.setdefault(root, []).append(s)
+    return [tuple(group) for group in groups.values()]
 
 
 def fusion_value(sizes, within, method, policy):
@@ -389,7 +374,11 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     """
     method, tags = _run_tags(matrix, method, normalize_policy(policy))
     notes = []
+    # shortest asked for outright: fusion_value's fallback gives the same
+    # minimum, but warns for every group
+    fusion_policy = policy
     if policy == POLICY_NATURAL and method.kind not in _NATURAL_METHODS:
+        fusion_policy = POLICY_SHORTEST
         notes.append(
             "no natural fusion value for %r, shortest used" % (method.kind,)
         )
@@ -423,9 +412,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             sizes = state.sizes[list(parts)].tolist()
             fusion = None
             if policy != POLICY_INTERVAL:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", FusionFallbackWarning)
-                    fusion = fusion_value(sizes, within, method, policy)
+                fusion = fusion_value(sizes, within, method, fusion_policy)
             node = internal(children, h_lower, h_upper, fusion)
             if any(reversals_between(c, node) for c in children):
                 reversal = True

@@ -16,13 +16,15 @@ half-quantum exactly when ``v`` reaches the float nearest to it, and that
 float is one correctly rounded division, so each value needs only a floor
 and one comparison on either side.
 
-Square text goes to numpy's C reader one line at a time, so no token
-list is built; it converts each token with the routine ``float`` uses, to
-the same bits. Text that reader refuses, and all lower-triangle text, is
-split into tokens and converted with one ``float`` pass. Either way the
-diagonal and symmetry are checked on the resulting array, and
-``ProximityMatrix`` checks its values in one numpy pass too. When anything
-fails, the error raised is the one a row-by-row reading meets first.
+Square text goes to numpy's C reader one line at a time; it converts each
+token with the routine ``float`` uses, to the same bits. Text that reader
+refuses, and all lower-triangle text, is read one line at a time into a
+preallocated array, a row's tokens converted with ``float`` and dropped,
+so neither builds a list of every token. One rule finds the header line
+(``_header``) and one the written precision (``_precision``). The diagonal
+and symmetry are checked on the resulting array, and ``ProximityMatrix``
+checks its values in one numpy pass too. When anything fails, the error
+raised is the one a row-by-row reading meets first.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 import re
 import warnings
 from decimal import Decimal, ROUND_HALF_UP
-from itertools import chain
 
 import numpy as np
 
@@ -53,8 +54,9 @@ FORMATS = ("square", "lower", "pairs", "labeled-pairs")
 _FORMAT_ALIASES = {"lower-triangle": "lower"}
 
 _INT_RE = re.compile(r"[+-]?\d+")
-_DECIMALS_RE = re.compile(r"\.([0-9_]*)")
-_NONBLANK_RE = re.compile(r"\S")
+# "\d" takes every digit float() reads, not only the ASCII ones
+_DECIMALS_RE = re.compile(r"\.([\d_]*)")
+_TOKEN_RE = re.compile(r"\S+")
 # the line breaks of str.splitlines other than "\n", which numpy's reader
 # does not break lines on
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -74,33 +76,6 @@ def _parse_value(token):
         return float(token)
     except ValueError:
         raise FormatError("expected a number, got %r" % (token,)) from None
-
-
-def _token_decimals(token):
-    # written decimal places; None when the token defeats counting
-    if "e" in token or "E" in token:
-        return None
-    if "." not in token:
-        return 0
-    # "_" separates digits and is no decimal place
-    return len(token.split(".", 1)[1].replace("_", ""))
-
-
-def _infer_precision(rows):
-    # a matrix repeats few distinct tokens when its values are coarse, so
-    # each row adds only the tokens not seen before; an exponent token still
-    # ends the scan at once
-    best = 0
-    seen = set()
-    for row in rows:
-        new = set(row).difference(seen)
-        for tok in new:
-            d = _token_decimals(tok)
-            if d is None:
-                return None
-            best = max(best, d)
-        seen |= new
-    return best
 
 
 def round_half_away(value, places):
@@ -298,10 +273,8 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
     if text.startswith("\ufeff"):
         text = text[1:]
     self_value = 1.0 if similarity else 0.0
-    if fmt == "square":
-        labels, values, inferred = _parse_square(text, self_value)
-    elif fmt == "lower":
-        labels, values, inferred = _parse_lower(text, self_value)
+    if fmt in ("square", "lower"):
+        labels, values, inferred = _parse_grid(text, fmt, self_value)
     else:
         labels, values, inferred = _parse_pairs(
             text, labeled=(fmt == "labeled-pairs"), self_value=self_value)
@@ -325,59 +298,67 @@ def _default_labels(n):
     return tuple("x%d" % (i + 1) for i in range(n))
 
 
-def _pop_header(rows, fmt):
-    """Rows without a header line, and the labels it names or defaults."""
+def _header(text):
+    """The header labels, or None, and the offset of the first row.
+
+    The first non-blank line is a header when ``float`` refuses its first
+    token; the first row then starts after that line's break.
+    """
+    first = _TOKEN_RE.search(text)
+    if first is None:
+        return None, 0
     try:
-        float(rows[0][0])
+        float(first.group())
+        return None, 0
     except ValueError:
-        header, rows = rows[0], rows[1:]
-    else:
-        return rows, _default_labels(len(rows))
-    if not rows:
-        raise FormatError("%s input has a header but no rows" % (fmt,))
-    if len(header) != len(rows):
-        raise FormatError("header names %d individuals but there are %d rows"
-                          % (len(header), len(rows)))
-    return rows, tuple(header)
+        pass
+    # the line up to "\n" holds the header line up to any other break
+    stop = text.find("\n", first.start()) + 1 or len(text)
+    line = text[first.start():stop].splitlines(True)[0]
+    return line.split(), first.start() + len(line)
 
 
-def _to_floats(rows, count):
-    # every token through float(), so "1_0", "nan" and "1e400" read as they
-    # do one at a time; None when a row is short or a token is no number
-    try:
-        return np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
-                           count)
-    except ValueError:
+def _precision(text, start=0):
+    """The decimals written in ``text`` from ``start`` on, which holds only
+    number tokens: None when any may have an exponent, else the longest
+    run after a point, "_" (a digit separator) left out."""
+    if text.find("e", start) >= 0 or text.find("E", start) >= 0:
         return None
+    # only a run longer than the best so far can raise it, so each search
+    # passes over the shorter ones without making a match of each
+    best = 0
+    while True:
+        longer = re.compile(r"\.[\d_]{%d}" % (best + 1)).search(text, start)
+        if longer is None:
+            return best
+        run = _DECIMALS_RE.match(text, longer.start())
+        best = max(best, len(run.group(1).replace("_", "")))
+        start = run.end()
 
 
-def _lines(text, start):
-    # one "\n"-terminated line at a time; the text is never split whole
+def _lines(text, start, split=False):
+    # the lines from offset start on, each with its line break: "\n"-
+    # terminated slices found one at a time, so the text is never split
+    # whole; with ``split`` each is cut at any other break of
+    # str.splitlines it holds, to give that method's lines
     end = len(text)
     while start < end:
         stop = text.find("\n", start) + 1 or end
-        yield text[start:stop]
+        if split:
+            yield from text[start:stop].splitlines(True)
+        else:
+            yield text[start:stop]
         start = stop
 
 
 def _read_square(text):
     """(labels, n x n grid, precision) from numpy's reader, or None to
-    leave the text to the token path, which also words every error."""
+    leave the text to _read_rows, which also words every error."""
     if any(brk in text for brk in _OTHER_BREAKS):
         return None
-    # the first non-blank line is a header when _pop_header takes it for one
-    header, start = None, 0
-    for line in _lines(text, 0):
-        first = line.split()
-        if first:
-            try:
-                float(first[0])
-            except ValueError:
-                header, start = first, start + len(line)
-            break
-        start += len(line)
-    # no rows: the token path raises, and loadtxt would warn
-    if not _NONBLANK_RE.search(text, start):
+    header, start = _header(text)
+    # no rows: _read_rows raises, and loadtxt would warn
+    if not _TOKEN_RE.search(text, start):
         return None
     try:
         grid = np.loadtxt(_lines(text, start), dtype=np.float64,
@@ -387,47 +368,72 @@ def _read_square(text):
     n = len(grid)
     if grid.shape != (n, n) or (header is not None and len(header) != n):
         return None
-    # every body token parsed, so this is _infer_precision over its rows
-    if text.find("e", start) >= 0 or text.find("E", start) >= 0:
-        precision = None
-    else:
-        precision = max((len(m.group(1).replace("_", ""))
-                         for m in _DECIMALS_RE.finditer(text, start)),
-                        default=0)
     labels = _default_labels(n) if header is None else tuple(header)
-    return labels, grid, precision
+    return labels, grid, _precision(text, start)
 
 
-def _parse_square(text, self_value=0.0):
-    labels, grid, inferred = _read_square(text) or _split_square(text)
-    _check_square(grid, self_value)
-    values = grid[~np.tri(len(grid), dtype=bool)]
-    return labels, values, inferred
+def _read_rows(text, fmt, self_value):
+    """(labels, n x n grid, precision) read one line at a time.
+
+    Lower-triangle text fills the grid's lower triangle and diagonal. Each
+    row's length, then its tokens, then (lower-triangle) its diagonal
+    entry are checked before the next row is read, so the error raised
+    is the first in row order.
+    """
+    lower = fmt == "lower"
+    header, start = _header(text)
+    n = sum(not line.isspace() for line in _lines(text, start, split=True))
+    if not n:
+        raise FormatError("empty matrix text" if header is None else
+                          "%s input has a header but no rows"
+                          % ("lower-triangle" if lower else "square",))
+    if header is not None and len(header) != n:
+        raise FormatError("header names %d individuals but there are %d rows"
+                          % (len(header), n))
+    grid = np.zeros((n, n))
+    r = 0
+    for line in _lines(text, start, split=True):
+        row = line.split()
+        if not row:
+            continue
+        width = r + 1 if lower else n
+        if len(row) != width:
+            raise FormatError("%s %d has %d entries, expected %d" % (
+                "lower-triangle row" if lower else "row", r + 1, len(row),
+                width))
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            # raises for the first token float refuses
+            values = list(map(_parse_value, row))
+        if lower and not abs(values[r] - self_value) <= _SYM_TOL:
+            raise FormatError(
+                "diagonal entry on row %d must be %g" % (r + 1, self_value))
+        grid[r, :width] = values
+        r += 1
+    labels = _default_labels(n) if header is None else tuple(header)
+    return labels, grid, _precision(text, start)
 
 
-def _split_square(text):
-    rows, labels = _pop_header(_split_rows(text), "square")
-    n = len(rows)
-    grid = None
-    if all(len(row) == n for row in rows):
-        grid = _to_floats(rows, n * n)
-    if grid is None:
-        # find the first bad row or token the way a row-by-row reading would
-        for r, row in enumerate(rows):
-            if len(row) != n:
-                raise FormatError(
-                    "row %d has %d entries, expected %d" % (r + 1, len(row), n))
-            for tok in row:
-                _parse_value(tok)
-        raise AssertionError("bulk conversion failed on valid tokens")
-    return labels, grid.reshape(n, n), _infer_precision(rows)
+def _parse_grid(text, fmt, self_value):
+    # square or lower-triangle text: (labels, condensed values, precision)
+    if fmt == "square":
+        labels, grid, inferred = (_read_square(text)
+                                  or _read_rows(text, fmt, self_value))
+        _check_square(grid, self_value)
+    else:
+        labels, grid, inferred = _read_rows(text, fmt, self_value)
+        # the lower triangle by columns is the condensed upper triangle
+        grid = grid.T
+    return labels, grid[~np.tri(len(grid), dtype=bool)], inferred
 
 
 def _check_square(grid, self_value):
     # the first failure in row order, a row's diagonal before its pairs
     n = len(grid)
     with np.errstate(invalid="ignore", over="ignore"):
-        bad_diag = np.abs(grid.diagonal() - self_value) > _SYM_TOL
+        # written so that a NaN self entry fails too
+        bad_diag = ~(np.abs(grid.diagonal() - self_value) <= _SYM_TOL)
         diff = grid - grid.T
         np.abs(diff, out=diff)
         # symmetric, so the first flagged entry in row order lies above
@@ -446,47 +452,6 @@ def _check_square(grid, self_value):
         raise AsymmetricInput(
             "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
             % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i]))
-        )
-
-
-def _parse_lower(text, self_value=0.0):
-    # row i carries i entries and ends with the self entry
-    rows, labels = _pop_header(_split_rows(text), "lower-triangle")
-    n = len(rows)
-    flat = None
-    if all(len(row) == r + 1 for r, row in enumerate(rows)):
-        flat = _to_floats(rows, n * (n + 1) // 2)
-    if flat is None:
-        # row by row: length, tokens, then the row's diagonal entry
-        for r, row in enumerate(rows):
-            if len(row) != r + 1:
-                raise FormatError(
-                    "lower-triangle row %d has %d entries, expected %d"
-                    % (r + 1, len(row), r + 1)
-                )
-            vals = [_parse_value(tok) for tok in row]
-            _check_lower_diagonal(r, vals[r], self_value)
-        raise AssertionError("bulk conversion failed on valid tokens")
-    # row r starts at r(r+1)/2 and ends with its diagonal entry
-    rr = np.arange(n)
-    diagonal = flat[rr * (rr + 3) // 2]
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad = np.abs(diagonal - self_value) > _SYM_TOL
-    if bad.any():
-        r = int(bad.argmax())
-        _check_lower_diagonal(r, float(diagonal[r]), self_value)
-    lower = np.zeros((n, n))
-    below = np.tri(n, dtype=bool)
-    lower[below] = flat
-    values = lower.T[~below]
-    inferred = _infer_precision(rows)
-    return labels, values, inferred
-
-
-def _check_lower_diagonal(r, value, self_value):
-    if abs(value - self_value) > _SYM_TOL:
-        raise FormatError(
-            "diagonal entry on row %d must be %g" % (r + 1, self_value)
         )
 
 
@@ -522,7 +487,7 @@ def _parse_pairs(text, labeled, self_value=0.0):
     for (a, b), tok in keyed:
         value = _parse_value(tok)
         if a == b:
-            if value != self_value:
+            if not abs(value - self_value) <= _SYM_TOL:
                 raise FormatError(
                     "self entry for %r must be %g" % (labels[a], self_value)
                 )
@@ -544,10 +509,7 @@ def _parse_pairs(text, labeled, self_value=0.0):
                     )
     values = np.fromiter((seen[(i, j)] for i in range(n)
                           for j in range(i + 1, n)), np.float64)
-    # rows of n tokens, as a square matrix would give them
-    tokens = [row[2] for row in rows]
-    inferred = _infer_precision(tokens[k:k + n]
-                                for k in range(0, len(tokens), n))
+    inferred = _precision(" ".join(row[2] for row in rows))
     return labels, values, inferred
 
 

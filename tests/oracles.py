@@ -35,9 +35,7 @@ from multidendro.linkage import (
 )
 from multidendro.proximity import (
     _SYM_TOL,
-    _infer_precision,
     _parse_value,
-    _pop_header,
     _split_rows,
     round_half_away,
     round_half_away_array,
@@ -54,6 +52,41 @@ from multidendro.tree import (
 )
 
 
+def precision_from_every_token(tokens):
+    """The written decimals of number tokens, one token at a time: None at
+    the first exponent, else the most digits after a point; "_" separates
+    digits and is no decimal place."""
+    best = 0
+    for tok in tokens:
+        if "e" in tok or "E" in tok:
+            return None
+        frac = tok.split(".", 1)[1] if "." in tok else ""
+        best = max(best, len(frac.replace("_", "")))
+    return best
+
+
+def _rows_and_labels(text, name):
+    # the first row is a header when its first token is no number
+    rows = _split_rows(text)
+    try:
+        float(rows[0][0])
+    except ValueError:
+        header, rows = rows[0], rows[1:]
+    else:
+        return rows, tuple("x%d" % (i + 1) for i in range(len(rows)))
+    if not rows:
+        raise FormatError("%s input has a header but no rows" % (name,))
+    if len(header) != len(rows):
+        raise FormatError("header names %d individuals but there are %d rows"
+                          % (len(header), len(rows)))
+    return rows, tuple(header)
+
+
+def _bad_self_entry(value, self_value):
+    # a NaN self entry is no match either
+    return not abs(value - self_value) <= _SYM_TOL
+
+
 def parse_square_scalar(text, self_value=0.0):
     """Square text read token by token: (labels, values, inferred precision).
 
@@ -61,7 +94,7 @@ def parse_square_scalar(text, self_value=0.0):
     each row's length and tokens in order, then per row its diagonal entry
     and its asymmetric pairs.
     """
-    rows, labels = _pop_header(_split_rows(text), "square")
+    rows, labels = _rows_and_labels(text, "square")
     n = len(rows)
     grid = []
     for r, row in enumerate(rows):
@@ -69,7 +102,7 @@ def parse_square_scalar(text, self_value=0.0):
             raise FormatError("row %d has %d entries, expected %d" % (r + 1, len(row), n))
         grid.append([_parse_value(tok) for tok in row])
     for i in range(n):
-        if abs(grid[i][i] - self_value) > _SYM_TOL:
+        if _bad_self_entry(grid[i][i], self_value):
             raise FormatError(
                 "diagonal entry (%d,%d) must be %g" % (i + 1, i + 1, self_value)
             )
@@ -80,14 +113,14 @@ def parse_square_scalar(text, self_value=0.0):
                     % (i + 1, j + 1, grid[i][j], j + 1, i + 1, grid[j][i])
                 )
     values = tuple(grid[i][j] for i in range(n) for j in range(i + 1, n))
-    inferred = _infer_precision([[tok for row in rows for tok in row]])
+    inferred = precision_from_every_token(tok for row in rows for tok in row)
     return labels, values, inferred
 
 
 def parse_lower_scalar(text, self_value=0.0):
     """Lower-triangle text read token by token, checking each row's
     length, tokens and diagonal entry before the next row."""
-    rows, labels = _pop_header(_split_rows(text), "lower-triangle")
+    rows, labels = _rows_and_labels(text, "lower-triangle")
     n = len(rows)
     grid = {}
     for r, row in enumerate(rows):
@@ -97,14 +130,14 @@ def parse_lower_scalar(text, self_value=0.0):
                 % (r + 1, len(row), r + 1)
             )
         vals = [_parse_value(tok) for tok in row]
-        if abs(vals[r] - self_value) > _SYM_TOL:
+        if _bad_self_entry(vals[r], self_value):
             raise FormatError(
                 "diagonal entry on row %d must be %g" % (r + 1, self_value)
             )
         for c in range(r):
             grid[(c, r)] = vals[c]
     values = tuple(grid[(i, j)] for i in range(n) for j in range(i + 1, n))
-    inferred = _infer_precision([[tok for row in rows for tok in row]])
+    inferred = precision_from_every_token(tok for row in rows for tok in row)
     return labels, values, inferred
 
 

@@ -726,3 +726,10 @@ def test_chain_deeper_than_recursion_limit_through_both_engines():
     assert len(records["merges"]) == n - 1
     svg = render_svg(tree)
     assert svg.count("<text ") == n + 2  # the labels and two axis marks
+    # point k joins at height k, so the first and last leaf meet at the root
+    coph = cophenetic_matrix(tree)
+    assert coph.get(0, 1) == 1.0
+    assert coph.get(5, 10) == 10.0
+    assert coph.get(n - 2, n - 1) == float(n - 1)
+    assert coph.get(0, n - 1) == tree.root.h_lower == float(n - 1)
+    assert detect_reversals(tree) == detect_reversals(trace) == ()

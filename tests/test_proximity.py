@@ -30,13 +30,18 @@ from multidendro import (
 )
 from multidendro.errors import MultidendroError
 from multidendro.proximity import (
-    _infer_precision,
+    _precision,
     _read_square,
     round_half_away,
     round_half_away_array,
 )
 
-from oracles import check_values_scalar, parse_lower_scalar, parse_square_scalar
+from oracles import (
+    check_values_scalar,
+    parse_lower_scalar,
+    parse_square_scalar,
+    precision_from_every_token,
+)
 
 
 # ---- parsing ----
@@ -137,6 +142,31 @@ def test_pairs_duplicate():
         parse_matrix("1 2 1.0\n2 1 1.0\n", "pairs")
 
 
+@pytest.mark.parametrize("text,fmt,similarity,message", [
+    ("nan 1\n1 0\n", "square", False, "diagonal entry (1,1) must be 0"),
+    ("nan 1\r\n1 0\r\n", "square", False,
+     "diagonal entry (1,1) must be 0"),
+    ("nan\n1 0\n", "lower", False, "diagonal entry on row 1 must be 0"),
+    ("nan 0.5\n0.5 1\n", "square", True, "diagonal entry (1,1) must be 1"),
+    ("1 1 nan\n1 2 1\n", "pairs", False, "self entry for 'x1' must be 0"),
+])
+def test_nan_self_entry_is_rejected(text, fmt, similarity, message):
+    with pytest.raises(FormatError) as info:
+        parse_matrix(text, fmt, similarity=similarity)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,fmt", [
+    ("1e-13 1\n1 0\n", "square"),
+    ("1e-13 1\r\n1 0\r\n", "square"),
+    ("1e-13\n1 0\n", "lower"),
+    ("1 1 1e-13\n1 2 1\n", "pairs"),
+])
+def test_self_entries_share_one_tolerance(text, fmt):
+    m = parse_matrix(text, fmt)
+    assert (m.labels, m.values) == (("x1", "x2"), (1.0,))
+
+
 def test_negative_value():
     with pytest.raises(NegativeValue):
         parse_matrix("0 -1\n-1 0\n", "square")
@@ -194,16 +224,8 @@ def test_precision_not_inferable_from_exponents():
     assert parse_matrix("0 2.5E-1\n2.5E-1 0\n", "square").precision is None
 
 
-def _precision_from_every_token(tokens):
-    # the plain scan: look at every token, stop at the first exponent;
-    # "_" separates digits and is no decimal place
-    best = 0
-    for tok in tokens:
-        if "e" in tok or "E" in tok:
-            return None
-        frac = tok.split(".", 1)[1] if "." in tok else ""
-        best = max(best, len(frac.replace("_", "")))
-    return best
+def _as_lines(rows):
+    return "".join(" ".join(row) + "\n" for row in rows)
 
 
 def _in_rows(tokens, width):
@@ -219,11 +241,13 @@ def _in_rows(tokens, width):
     ["-0", "0", "-0.0", "12.", "+3.00"],
     ["0.1_5", "1", "0.15"],
     ["1_0.2_5", "1_000", "3.1"],
+    # a run with more characters but fewer digits than the longest so far
+    ["1.2345", "0.1_2_3", "1"],
 ])
 def test_precision_inference_unchanged_on_repeated_tokens(tokens):
-    want = _precision_from_every_token(tokens)
+    want = precision_from_every_token(tokens)
     for width in (1, 2, 3, max(len(tokens), 1)):
-        assert _infer_precision(_in_rows(tokens, width)) == want
+        assert _precision(_as_lines(_in_rows(tokens, width))) == want
 
 
 @given(st.lists(st.lists(st.sampled_from(
@@ -231,7 +255,7 @@ def test_precision_inference_unchanged_on_repeated_tokens(tokens):
      "0.1_5"]), max_size=8), max_size=8))
 def test_precision_inference_matches_plain_scan(rows):
     tokens = [tok for row in rows for tok in row]
-    assert _infer_precision(rows) == _precision_from_every_token(tokens)
+    assert _precision(_as_lines(rows)) == precision_from_every_token(tokens)
 
 
 def test_precision_override():
@@ -706,6 +730,25 @@ def test_square_reader_memory_stays_near_the_matrix(fmt):
     tracemalloc.start()
     try:
         m = parse_matrix(text, "square")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.n == n
+    assert peak < 4 * n * n * 8
+
+
+@pytest.mark.parametrize("fmt", ["%.18e", "%.0f"])
+def test_lower_reader_memory_stays_near_the_matrix(fmt):
+    # the square guard's bound, for text read one line at a time
+    n = 600
+    pts = np.random.default_rng(6).uniform(0.0, 10.0, size=(n, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    d[~np.eye(n, dtype=bool)] += 1.0
+    text = "".join(" ".join(fmt % v for v in row[:r + 1]) + "\n"
+                   for r, row in enumerate(d))
+    tracemalloc.start()
+    try:
+        m = parse_matrix(text, "lower")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -37,3 +37,16 @@ def test_every_import_is_used(path):
     assert not unused, "%s imports names it never uses: %s" % (
         path.name, ", ".join("%s (line %d)" % (name, line)
                              for line, name in unused))
+
+
+def test_oracles_share_no_header_or_precision_code():
+    # the reference readers word errors as the package does, through
+    # _parse_value and _split_rows, but find headers and precisions alone
+    path = Path(__file__).resolve().parent / "oracles.py"
+    module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = sorted(
+        alias.name for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "multidendro.proximity"
+        for alias in node.names if alias.name.startswith("_"))
+    assert set(private) <= {"_SYM_TOL", "_parse_value", "_split_rows"}, private
