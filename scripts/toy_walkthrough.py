@@ -25,10 +25,15 @@ METHOD = "unweighted_average"
 
 
 def show_trace(trace):
+    # a group's leaves are those of the clusters it merged
+    leaves = {i: (i,) for i in range(trace.n_items)}
     for it in trace.iterations:
+        for g in it.groups:
+            leaves[g.cluster_id] = tuple(sorted(
+                i for cid in g.member_ids for i in leaves[cid]))
         parts = ", ".join(
             "{%s} in [%g, %g]" % (
-                " ".join(trace.labels[i] for i in g.leaves),
+                " ".join(trace.labels[i] for i in leaves[g.cluster_id]),
                 g.h_lower, g.h_upper)
             for g in it.groups
         )

@@ -14,29 +14,22 @@ recorded heights always keep the raw full-precision numbers.
 
 All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
-(arXiv:1109.2378) keys its state by row: one square working matrix of raw
-distances, each row's smallest distance and a column holding it, and per
-slot the cluster's leaves, size and id. The state holds no tree nodes: the
-two clustering engines each keep their own slot-indexed list of nodes, and
-the enumerator builds trees only for the outcomes it returns. Ids exist
-only for the output: the trace's groups, and the order in which
-``cluster_pair_group``'s tie-break rules see tied pairs.
-Finding the shortest distance scans the row minima, then rounds only the
-entries within two quanta of the smallest: those at the smallest
-comparison value are the tied edges, as slot pairs in row-major order,
-from which the variable-group engine builds its groups. A merge is a
-few whole-row numpy operations: a merged cluster's distances to every
-unmerged survivor come from its constituents' rows (``linkage.vg_row``, or
+(arXiv:1109.2378) keys its state by row, and holds no tree nodes. Finding
+the shortest distance rounds only the entries near the smallest one, and a
+merge is a few whole-row numpy operations (``linkage.vg_row``, or
 ``linkage.pg_update`` in the classical engine), bit for bit what the scalar
-update ``linkage.vg_kernel`` gives. Only the merged rows are then scanned
-again in full; every other row folds in the new columns and is rescanned
-only when its minimum sat in a column that changed. A group's height
-interval is the minimum and maximum of the raw distances between its
-constituents. The classical engine and the enumerator share one pair merge
-step (``_merge_pair``), which returns the merge as (members, height); the
-enumerator searches depth first over copies of the state, one per tied
-pair, gives each distinct merge of a run one bit, and so holds every
+update ``linkage.vg_kernel`` gives. A group's height interval is the
+minimum and maximum of the raw distances between its constituents. The
+classical engine and the enumerator share one pair merge step
+(``_merge_pair``); the enumerator searches depth first over copies of the
+state, gives each distinct merge of a run one bit, and so holds every
 outcome as an int bitmask.
+
+Ids exist only for the output, where they are a cluster's one identity,
+and for the order in which ``cluster_pair_group``'s tie-break rules see
+tied pairs. The trace names each merged group by its new id and the ids
+of the clusters it merged, never by its leaves; ``detect_reversals``
+expands ids to leaf labels only for the groups it reports.
 """
 
 from __future__ import annotations
@@ -309,8 +302,7 @@ class GroupRecord:
     """One tied group merged into a new cluster, with its height interval."""
 
     cluster_id: int
-    member_ids: tuple  # ids of the clusters merged
-    leaves: tuple  # leaf indices of the union
+    member_ids: tuple  # leaf indices below n_items, else earlier cluster_ids
     h_lower: float
     h_upper: float
     fusion: "float | None"
@@ -421,8 +413,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             group_records.append(GroupRecord(
                 cluster_id=state.next_id + len(formed),
                 member_ids=tuple(state.cid_at[s] for s in parts),
-                leaves=members, h_lower=h_lower, h_upper=h_upper,
-                fusion=fusion))
+                h_lower=h_lower, h_upper=h_upper, fusion=fusion))
             formed.append((parts, members, sizes, within))
             # the groups are disjoint, so no later group reads this slot
             nodes[parts[0]] = node
@@ -708,20 +699,29 @@ def detect_reversals(source):
 
 
 def _reversals_from_trace(trace):
-    labels = trace.labels
-    formed = {}
+    formed = {}  # cluster id -> the group that formed it
+
+    def leaf_labels(grp):
+        # in leaf-index order; a leaf's id is the one no group forms
+        leaves, stack = [], list(grp.member_ids)
+        while stack:
+            cid = stack.pop()
+            if cid in formed:
+                stack.extend(formed[cid].member_ids)
+            else:
+                leaves.append(cid)
+        return tuple(trace.labels[i] for i in sorted(leaves))
+
     reports = []
     for it in trace.iterations:
         for grp in it.groups:
-            parent_leaves = tuple(labels[i] for i in grp.leaves)
             for cid in grp.member_ids:
                 child = formed.get(cid)
                 if child is None:
                     continue
-                child_leaves = tuple(labels[i] for i in child.leaves)
                 for kind, child_value, parent_value in reversals_between(child, grp):
                     reports.append(ReversalReport(
-                        kind, child_leaves, parent_leaves,
+                        kind, leaf_labels(child), leaf_labels(grp),
                         child_value, parent_value))
             # a group's own id is new, so no group of its iteration holds it
             formed[grp.cluster_id] = grp
@@ -730,7 +730,7 @@ def _reversals_from_trace(trace):
 
 def _reversals_from_tree(tree):
     def leaves_of(node):
-        # in leaf-index order, as the trace lists a group's leaves
+        # in leaf-index order, as the reports from a trace list them
         leaves = sorted(node.leaves(), key=lambda leaf: leaf.index)
         return tuple(leaf.label for leaf in leaves)
 

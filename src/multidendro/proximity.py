@@ -57,9 +57,9 @@ _INT_RE = re.compile(r"[+-]?\d+")
 # "\d" takes every digit float() reads, not only the ASCII ones
 _DECIMALS_RE = re.compile(r"\.([\d_]*)")
 _TOKEN_RE = re.compile(r"\S+")
-# the line breaks of str.splitlines other than "\n", which numpy's reader
-# does not break lines on
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# the line breaks of str.splitlines other than "\n" and "\r", which numpy's
+# reader does not break lines on; it reads "\r\n" as "\n", but not a lone "\r"
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # tolerance for symmetry and diagonal checks on parsed text
 _SYM_TOL = 1e-12
 
@@ -354,7 +354,8 @@ def _lines(text, start, split=False):
 def _read_square(text):
     """(labels, n x n grid, precision) from numpy's reader, or None to
     leave the text to _read_rows, which also words every error."""
-    if any(brk in text for brk in _OTHER_BREAKS):
+    if (any(brk in text for brk in _OTHER_BREAKS)
+            or text.count("\r") != text.count("\r\n")):
         return None
     header, start = _header(text)
     # no rows: _read_rows raises, and loadtxt would warn

@@ -11,6 +11,10 @@ serialize identically up to the labels themselves.
 
 Trees of any depth are walked by three iterative helpers: ``preorder``,
 ``postorder`` and ``reversal_edges``, the one scan for reversals.
+
+A cluster is known by its id and its children, not by its leaves: records
+(format "3") and ``tree_equal`` work from those, so neither grows with the
+square of a tree's depth. Only results that show leaf lists build them.
 """
 
 from __future__ import annotations
@@ -257,19 +261,25 @@ def tree_equal(a, b, tol=1e-9):
     """True when both trees nest the same label sets at the same heights.
 
     Heights compare within absolute ``tol``; child order and leaf numbering
-    do not matter.
+    do not matter. Each node gets an int key, shared by both trees, from its
+    label or its children's sorted keys; equal root keys mean the same nesting.
     """
     if set(a.labels) != set(b.labels):
         return False
-    ha = a.node_heights()
-    hb = b.node_heights()
-    if set(ha) != set(hb):
-        return False
-    for members, (lo_a, up_a, _) in ha.items():
-        lo_b, up_b, _ = hb[members]
-        if abs(lo_a - lo_b) > tol or abs(up_a - up_b) > tol:
-            return False
-    return True
+    keys = {label: k for k, label in enumerate(a.labels)}
+    found = []
+    for tree in (a, b):
+        key_of, heights = {}, {}  # id of node -> key; key -> heights
+        for node in postorder(tree.root):
+            key = keys.setdefault(node.label if node.is_leaf else tuple(
+                sorted(key_of[id(c)] for c in node.children)), len(keys))
+            heights[key] = (node.h_lower, node.h_upper)
+            key_of[id(node)] = key
+        found.append((key, heights))
+    (root_a, ha), (root_b, hb) = found
+    return root_a == root_b and not any(
+        abs(lo - hb[key][0]) > tol or abs(up - hb[key][1]) > tol
+        for key, (lo, up) in ha.items())
 
 
 # ---- cophenetic matrix ----
@@ -282,12 +292,20 @@ def cophenetic_matrix(tree):
     """
     n = tree.n
     values = np.zeros(condensed_size(n))
-    leaf_lists = _leaf_lists(tree.root)
+    # the leaf indices left to right, and the run of them each node covers
+    order, runs = [], {}
+    for node in postorder(tree.root):
+        if node.is_leaf:
+            runs[id(node)] = slice(len(order), len(order) + 1)
+            order.append(node.index)
+        else:
+            runs[id(node)] = slice(runs[id(node.children[0])].start,
+                                   runs[id(node.children[-1])].stop)
+    order = np.array(order)
     # in preorder: the first unresolved node in preorder is reported
     for node in tree.internal_nodes():
         h = resolve_height(node)
-        groups = [np.array([leaf.index for leaf in leaf_lists.get(id(c), (c,))])
-                  for c in node.children]
+        groups = [order[runs[id(c)]] for c in node.children]
         for gi, gj in combinations(groups, 2):
             a, b = np.minimum.outer(gi, gj), np.maximum.outer(gi, gj)
             values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
@@ -425,7 +443,9 @@ def parse_newick_extended(text):
 
 # ---- records document ----
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
+_NUMBER = (int, float)
+_MAYBE_NUMBER = (int, float, type(None))
 
 
 def to_records(tree, trace=None):
@@ -438,9 +458,8 @@ def to_records(tree, trace=None):
     iteration's merged groups, one plain dict per group.
     """
     index = {label: i for i, label in enumerate(tree.labels)}
-    leaf_lists = _leaf_lists(tree.root)
     if trace is not None:
-        node_ids = _ids_from_trace(tree, trace, leaf_lists)
+        node_ids = _ids_from_trace(tree, trace)
     else:
         node_ids = _ids_bottom_up(tree)
     reversed_nodes = {id(node) for node, *_ in reversal_edges(tree.root)}
@@ -451,16 +470,12 @@ def to_records(tree, trace=None):
             "id": node_ids[id(node)],
             "children": [index[child.label] if child.is_leaf
                          else node_ids[id(child)] for child in node.children],
-            "members": sorted((leaf.label for leaf in leaf_lists[id(node)]),
-                              key=lambda lab: index[lab]),
-            "h_lower": node.h_lower,
-            "h_upper": node.h_upper,
-            "fusion": node.fusion,
-            "reversal": id(node) in reversed_nodes,
+            "h_lower": node.h_lower, "h_upper": node.h_upper,
+            "fusion": node.fusion, "reversal": id(node) in reversed_nodes,
         })
 
     merges.sort(key=lambda rec: rec["id"])
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "labels": list(tree.labels),
         "method": tree.method,
@@ -470,17 +485,6 @@ def to_records(tree, trace=None):
         "merges": merges,
         "trace": None if trace is None else _trace_to_dict(trace),
     }
-    return doc
-
-
-def _leaf_lists(root):
-    """Map id of each internal node -> its leaves, left to right."""
-    lists = {}
-    for node in postorder(root):
-        if not node.is_leaf:
-            lists[id(node)] = [leaf for child in node.children
-                               for leaf in lists.get(id(child), (child,))]
-    return lists
 
 
 def _ids_bottom_up(tree):
@@ -489,17 +493,20 @@ def _ids_bottom_up(tree):
     return {id(nd): tree.n + k for k, nd in enumerate(nodes)}
 
 
-def _ids_from_trace(tree, trace, leaf_lists):
-    """Map id of each internal node -> its cluster id in the trace, which
-    must form every node with the same leaves, heights, labels and tags."""
+def _ids_from_trace(tree, trace):
+    """Map id of each internal node -> its cluster id in a trace with the
+    tree's labels and tags, which forms each node from the same ids at
+    the same heights."""
     if (tuple(trace.labels), trace.method, trace.alpha, trace.policy) != (
             tree.labels, tree.method, tree.alpha, tree.policy):
         raise FormatError("trace does not describe this tree")
-    formed = {frozenset(grp.leaves): grp
+    formed = {frozenset(grp.member_ids): grp
               for it in trace.iterations for grp in it.groups}
     ids = {}
-    for node in tree.internal_nodes():
-        grp = formed.get(frozenset(leaf.index for leaf in leaf_lists[id(node)]))
+    # reversed preorder: every node after the nodes below it
+    for node in reversed(list(tree.internal_nodes())):
+        grp = formed.get(frozenset(c.index if c.is_leaf else ids[id(c)]
+                                   for c in node.children))
         if grp is None or (grp.h_lower, grp.h_upper, grp.fusion) != (
                 node.h_lower, node.h_upper, node.fusion):
             raise FormatError("trace does not describe this tree")
@@ -517,26 +524,26 @@ def _trace_to_dict(trace):
         "precision": trace.precision,
         "notes": list(trace.notes),
         "iterations": [
-            {
-                "index": it.index,
-                "d_lower": it.d_lower,
-                "d_next": it.d_next,
-                "reversal": it.reversal,
-                "groups": [
-                    {
-                        "cluster_id": g.cluster_id,
-                        "member_ids": list(g.member_ids),
-                        "leaves": list(g.leaves),
-                        "h_lower": g.h_lower,
-                        "h_upper": g.h_upper,
-                        "fusion": g.fusion,
-                    }
-                    for g in it.groups
-                ],
-            }
+            {"index": it.index, "d_lower": it.d_lower, "d_next": it.d_next,
+             "reversal": it.reversal,
+             "groups": [{"cluster_id": g.cluster_id,
+                         "member_ids": list(g.member_ids),
+                         "h_lower": g.h_lower, "h_upper": g.h_upper,
+                         "fusion": g.fusion} for g in it.groups]}
             for it in trace.iterations
         ],
     }
+
+
+def _checked(obj, where, **kinds):
+    """``obj``, once it is a dict holding each keyword's key with a value
+    of that keyword's type; FormatError naming the first that is not."""
+    if not isinstance(obj, dict):
+        raise FormatError("%s is not a JSON object" % (where,))
+    for key, kind in kinds.items():
+        if key not in obj or not isinstance(obj[key], kind):
+            raise FormatError("%s lacks a valid %r" % (where, key))
+    return obj
 
 
 def records_to_json(doc):
@@ -547,23 +554,29 @@ def records_to_json(doc):
 def parse_records(source):
     """Rebuild (tree, trace) from a records document or its JSON text.
 
-    Reads versions "1" and "2"; a version 1 trace's pass-through groups,
-    the ones with null heights, are dropped.
+    Reads versions "1" to "3" alike: the leaf lists of 1 and 2 are ignored,
+    and so are a version 1 trace's pass-through groups, with null heights.
+    A missing or ill-typed key raises FormatError.
     """
     doc = json.loads(source) if isinstance(source, str) else source
-    if doc.get("format_version") not in ("1", FORMAT_VERSION):
+    _checked(doc, "records document")
+    if doc.get("format_version") not in ("1", "2", FORMAT_VERSION):
         raise FormatError("unsupported records version %r" % (doc.get("format_version"),))
+    _checked(doc, "records document", labels=list, merges=list)
     labels = tuple(doc["labels"])
     nodes = {i: Leaf(i, lab) for i, lab in enumerate(labels)}
     consumed = set()
-    for rec in sorted(doc["merges"], key=lambda r: r["id"]):
+    merges = [_checked(rec, "merge", id=int, children=list,
+                       h_lower=_NUMBER, h_upper=_NUMBER)
+              for rec in doc["merges"]]
+    for rec in sorted(merges, key=lambda r: r["id"]):
         if rec["id"] in nodes:
             raise FormatError("merge id %r is already taken" % (rec["id"],))
         if len(rec["children"]) < 2:
             raise FormatError("merge %r has fewer than two children" % (rec["id"],))
         children = []
         for cid in rec["children"]:
-            if cid not in nodes:
+            if not isinstance(cid, int) or cid not in nodes:
                 raise FormatError("merge %r references unknown id %r" % (rec["id"], cid))
             if cid in consumed:
                 raise FormatError("id %r used as a child twice" % (cid,))
@@ -575,46 +588,32 @@ def parse_records(source):
     if len(roots) != 1:
         raise FormatError("records describe %d roots" % (len(roots),))
     tree = MultivaluedTree(
-        root=nodes[roots[0]],
-        labels=labels,
-        method=doc.get("method"),
-        alpha=doc.get("alpha"),
-        policy=doc.get("policy"),
-        height_decimals=doc.get("height_decimals", 3),
-    )
+        root=nodes[roots[0]], labels=labels, method=doc.get("method"),
+        alpha=doc.get("alpha"), policy=doc.get("policy"),
+        height_decimals=doc.get("height_decimals", 3))
     trace = None
     if doc.get("trace") is not None:
         from .agglomerate import GroupRecord, IterationRecord, MergeTrace
 
-        td = doc["trace"]
-        trace = MergeTrace(
-            n_items=td["n_items"],
-            labels=tuple(td["labels"]),
-            method=td["method"],
-            alpha=td["alpha"],
-            policy=td["policy"],
-            precision=td["precision"],
-            iterations=tuple(
-                IterationRecord(
-                    index=it["index"],
-                    d_lower=it["d_lower"],
-                    groups=tuple(
-                        GroupRecord(
-                            cluster_id=g["cluster_id"],
-                            member_ids=tuple(g["member_ids"]),
-                            leaves=tuple(g["leaves"]),
-                            h_lower=g["h_lower"],
-                            h_upper=g["h_upper"],
-                            fusion=g["fusion"],
-                        )
-                        for g in it["groups"] if g["h_lower"] is not None
-                    ),
-                    d_next=it["d_next"],
-                    reversal=it["reversal"],
-                )
-                for it in td["iterations"]
-            ),
-            notes=tuple(td["notes"]),
-        )
-        _ids_from_trace(tree, trace, _leaf_lists(tree.root))
+        td = _checked(doc["trace"], "trace", n_items=int, labels=list,
+                      method=object, alpha=object, policy=object,
+                      precision=object, notes=list, iterations=list)
+        iterations = []
+        for it in td["iterations"]:
+            _checked(it, "trace iteration", index=int, d_lower=_NUMBER,
+                     d_next=_MAYBE_NUMBER, reversal=bool, groups=list)
+            groups = [_checked(g, "trace group", cluster_id=int,
+                               member_ids=list, h_lower=_MAYBE_NUMBER,
+                               h_upper=_MAYBE_NUMBER, fusion=_MAYBE_NUMBER)
+                      for g in it["groups"]]
+            iterations.append(IterationRecord(
+                it["index"], it["d_lower"],
+                tuple(GroupRecord(g["cluster_id"], tuple(g["member_ids"]),
+                                  g["h_lower"], g["h_upper"], g["fusion"])
+                      for g in groups if g["h_lower"] is not None),
+                it["d_next"], it["reversal"]))
+        trace = MergeTrace(td["n_items"], tuple(td["labels"]), td["method"],
+                           td["alpha"], td["policy"], td["precision"],
+                           tuple(iterations), tuple(td["notes"]))
+        _ids_from_trace(tree, trace)
     return tree, trace

@@ -752,3 +752,60 @@ def parse_newick_extended_recursive(text):
 
     return MultivaluedTree(root=remap(root), labels=tuple(sorted(labels)),
                            height_decimals=max(3, decimals_seen))
+
+
+# ---- leaf lists, derived from cluster ids ----
+
+def leaves_by_id(n, parts):
+    """Map each merged cluster id -> its leaf ids ascending.
+
+    ``parts`` maps a merged cluster's id to the ids it merged: a records
+    merge's ``children`` or a trace group's ``member_ids``. Ids below ``n``
+    are leaves. This is what records format 2 listed as ``members`` (as
+    labels) and as a trace group's ``leaves``.
+    """
+    out = {}
+    for cid in parts:
+        found, stack = [], [cid]
+        while stack:
+            top = stack.pop()
+            if top < n:
+                found.append(top)
+            else:
+                stack.extend(parts[top])
+        out[cid] = tuple(sorted(found))
+    return out
+
+
+def record_members(doc):
+    """Map each merge id of a records document -> its member labels in
+    label order."""
+    labels = doc["labels"]
+    parts = {m["id"]: m["children"] for m in doc["merges"]}
+    return {mid: [labels[i] for i in leaves]
+            for mid, leaves in leaves_by_id(len(labels), parts).items()}
+
+
+def trace_leaves(trace):
+    """Map each cluster id a merge trace forms -> its leaf ids ascending."""
+    return leaves_by_id(trace.n_items, {g.cluster_id: g.member_ids
+                                        for it in trace.iterations
+                                        for g in it.groups})
+
+
+# ---- tree comparison by leaf sets ----
+
+def tree_equal_by_leaf_sets(a, b, tol=1e-9):
+    """``tree_equal`` through ``node_heights``: the frozenset of member
+    labels of every internal node, compared with its heights."""
+    if set(a.labels) != set(b.labels):
+        return False
+    ha = a.node_heights()
+    hb = b.node_heights()
+    if set(ha) != set(hb):
+        return False
+    for members, (lo_a, up_a, _) in ha.items():
+        lo_b, up_b, _ = hb[members]
+        if abs(lo_a - lo_b) > tol or abs(up_a - up_b) > tol:
+            return False
+    return True

@@ -31,6 +31,7 @@ from multidendro import (
     tree_equal,
 )
 from multidendro import (
+    parse_records,
     records_to_json,
     render_svg,
     to_records,
@@ -48,6 +49,7 @@ from multidendro.tree import postorder
 from oracles import (
     kept_pair_group_outcomes,
     pair_group_outcomes,
+    record_members,
     row_minima_full_scan,
     shortest_full_scan,
     single_linkage_mst,
@@ -214,9 +216,10 @@ def _variable_group_levels(matrix):
     for it in trace.iterations:
         groups = []
         for g in it.groups:
-            leaves[g.cluster_id] = g.leaves
             children = tuple(sorted(leaves[c] for c in g.member_ids))
-            groups.append((g.leaves, children, g.h_lower, g.h_upper))
+            leaves[g.cluster_id] = tuple(sorted(i for c in children for i in c))
+            groups.append((leaves[g.cluster_id], children, g.h_lower,
+                           g.h_upper))
         level = it.d_lower
         if matrix.precision is not None:
             level = round_half_away(level, matrix.precision)
@@ -301,7 +304,7 @@ def test_vg_toy_tree_and_trace(toy):
     assert first.reversal is False
     merged = first.groups[0]
     assert merged.member_ids == (0, 1, 2)
-    assert merged.leaves == (0, 1, 2)
+    assert not hasattr(merged, "leaves")  # they follow from member_ids
     assert (merged.h_lower, merged.h_upper) == (2.0, 4.0)
     assert len(first.groups) == 1  # x4 passes unmerged and is not recorded
     assert second.d_lower == 5.0
@@ -413,7 +416,9 @@ def test_reversal_scan_consumers_agree():
     flagged_runs = 0
     for tree, _ in centroid_runs():
         reports = detect_reversals(tree)
-        flagged = {tuple(m["members"]) for m in to_records(tree)["merges"]
+        doc = to_records(tree)
+        members = record_members(doc)
+        flagged = {tuple(members[m["id"]]) for m in doc["merges"]
                    if m["reversal"]}
         assert flagged == {report.child for report in reports}
         assert len(validate_tree(tree).reversals) == len(reports)
@@ -720,10 +725,10 @@ def test_chain_deeper_than_recursion_limit_through_both_engines():
     assert depth == n - 1
     assert validate_tree(tree).ok
     assert to_newick_extended(tree) == to_newick_extended(classical)
-    # the records without the trace: its pass-through entries alone would
-    # be n**2 / 2 groups here
-    records = json.loads(records_to_json(to_records(tree)))
+    records = json.loads(records_to_json(to_records(tree, trace)))
     assert len(records["merges"]) == n - 1
+    parsed, parsed_trace = parse_records(records)
+    assert tree_equal(tree, parsed, tol=0.0) and parsed_trace == trace
     svg = render_svg(tree)
     assert svg.count("<text ") == n + 2  # the labels and two axis marks
     # point k joins at height k, so the first and last leaf meet at the root

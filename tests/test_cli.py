@@ -109,7 +109,7 @@ def test_records_output(toy_file, capsys):
                          "--output", "records")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["format_version"] == "2"
+    assert doc["format_version"] == "3"
     assert doc["method"] == "unweighted_average"
     assert len(doc["merges"]) == 2
     assert doc["trace"]["iterations"][0]["d_lower"] == 2.0

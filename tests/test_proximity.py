@@ -677,15 +677,17 @@ def test_bulk_lower_matches_scalar_reader(case):
     "0 1\n1 0\n",
     "\n a\tb \n\n0  1\n \n1\u20030",
     "0 +1 .5\n1. 0 Infinity\n0.5 inf -0\n",
+    # numpy's reader reads "\r\n" as "\n", blank lines included
+    "0 1\r\n1 0\r\n", "a b\r\n\r\n0 1\r\n \r\n1 0",
 ])
 def test_square_text_takes_numpy_reader(text):
     assert _read_square(text) is not None
 
 
 @pytest.mark.parametrize("text", [
-    # line breaks numpy's reader does not honour
-    "0 1\r\n1 0\r\n", "0 1\r1 0\r", "0 1\x0b1 0\n", "0 1\x0c1 0\n",
-    "0 1\x1c1 0\n", "0 1\x851 0\n", "0 1\u20281 0\n",
+    # line breaks numpy's reader does not honour, a lone "\r" among them
+    "0 1\r1 0\r", "0 1\r\n1 0\r", "0 1\r\r\n1 0\n", "0 1\x0b1 0\n",
+    "0 1\x0c1 0\n", "0 1\x1c1 0\n", "0 1\x851 0\n", "0 1\u20281 0\n",
     # tokens only float() reads, and no numbers at all
     "0 1_0\n1_0 0\n", "0 1e5_0\n1e5_0 0\n", "0 \u0663\n\u0663 0\n",
     "0 #\n# 0\n", '0 "1"\n"1" 0\n',

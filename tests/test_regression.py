@@ -21,8 +21,13 @@ hashes were recorded once more when their update became an exact min and
 max: each document was checked to hold the same labels, nesting and
 newick text as before, with only heights moved by an ulp or two, and the
 id order and reversal flags that follow from them; every height is now
-one of the input distances. To record them again after an intended
-output change, run
+one of the input distances. They were recorded again for records format
+version 3, which lists neither a merge's member labels nor a trace
+group's leaves. Before that, each case's version 3 document was checked
+to equal its version 2 document once "members" was rebuilt from each
+merge's "children", "leaves" from each group's "member_ids", and
+"format_version" was set to "2"; all 126 agreed, byte for byte as JSON.
+To record them again after an intended output change, run
 ``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
 

@@ -50,3 +50,36 @@ def test_oracles_share_no_header_or_precision_code():
         and node.module == "multidendro.proximity"
         for alias in node.names if alias.name.startswith("_"))
     assert set(private) <= {"_SYM_TOL", "_parse_value", "_split_rows"}, private
+
+
+def _self_calls(module, prefix=""):
+    """Qualified names of the functions in ``module`` that call their own
+    name, bare, anywhere in their body."""
+    found = []
+    for node in ast.iter_child_nodes(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            if any(isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == node.name
+                   for call in ast.walk(node)):
+                found.append(name)
+            found.extend(_self_calls(node, name + "."))
+        elif isinstance(node, ast.ClassDef):
+            found.extend(_self_calls(node, prefix + node.name + "."))
+        else:
+            found.extend(_self_calls(node, prefix))
+    return found
+
+
+def test_no_function_calls_itself():
+    # trees of any depth are walked with explicit stacks, so no walker may
+    # recurse; the enumerator's search still does (ROADMAP item 3 replaces
+    # it with an explicit stack)
+    allowed = {"agglomerate.py: _enumerate_newick.complete"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        found.update("%s: %s" % (path.name, name)
+                     for name in _self_calls(module))
+    assert found == allowed

@@ -34,7 +34,12 @@ from multidendro import (
     tree_equal,
     validate_tree,
 )
-from oracles import parse_newick_extended_recursive
+from multidendro.tree import postorder
+from oracles import (
+    parse_newick_extended_recursive,
+    record_members,
+    tree_equal_by_leaf_sets,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,7 +164,8 @@ def test_deep_caterpillar_validates_and_records_without_recursion():
         "node {%s} tops out at %r, above its parent start %r"
         % (",".join(sorted(labels[1:])), depth - 1.0, depth - 1.5),)
 
-    merges = to_records(tree)["merges"]
+    doc = to_records(tree)
+    merges, members = doc["merges"], record_members(doc)
     assert [m["id"] for m in merges] == list(range(depth + 1, 2 * depth + 1))
     by_height = {m["h_lower"]: m for m in merges}
     for i in range(1, depth):
@@ -167,11 +173,11 @@ def test_deep_caterpillar_validates_and_records_without_recursion():
         m = by_height[float(depth - i)]
         below = i + 1 if i == depth - 1 else by_height[float(depth - i - 1)]["id"]
         assert m["children"] == [i, below]
-        assert m["members"] == list(labels[i:])
+        assert members[m["id"]] == list(labels[i:])
         assert m["reversal"] == (i == 1)
     top = by_height[depth - 1.5]
     assert top["children"] == [0, by_height[depth - 1.0]["id"]]
-    assert top["members"] == list(labels)
+    assert members[top["id"]] == list(labels)
     assert top["reversal"] is False
 
 
@@ -379,6 +385,52 @@ def test_newick_round_trip(tree):
     assert to_newick_extended(again) == text
 
 
+@settings(max_examples=300, deadline=None)
+@given(tree=random_trees(), data=st.data())
+def test_tree_equal_matches_leaf_set_reference(tree, data):
+    # a copy with its leaves renumbered, and perhaps a label renamed, a
+    # node flattened into its parent or one height moved by just under or
+    # just over tol; or another random tree
+    tol = data.draw(st.sampled_from([0.0, 2.0 ** -10, 0.5]))
+    change = data.draw(st.sampled_from(
+        ["none", "rename", "flatten", "drift", "other"]))
+    inner = list(tree.internal_nodes())
+    target = data.draw(st.sampled_from(inner))
+    if change == "flatten" and target is tree.root:
+        change = "none"
+    shift = data.draw(st.sampled_from([0.75, 1.25])) * tol
+    order = data.draw(st.permutations(range(tree.n)))
+    labels = [None] * tree.n
+    for old, new in enumerate(order):
+        labels[new] = tree.labels[old] + ("x" if change == "rename"
+                                          and old == 0 else "")
+    made = {}
+    for node in postorder(tree.root):
+        if node.is_leaf:
+            made[id(node)] = Leaf(order[node.index], labels[order[node.index]])
+            continue
+        children = []
+        for c in node.children:
+            if change == "flatten" and c is target:
+                children.extend(made[id(c)].children)
+            else:
+                children.append(made[id(c)])
+        lo, up = node.h_lower, node.h_upper
+        if change == "drift" and node is target:
+            if data.draw(st.booleans()):
+                lo += shift
+            else:
+                up -= shift
+        made[id(node)] = internal(children, lo, up)
+    other = MultivaluedTree(root=made[id(tree.root)], labels=tuple(labels))
+    if change == "other":
+        other = data.draw(random_trees())
+    want = tree_equal_by_leaf_sets(tree, other, tol)
+    assert tree_equal(tree, other, tol) == tree_equal(other, tree, tol) == want
+    if change in ("none", "drift"):
+        assert want == (change == "none" or shift <= tol)
+
+
 def _newick_outcome(parse, text):
     try:
         tree = parse(text)
@@ -425,11 +477,13 @@ def test_newick_round_trip_deeper_than_recursion_limit():
 def test_records_include_trace_and_flags(toy):
     tree, trace = toy_vg_tree(toy)
     doc = to_records(tree, trace)
-    assert doc["format_version"] == "2"
+    assert doc["format_version"] == "3"
     assert doc["labels"] == ["x1", "x2", "x3", "x4"]
     assert len(doc["merges"]) == 2
     first = doc["merges"][0]
-    assert first["members"] == ["x1", "x2", "x3"]
+    assert first["children"] == [0, 1, 2]
+    assert "members" not in first
+    assert "leaves" not in doc["trace"]["iterations"][0]["groups"][0]
     assert first["h_lower"] == 2.0 and first["h_upper"] == 4.0
     assert first["reversal"] is False
     assert doc["trace"]["iterations"][0]["d_lower"] == 2.0
@@ -519,8 +573,10 @@ def test_records_round_trip_on_a_tied_cloud():
     assert to_newick_extended(tree3) == to_newick_extended(tree)
 
 
-# records written in format version 1, which also listed every cluster an
-# iteration passed unmerged, as a group with null heights; name: method
+# records written in format versions 1 and 2, which also listed each
+# merge's member labels and each trace group's leaves; version 1 listed
+# every cluster an iteration passed unmerged too, as a group with null
+# heights; name: method
 V1_RECORDS = {"toy": "unweighted_average",
               "cloud40_unweighted_average": "unweighted_average",
               "cloud40_single": "single"}
@@ -530,9 +586,69 @@ V1_RECORDS = {"toy": "unweighted_average",
 def test_version_1_records_read_as_a_fresh_run(name, toy):
     matrix = toy if name == "toy" else _cloud_matrix(40, 3, precision=1)
     tree, trace = cluster_variable_group(matrix, V1_RECORDS[name])
-    text = (DATA / ("records_v1_%s.json" % name)).read_text()
-    assert json.loads(text)["format_version"] == "1"
-    tree1, trace1 = parse_records(text)
-    assert to_newick_extended(tree1) == to_newick_extended(tree)
-    assert trace1 == trace
-    assert to_records(tree1, trace1) == to_records(tree, trace)
+    for version in ("1", "2"):
+        text = (DATA / ("records_v%s_%s.json" % (version, name))).read_text()
+        assert json.loads(text)["format_version"] == version
+        tree1, trace1 = parse_records(text)
+        assert to_newick_extended(tree1) == to_newick_extended(tree)
+        assert trace1 == trace
+        assert to_records(tree1, trace1) == to_records(tree, trace)
+
+
+_DROP = object()
+_TRACE = ("trace",)
+_ITERATION = _TRACE + ("iterations", 0)
+_GROUP = _ITERATION + ("groups", 0)
+
+
+def _malformed(path, value, named=None):
+    # (path in the toy's records document, value to put there or _DROP,
+    # what the message must hold: by default the key, quoted)
+    named = named or repr(path[-1])
+    return pytest.param(path, value, named, id="/".join(map(str, path)) + (
+        "-missing" if value is _DROP else "-" + type(value).__name__))
+
+
+_NOT_AN_OBJECT = "is not a JSON object"
+
+
+@pytest.mark.parametrize("path,value,named", [
+    _malformed((), [], _NOT_AN_OBJECT),
+    _malformed(("labels",), _DROP),
+    _malformed(("merges",), _DROP),
+    _malformed(("merges",), None),
+    _malformed(("merges", 0), "x", _NOT_AN_OBJECT),
+    _malformed(("merges", 0, "children"), 5),
+    _malformed(("merges", 0, "h_lower"), "2.0"),
+    *[_malformed(("merges", 0, key), _DROP)
+      for key in ("id", "children", "h_lower", "h_upper")],
+    _malformed(_TRACE, [], _NOT_AN_OBJECT),
+    _malformed(_TRACE + ("iterations",), None),
+    _malformed(_ITERATION + ("groups",), None),
+    _malformed(_GROUP + ("member_ids",), 4),
+    *[_malformed(_TRACE + (key,), _DROP)
+      for key in ("n_items", "labels", "method", "alpha", "policy",
+                  "precision", "notes", "iterations")],
+    *[_malformed(_ITERATION + (key,), _DROP)
+      for key in ("index", "d_lower", "d_next", "reversal", "groups")],
+    *[_malformed(_GROUP + (key,), _DROP)
+      for key in ("cluster_id", "member_ids", "h_lower", "h_upper",
+                  "fusion")],
+])
+def test_malformed_records_raise_format_error(toy, path, value, named):
+    doc = json.loads(records_to_json(to_records(*toy_vg_tree(toy))))
+    if not path:
+        doc = value
+    else:
+        *outer, last = path
+        holder = doc
+        for step in outer:
+            holder = holder[step]
+        if value is _DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(FormatError) as info:
+            parse_records(source)
+        assert named in str(info.value)
