@@ -15,15 +15,16 @@ recorded heights always keep the raw full-precision numbers.
 All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
 (arXiv:1109.2378) keys its state by row, and holds no tree nodes. Finding
-the shortest distance rounds only the entries near the smallest one, and a
-merge is a few whole-row numpy operations (``linkage.vg_row``, or
-``linkage.pg_update`` in the classical engine), bit for bit what the scalar
-update ``linkage.vg_kernel`` gives. A group's height interval is the
-minimum and maximum of the raw distances between its constituents. The
-classical engine and the enumerator share one pair merge step
-(``_merge_pair``); the enumerator searches depth first over copies of the
-state, gives each distinct merge of a run one bit, and so holds every
-outcome as an int bitmask.
+the shortest distance rounds only the entries near the smallest one. A
+variable-group merge makes two ``linkage.vg_update`` calls per new cluster,
+one to every unmerged cluster and one to the clusters merged after it in
+the same iteration, each a few whole-row numpy operations; the classical
+engine's is one ``linkage.pg_update`` row. A group's height interval is the
+minimum and maximum of the raw distances between its constituents. A
+cluster's leaves are an int mask. The classical engine and the enumerator
+share one pair merge step (``_merge_pair``); the enumerator searches depth
+first over copies of the state, gives each distinct merge of a run one bit,
+and so holds every outcome as an int bitmask.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -38,7 +39,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -56,8 +57,8 @@ from .linkage import (
     WITHIN_METHODS,
     MethodSpec,
     pg_update,
-    vg_kernel,
-    vg_row,
+    vg_update,
+    within_term,
 )
 from .proximity import round_half_away_array, square_from_condensed
 from .tree import (
@@ -101,19 +102,19 @@ class ClusterState:
     """Active clusters plus the working distance matrix, all indexed by slot.
 
     ``dist`` is a square float64 array of raw distances over slots, inf on
-    the diagonal and, once a slot retires, along its row and column.
-    Slot i starts as leaf i, and a merged cluster takes over the slot of
-    its constituent with the smallest leaf, so slot order is smallest-leaf
-    order and slot 0 ends up holding the root. Per slot, ``members`` holds
-    the cluster's leaf indices ascending, ``cid_at`` its cluster id (the id
-    output reports), and ``sizes`` and ``live`` its size and whether it is
-    active; ``count`` is the number of active clusters. ``row_min[s]`` is
-    the smallest distance in row s (inf once retired) and ``row_arg[s]`` a
-    column holding it, so the shortest live distance is ``row_min.min()``.
-    Comparison values under ``precision`` are made only by ``shortest``.
-    Values leave the array as Python floats. ``next_id`` is the id the next
-    merged cluster gets. The state holds no tree nodes: an engine that
-    builds a tree keeps its nodes by slot beside the state.
+    the diagonal and, once a slot retires, along its row and column. Slot i
+    starts as leaf i, and a merged cluster takes over the slot of its
+    constituent with the smallest leaf, so slot order is smallest-leaf order
+    and slot 0 ends up holding the root. Per slot, ``members`` holds the
+    cluster's leaves as an int mask (bit i for leaf i), ``cid_at`` its
+    cluster id (the id output reports), and ``sizes`` and ``live`` its size
+    and whether it is active; ``count`` is the number of active clusters.
+    ``row_min[s]`` is the smallest distance in row s (inf once retired) and
+    ``row_arg[s]`` a column holding it, so the shortest live distance is
+    ``row_min.min()``. Comparison values under ``precision`` are made only
+    by ``shortest``. Values leave the array as Python floats. ``next_id`` is
+    the id the next merged cluster gets. The state holds no tree nodes: an
+    engine that builds a tree keeps its nodes by slot beside the state.
     """
 
     dist: np.ndarray
@@ -132,7 +133,7 @@ class ClusterState:
     def from_matrix(cls, matrix):
         n = matrix.n
         dist = square_from_condensed(matrix.condensed, n, np.inf)
-        return cls(dist, [(i,) for i in range(n)], list(range(n)),
+        return cls(dist, [1 << i for i in range(n)], list(range(n)),
                    np.ones(n, dtype=np.int64), np.ones(n, dtype=bool),
                    dist.min(axis=1), dist.argmin(axis=1), n,
                    precision=matrix.precision, next_id=n)
@@ -179,22 +180,22 @@ class ClusterState:
     def merge(self, formed, writes):
         """Replace constituents by merged clusters and store new distances.
 
-        ``formed`` lists (constituent slots ascending, leaf members) and
-        may carry more fields after those; each new cluster takes over
-        the first of its slots and the next id, in list order. ``writes``
-        lists (slot, other slots, raw distances) triples, written
+        ``formed`` lists each new cluster's constituent slots ascending;
+        it takes over the first of them and the next id, in list order.
+        ``writes`` lists (slot, other slots, raw distances) triples, written
         symmetrically, and must cover every pair that touches a new
         cluster; all other entries stay as they are.
         """
-        homes, gone = [], []
-        for parts, members, *_ in formed:
+        homes, gone, members = [], [], self.members
+        for parts in formed:
             home = parts[0]
             homes.append(home)
             gone.extend(parts[1:])
-            self.members[home] = members
+            for s in parts[1:]:
+                members[home] |= members[s]
             self.cid_at[home] = self.next_id
             self.next_id += 1
-            self.sizes[home] = len(members)
+            self.sizes[home] = members[home].bit_count()
         self.count -= len(gone)
         # one slot at a time: a handful of scalar and view assignments cost
         # less than indexing with a list
@@ -384,13 +385,11 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
     records = []
     low = state.shortest()
-    # within blocks are read only by some rules' updates and by fusion values
-    keep_within = policy != POLICY_INTERVAL or method.kind in WITHIN_METHODS
 
     while state.count > 1:
         state.iteration += 1
         d_lower_raw, _, edges = low
-        formed = []  # (constituent slots, members, sizes, within or None)
+        formed = []  # constituent slots, one tuple per new cluster
         group_records = []
         reversal = False
 
@@ -400,21 +399,19 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             pair_values = block[np.triu_indices(len(parts), 1)]
             h_lower = float(pair_values.min())
             h_upper = float(pair_values.max())
-            within = block.tolist() if keep_within else None
-            sizes = state.sizes[list(parts)].tolist()
             fusion = None
             if policy != POLICY_INTERVAL:
-                fusion = fusion_value(sizes, within, method, fusion_policy)
+                fusion = fusion_value(state.sizes[list(parts)].tolist(),
+                                      block.tolist(), method, fusion_policy)
             node = internal(children, h_lower, h_upper, fusion)
             if any(reversals_between(c, node) for c in children):
                 reversal = True
-            members = tuple(sorted(i for s in parts for i in state.members[s]))
             # merge gives the new clusters the next ids in this order
             group_records.append(GroupRecord(
                 cluster_id=state.next_id + len(formed),
                 member_ids=tuple(state.cid_at[s] for s in parts),
                 h_lower=h_lower, h_upper=h_upper, fusion=fusion))
-            formed.append((parts, members, sizes, within))
+            formed.append(parts)
             # the groups are disjoint, so no later group reads this slot
             nodes[parts[0]] = node
 
@@ -435,37 +432,27 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
 
 def _group_update(state, formed, method):
-    """Writes (slot, other slots, raw distances) from each newly merged
-    cluster to every other survivor, for ``ClusterState.merge``.
-
-    ``formed`` lists (constituent slots, members, sizes, within or None)
-    per new cluster, in slot order. Clusters that did not merge keep
-    their distances to each other. A merged cluster's distances to all
-    unmerged ones are one row, computed by ``linkage.vg_row`` from its
-    constituents' rows of the working matrix. Two clusters merged in the
-    same iteration go through ``linkage.vg_kernel`` with the earlier one
-    (lower slot) as block I.
-    """
-    kind = method.kind
+    """``ClusterState.merge``'s writes from each new cluster (``formed``,
+    slot tuples in slot order) to the unmerged ones and those merged after."""
+    kind, dist, sizes = method.kind, state.dist, state.sizes
+    groups = [list(parts) for parts in formed]
+    merged = [s for g in groups for s in g]
+    ends = list(accumulate(map(len, groups)))
     kept = state.live.copy()
-    for parts, *_ in formed:
-        kept[list(parts)] = False
+    kept[merged] = False
     kept = kept.nonzero()[0]
-    kept_sizes = state.sizes[kept]
-    dist = state.dist
+    within = [within_term(kind, sizes[g], dist[np.ix_(g, g)])
+              if kind in WITHIN_METHODS else 0.0 for g in groups]
     writes = []
-    for t, (parts, _, sizes, within) in enumerate(formed):
-        cross = dist[np.ix_(parts, kept)]
-        writes.append((parts[0], kept,
-                       vg_row(kind, kept_sizes, sizes, cross, within)))
-        later = formed[t + 1:]
+    for t, g in enumerate(groups):
+        # take keeps the cross block C-ordered, which the reductions want
+        rows, size, later = dist.take(g, axis=0), sizes[g], merged[ends[t]:]
+        writes.append((g[0], kept, vg_update(
+            kind, size, within[t], sizes[kept], rows.take(kept, axis=1))))
         if later:
-            between = [vg_kernel(kind, sizes, other_sizes,
-                                 dist[np.ix_(parts, others)].tolist(),
-                                 within, other_within)
-                       for others, _, other_sizes, other_within in later]
-            writes.append((parts[0], [others[0] for others, *_ in later],
-                           np.array(between)))
+            writes.append((g[0], [h[0] for h in groups[t + 1:]], vg_update(
+                kind, size, within[t], sizes[later], rows.take(later, axis=1),
+                [end - ends[t] for end in ends[t:-1]], within[t + 1:])))
     return writes
 
 
@@ -477,12 +464,11 @@ def _merge_pair(state, a, b, method):
 
     The new cluster takes the lower of the two slots, and its distances to
     every other survivor are one row of the pair-group update. Returns the
-    merge as (members, height): the new cluster's leaves ascending and the
-    raw distance it formed at.
+    merge as (mask, height): the new cluster's leaf mask and the raw
+    distance it formed at.
     """
     dist = state.dist
     h = float(dist[a, b])
-    members = tuple(sorted(state.members[a] + state.members[b]))
     parts = (a, b) if a < b else (b, a)
     kept = state.live.copy()
     kept[a] = kept[b] = False
@@ -490,8 +476,8 @@ def _merge_pair(state, a, b, method):
     size_a, size_b = state.sizes[[a, b]].tolist()
     row = pg_update(method.kind, size_a, size_b, state.sizes[kept],
                     h, dist[a][kept], dist[b][kept])
-    state.merge([(parts, members)], [(parts[0], kept, row)])
-    return members, h
+    state.merge([parts], [(parts[0], kept, row)])
+    return state.members[parts[0]], h
 
 
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
@@ -532,7 +518,7 @@ def enumerate_pair_group(matrix, method, limit=10000):
 
     Searches depth first over working states, merging each tied pair in turn
     on a copy of the state, and memoizes each state on the live clusters'
-    members plus their raw distances. An outcome is the set of (members,
+    leaf masks plus their raw distances. An outcome is the set of (mask,
     height) merges made from a state onward. The first time the run makes a
     merge it gets the next bit of a per-run table, so an outcome is an int
     bitmask and a state's outcomes are a set of ints.
@@ -559,10 +545,10 @@ def _enumerate_newick(matrix, method, limit):
     if matrix.n == 1:
         tree = single_leaf_tree(matrix.labels[0], **tags)
         return [(to_newick_extended(tree), tree)]
-    merges = []  # bit -> (members, h)
-    bit_of = {}  # (members, h) -> bit
+    merges = []  # bit -> (mask, h)
+    bit_of = {}  # (mask, h) -> bit
     collapsed = []  # bit -> collapsed id of its merge
-    collapsed_id = {}  # (members, h to 12 decimals) -> collapsed id
+    collapsed_id = {}  # (mask, h to 12 decimals) -> collapsed id
     memo = {}
 
     def collapse(bits):
@@ -588,9 +574,9 @@ def _enumerate_newick(matrix, method, limit):
             if bit is None:
                 bit = bit_of[merge] = len(merges)
                 merges.append(merge)
-                members, h = merge
+                mask, h = merge
                 collapsed.append(collapsed_id.setdefault(
-                    (members, round(h, 12)), len(collapsed_id)))
+                    (mask, round(h, 12)), len(collapsed_id)))
             step = 1 << bit
             acc.update([rest | step for rest in complete(after)])
             # only outcomes that differ past 12 decimals make the raw count
@@ -611,11 +597,11 @@ def _enumerate_newick(matrix, method, limit):
     kept = []
     for made in groups.values():
         # every outcome of a group has the same nesting
-        order = _nesting(members for members, _ in made[0])
+        order = _nesting(mask for mask, _ in made[0])
 
         def heights(outcome):
             h_of = dict(outcome)
-            return [h_of[members] for members, _ in order]
+            return [h_of[mask] for mask, _ in order]
 
         # keeping the outcome with the smallest postorder heights makes the
         # choice independent of the order the search met them in
@@ -638,37 +624,40 @@ def _bits(mask):
 
 
 def _nesting(clusters):
-    """The clusters of one hierarchy, each an ascending tuple of leaf
-    indices, in the order ``tree.postorder`` reads the tree they form,
-    each with its children: the largest clusters formed inside it, and its
-    other leaves as 1-tuples, ordered by smallest leaf."""
-    clusters = sorted(clusters, key=len)
+    """The clusters of one hierarchy, each an int leaf mask, in the order
+    ``tree.postorder`` reads the tree they form, each with its children:
+    the largest clusters formed inside it, and its other leaves as one-bit
+    masks, ordered by lowest set bit (smallest leaf)."""
+    clusters = sorted(clusters, key=int.bit_count)
     root = clusters[-1]
     # leaf -> the largest cluster met so far that holds it
-    top = [(i,) for i in range(len(root))]
+    top = [1 << i for i in range(root.bit_length())]
     children = {}
-    for members in clusters:
-        children[members] = sorted(set(map(top.__getitem__, members)))
-        for i in members:
-            top[i] = members
+    for mask in clusters:
+        leaves = _bits(mask)
+        children[mask] = sorted(set(map(top.__getitem__, leaves)),
+                                key=lambda c: c & -c)
+        for i in leaves:
+            top[i] = mask
     out = []
     stack = [root]
     while stack:
-        members = stack.pop()
-        out.append((members, children[members]))
-        stack.extend(c for c in children[members] if len(c) > 1)
+        mask = stack.pop()
+        out.append((mask, children[mask]))
+        stack.extend(c for c in children[mask] if c & (c - 1))
     out.reverse()
     return out
 
 
 def _build(order, h_of, leaves):
     """The root of the tree whose clusters ``order`` lists as ``_nesting``
-    gives them, with heights ``h_of`` (members -> height)."""
+    gives them, with heights ``h_of`` (mask -> height)."""
     made = {}
-    for members, children in order:
-        h = h_of[members]
-        made[members] = node = internal(
-            [made[c] if len(c) > 1 else leaves[c[0]] for c in children],
+    for mask, children in order:
+        h = h_of[mask]
+        made[mask] = node = internal(
+            [made[c] if c & (c - 1) else leaves[c.bit_length() - 1]
+             for c in children],
             h, h, fusion=h)
     return node
 

@@ -1,28 +1,25 @@
 """Linkage rules over clusters and over whole blocks of clusters.
 
-Seven rules are supported. ``vg_kernel`` is the paper's generalized
-Lance-Williams formula: the distance between a block I of clusters merged
-in one step and a block J, from the current between-cluster distances and
-cluster sizes alone. ``pg_update`` is the classical case where exactly two
-clusters merge. Both are unchecked internals: the engines call them with
-sizes and slices read from ``ClusterState``'s slot-indexed arrays.
+Seven rules are supported. ``vg_update`` is the paper's generalized
+Lance-Williams formula: the distances from a block J of clusters merged in
+one step to many blocks I at once, from the current between-cluster
+distances, cluster sizes and each block's ``within_term`` alone.
+``pg_update`` is the classical case where exactly two clusters merge, over
+a row of other clusters. Both are unchecked internals: the engines call
+them with sizes and slices read from ``ClusterState``'s slot-indexed
+arrays. The scalar reference, ``vg_kernel``, lives with the tests.
 
-The engines update whole rows at once: ``vg_row`` gives a merged block's
-distances to many single clusters in a few numpy operations, and
-``pg_update`` accepts a row of other clusters. Both equal the scalar
-results bit for bit.
-
-Numerical notes: sums run through math.fsum, so results do not depend on
-term order. Single and complete are evaluated as exact min and max over the
-cross block, which is what the coefficient rows reduce to algebraically;
-this keeps tied values bit-exact on integer input.
+Numerical notes: each block's terms sum correctly rounded (math.fsum), so
+results do not depend on term order and equal the scalar ones bit for bit.
+Single and complete are evaluated as exact min and max over the cross
+block, which is what the coefficient rows reduce to algebraically; this
+keeps tied values bit-exact on integer input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -74,111 +71,63 @@ class MethodSpec:
             raise InvalidAlpha("method %r takes no alpha" % (kind,))
 
 
-def _flat(rows):
-    return [v for row in rows for v in row]
+def _terms(kind, si, sj, d):
+    # the formula's summed terms, in the scalar reference's operation order
+    if kind in (UNWEIGHTED_AVERAGE, UNWEIGHTED_CENTROID):
+        return (si * sj) * d
+    return (si + sj) * d if kind == JOINT_BETWEEN_WITHIN else d
 
 
-def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
-    """Distance between the merged block I and the merged block J.
-
-    ``sizes_i`` and ``sizes_j`` count individuals per cluster; ``cross[i][j]``
-    is the distance between the i-th cluster of I and the j-th of J, and
-    ``within_i`` and ``within_j`` are full symmetric matrices with zero
-    diagonals. Works for any block shapes, reduces to the classical
-    two-cluster update when I has two members and J one, and returns the
-    cross distance unchanged when each block holds a single cluster.
-    Nothing is coerced or checked: sizes must be ints, distances floats and
-    the shapes must agree. Only the rules in ``WITHIN_METHODS`` read the
-    within blocks, and then only off the diagonal, so None stands in for the
-    within block of a single cluster, and for both under the other rules.
-    """
-    si, sj = sizes_i, sizes_j
-    p, q = len(si), len(sj)
-    if p == 1 and q == 1:
-        return cross[0][0]
-    wi, wj = within_i, within_j
-    ti, tj = sum(si), sum(sj)
-
-    if kind == SINGLE:
-        return min(_flat(cross))
-    if kind == COMPLETE:
-        return max(_flat(cross))
-    if kind == UNWEIGHTED_AVERAGE:
-        num = math.fsum(si[i] * sj[j] * cross[i][j]
-                        for i in range(p) for j in range(q))
-        return num / (ti * tj)
-    if kind == WEIGHTED_AVERAGE:
-        return math.fsum(_flat(cross)) / (p * q)
-    # the three-part formulas combine through one more fsum so that swapping
-    # the two blocks cannot change the result by even an ulp
-    if kind == UNWEIGHTED_CENTROID:
-        between = math.fsum(si[i] * sj[j] * cross[i][j]
-                            for i in range(p) for j in range(q)) / (ti * tj)
-        within_i = math.fsum(si[i] * si[i2] * wi[i][i2]
-                             for i, i2 in combinations(range(p), 2)) / (ti * ti)
-        within_j = math.fsum(sj[j] * sj[j2] * wj[j][j2]
-                             for j, j2 in combinations(range(q), 2)) / (tj * tj)
-        return math.fsum((between, -within_i, -within_j))
-    if kind == WEIGHTED_CENTROID:
-        between = math.fsum(_flat(cross)) / (p * q)
-        within_i = math.fsum(wi[i][i2] for i, i2 in combinations(range(p), 2)) / (p * p)
-        within_j = math.fsum(wj[j][j2] for j, j2 in combinations(range(q), 2)) / (q * q)
-        return math.fsum((between, -within_i, -within_j))
-    # joint between-within
-    between = math.fsum((si[i] + sj[j]) * cross[i][j]
-                        for i in range(p) for j in range(q))
-    within_i = math.fsum((si[i] + si[i2]) * wi[i][i2]
-                         for i, i2 in combinations(range(p), 2))
-    within_j = math.fsum((sj[j] + sj[j2]) * wj[j][j2]
-                         for j, j2 in combinations(range(q), 2))
-    return math.fsum((between, -(tj / ti) * within_i,
-                      -(ti / tj) * within_j)) / (ti + tj)
+def _sums(terms, starts=None):
+    # math.fsum over the rows and each block of columns (one column per
+    # block without starts); numpy's sum, from +0.0, is fsum's for two terms
+    q, m = terms.shape
+    if starts is None and q <= 2:
+        return terms.sum(axis=0)
+    flat = terms.T.ravel().tolist()
+    bounds = range(m + 1) if starts is None else [*starts, m]
+    return np.array([math.fsum(flat[a * q:b * q])
+                     for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
 
 
-def vg_row(kind, sizes_i, sizes_j, cross, within_j):
-    """``vg_kernel`` for many single clusters I against one block J.
+def within_term(kind, sizes, within):
+    """A block's own term: 0.0 for one cluster and outside WITHIN_METHODS."""
+    if kind not in WITHIN_METHODS:
+        return 0.0
+    a, b = np.nonzero(np.tri(len(sizes), k=-1, dtype=bool))
+    total = math.fsum(_terms(kind, sizes[a], sizes[b], within[a, b]).tolist())
+    norm = {UNWEIGHTED_CENTROID: sum(sizes.tolist()), WEIGHTED_CENTROID: len(sizes)}
+    return total / norm.get(kind, 1) ** 2
 
-    ``sizes_i`` holds the sizes of the single clusters (an int array of
-    length m), ``sizes_j`` the q sizes of J, ``cross`` is a q x m array
-    (column k: cluster k against each member of J) and ``within_j`` J's
-    within block. Returns the m distances, each equal bit for bit to
-    ``vg_kernel(kind, (sizes_i[k],), sizes_j, (cross[:, k],), None,
-    within_j)``.
 
-    Single and complete are a column minimum and maximum for any q. For
-    q == 2 the other rules use the kernel's terms in the kernel's order:
-    ``math.fsum`` of two terms is their IEEE sum, except that it never
-    returns -0.0, hence the ``+ 0.0``. A single cluster's within sum is
-    0.0, so ``fsum((between, -0.0, -w))`` is ``between - w``: the IEEE
-    difference is -0.0 only when ``between`` is, and it never is.
-    Larger blocks under the summing rules call ``vg_kernel`` per column.
-    """
-    if kind == SINGLE:
-        return cross.min(axis=0)
-    if kind == COMPLETE:
-        return cross.max(axis=0)
-    if len(sizes_j) != 2:
-        return np.array([vg_kernel(kind, (s,), sizes_j, (col,), None, within_j)
-                         for s, col in zip(sizes_i.tolist(), cross.T.tolist())],
-                        dtype=np.float64)
-    si = sizes_i
-    s1, s2 = sizes_j
-    c1, c2 = cross
-    tj = s1 + s2
-    if kind == UNWEIGHTED_AVERAGE:
-        return (si * s1 * c1 + si * s2 * c2 + 0.0) / (si * tj)
-    if kind == WEIGHTED_AVERAGE:
-        return (c1 + c2 + 0.0) / 2
-    w = within_j[0][1]
-    if kind == UNWEIGHTED_CENTROID:
-        between = (si * s1 * c1 + si * s2 * c2 + 0.0) / (si * tj)
-        return between - math.fsum((s1 * s2 * w,)) / (tj * tj)
-    if kind == WEIGHTED_CENTROID:
-        between = (c1 + c2 + 0.0) / 2
-        return between - math.fsum((w,)) / 4
-    # joint between-within
-    between = (si + s1) * c1 + (si + s2) * c2 + 0.0
-    return (between - (si / tj) * math.fsum((tj * w,))) / (si + tj)
+def vg_update(kind, sizes_j, within_j, sizes, cross, starts=None, within=None):
+    """Distances from a merged block J (cluster ``sizes_j``, ``within_term``
+    ``within_j``) to blocks I laid out along the columns of the q x m array
+    ``cross``, with cluster ``sizes``, first columns ``starts`` and
+    ``within_term``s ``within``; both None when every block is one cluster."""
+    if kind in (SINGLE, COMPLETE):
+        ext = np.minimum if kind == SINGLE else np.maximum
+        out = ext.reduce(cross, axis=0)
+        return out if starts is None else ext.reduceat(out, starts)
+    p, ti, tj = 1, sizes, sum(sizes_j.tolist())
+    if starts is not None:
+        p, ti = np.diff(starts, append=len(sizes)), np.add.reduceat(sizes, starts)
+    between = _sums(_terms(kind, sizes, sizes_j[:, None], cross), starts)
+    if kind != JOINT_BETWEEN_WITHIN:
+        unweighted = kind in (UNWEIGHTED_AVERAGE, UNWEIGHTED_CENTROID)
+        between = between / (ti * tj if unweighted else p * len(sizes_j))
+    if kind not in WITHIN_METHODS:
+        return between
+    jbw = kind == JOINT_BETWEEN_WITHIN
+    rest_j = (ti / tj if jbw else 1) * within_j
+    if within is None:
+        # one cluster's within term is 0.0, and between is never -0.0, so
+        # the IEEE difference is the correctly rounded sum
+        out = between - rest_j
+    else:
+        rest_i = (tj / ti if jbw else 1) * np.asarray(within)
+        out = _sums(np.array(np.broadcast_arrays(between, -rest_j, -rest_i)))
+    return out / (ti + tj) if jbw else out
 
 
 # ---- classical two-way update ----
@@ -192,7 +141,7 @@ def pg_update(kind, si, si2, sj, d_between, d_left, d_right):
     ``sj``, ``d_left`` and ``d_right`` may be numpy arrays, one entry per
     other cluster: the operations are the same IEEE ones in the same
     order, so each entry of the row equals the scalar result bit for bit.
-    Single and complete are an exact minimum and maximum, as in ``vg_row``.
+    Single and complete are an exact minimum and maximum, as in ``vg_update``.
     """
     if kind in (SINGLE, COMPLETE):
         out = (np.minimum if kind == SINGLE else np.maximum)(d_left, d_right)

@@ -167,11 +167,74 @@ def check_values_scalar(labels, values):
     return values, zero_pairs
 
 
+# ---- the scalar block update ----
+
+def _flat(rows):
+    return [v for row in rows for v in row]
+
+
+def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
+    """Distance between the merged block I and the merged block J.
+
+    ``sizes_i`` and ``sizes_j`` count individuals per cluster; ``cross[i][j]``
+    is the distance between the i-th cluster of I and the j-th of J, and
+    ``within_i`` and ``within_j`` are full symmetric matrices with zero
+    diagonals. Works for any block shapes, reduces to the classical
+    two-cluster update when I has two members and J one, and returns the
+    cross distance unchanged when each block holds a single cluster.
+    Nothing is coerced or checked: sizes must be ints, distances floats and
+    the shapes must agree. Only the rules in ``WITHIN_METHODS`` read the
+    within blocks, and then only off the diagonal, so None stands in for the
+    within block of a single cluster, and for both under the other rules.
+    """
+    si, sj = sizes_i, sizes_j
+    p, q = len(si), len(sj)
+    if p == 1 and q == 1:
+        return cross[0][0]
+    wi, wj = within_i, within_j
+    ti, tj = sum(si), sum(sj)
+
+    if kind == SINGLE:
+        return min(_flat(cross))
+    if kind == COMPLETE:
+        return max(_flat(cross))
+    if kind == UNWEIGHTED_AVERAGE:
+        num = math.fsum(si[i] * sj[j] * cross[i][j]
+                        for i in range(p) for j in range(q))
+        return num / (ti * tj)
+    if kind == WEIGHTED_AVERAGE:
+        return math.fsum(_flat(cross)) / (p * q)
+    # the three-part formulas combine through one more fsum so that swapping
+    # the two blocks cannot change the result by even an ulp
+    if kind == UNWEIGHTED_CENTROID:
+        between = math.fsum(si[i] * sj[j] * cross[i][j]
+                            for i in range(p) for j in range(q)) / (ti * tj)
+        within_i = math.fsum(si[i] * si[i2] * wi[i][i2]
+                             for i, i2 in combinations(range(p), 2)) / (ti * ti)
+        within_j = math.fsum(sj[j] * sj[j2] * wj[j][j2]
+                             for j, j2 in combinations(range(q), 2)) / (tj * tj)
+        return math.fsum((between, -within_i, -within_j))
+    if kind == WEIGHTED_CENTROID:
+        between = math.fsum(_flat(cross)) / (p * q)
+        within_i = math.fsum(wi[i][i2] for i, i2 in combinations(range(p), 2)) / (p * p)
+        within_j = math.fsum(wj[j][j2] for j, j2 in combinations(range(q), 2)) / (q * q)
+        return math.fsum((between, -within_i, -within_j))
+    # joint between-within
+    between = math.fsum((si[i] + sj[j]) * cross[i][j]
+                        for i in range(p) for j in range(q))
+    within_i = math.fsum((si[i] + si[i2]) * wi[i][i2]
+                         for i, i2 in combinations(range(p), 2))
+    within_j = math.fsum((sj[j] + sj[j2]) * wj[j][j2]
+                         for j, j2 in combinations(range(q), 2))
+    return math.fsum((between, -(tj / ti) * within_i,
+                      -(ti / tj) * within_j)) / (ti + tj)
+
+
 # ---- the block update through an explicit coefficient table ----
 
 class Blocks(NamedTuple):
-    """The arguments of ``linkage.vg_kernel`` after its rule name, in its
-    order, so ``vg_kernel(kind, *blocks)`` evaluates them.
+    """The arguments of ``vg_kernel`` after its rule name, in its order, so
+    ``vg_kernel(kind, *blocks)`` evaluates them.
 
     ``cross[i][j]`` is the distance between the i-th cluster of I and the
     j-th of J; ``within_i`` and ``within_j`` are full symmetric matrices

@@ -25,8 +25,9 @@ from multidendro import (
     to_newick_extended,
     tree_equal,
 )
-from multidendro.linkage import pg_update, vg_kernel
+from multidendro.linkage import pg_update
 
+from block_update import vg_block
 from oracles import (
     Blocks,
     centroid_oracle,
@@ -229,8 +230,8 @@ def test_criterion_04_recurrence_equals_direct():
                                                       side_j[y])
                                  for y in range(len(side_j)))
                            for x in range(len(side_j)))
-                got = vg_kernel(kind, tuple(len(a) for a in side_i),
-                                tuple(len(b) for b in side_j), cross, wi, wj)
+                got = vg_block(kind, tuple(len(a) for a in side_i),
+                               tuple(len(b) for b in side_j), cross, wi, wj)
                 want = direct_distance(m, sq, sum(side_i, []), sum(side_j, []))
                 assert rel(got, want) <= 1e-9
             checked += 1
@@ -269,9 +270,9 @@ def run_centroid_config(rng, weighted):
         clusters.append(new)
         all_singletons = all(s == 1 for s in sizes)
         for other in rest:
-            d = vg_kernel(method.kind, sizes, (clusters[other]["size"],),
-                          tuple((look(dist, c, other),) for c in chosen),
-                          within, ((0.0,),))
+            d = vg_block(method.kind, sizes, (clusters[other]["size"],),
+                         tuple((look(dist, c, other),) for c in chosen),
+                         within, ((0.0,),))
             dist[(min(other, next_id), max(other, next_id))] = d
             if weighted:
                 want = centroid_oracle([new["center"]],
@@ -323,9 +324,9 @@ def run_jbw_config(rng, alpha):
                    size=sum(sizes))
         clusters.append(new)
         for other in rest:
-            d = vg_kernel(method.kind, sizes, (clusters[other]["size"],),
-                          tuple((look(dist, c, other),) for c in chosen),
-                          within, ((0.0,),))
+            d = vg_block(method.kind, sizes, (clusters[other]["size"],),
+                         tuple((look(dist, c, other),) for c in chosen),
+                         within, ((0.0,),))
             dist[(min(other, next_id), max(other, next_id))] = d
             want = jbw_oracle(pts[new["members"]],
                               pts[clusters[other]["members"]], alpha=alpha)
@@ -368,7 +369,7 @@ def test_criterion_07_reduction_to_classical():
                 )
                 want = pg_update(kind, *sizes, d_between, d_left, d_right)
                 assert rel(vg_distance_tabular(m, blocks), want) <= 1e-9
-                assert rel(vg_kernel(kind, *blocks), want) <= 1e-9
+                assert rel(vg_block(kind, *blocks), want) <= 1e-9
 
 
 # ---- 8: without ties both engines build the same tree ----

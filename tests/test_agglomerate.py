@@ -42,6 +42,7 @@ from multidendro.agglomerate import (
     _group_update,
     _groups_from_edges,
     _merge_pair,
+    _nesting,
 )
 from multidendro.proximity import round_half_away
 from multidendro.tree import postorder
@@ -115,12 +116,7 @@ def test_tie_groups_respect_precision():
 def _merge_groups(state, groups, method):
     # one variable-group merge step over the given slot groups, as the
     # engine makes it, but with groups that need not be tied
-    formed = []
-    for parts in groups:
-        members = tuple(sorted(i for s in parts for i in state.members[s]))
-        formed.append((parts, members, state.sizes[list(parts)].tolist(),
-                       state.dist[np.ix_(parts, parts)].tolist()))
-    state.merge(formed, _group_update(state, formed, method))
+    state.merge(groups, _group_update(state, groups, method))
 
 
 def _check_state(state):
@@ -573,9 +569,20 @@ def test_enumerate_builds_one_tree_per_outcome(toy, monkeypatch):
     calls.clear()
     state = ClusterState.from_matrix(toy)
     assert _merge_pair(state, 0, 1, MethodSpec("unweighted_average")) == (
-        (0, 1), 2.0)
+        0b11, 2.0)
     assert calls == []
     assert not hasattr(state, "nodes")
+
+
+def test_nesting_lists_clusters_in_postorder():
+    # ((0, 2), (1, (3, 4))) as leaf masks, in any order: the enumerator
+    # compares outcomes by heights read in tree.postorder's order, children
+    # by smallest leaf
+    got = _nesting([0b11010, 0b11111, 0b00101, 0b11000])
+    assert got == [(0b00101, [0b00001, 0b00100]),
+                   (0b11000, [0b01000, 0b10000]),
+                   (0b11010, [0b00010, 0b11000]),
+                   (0b11111, [0b00101, 0b11010])]
 
 
 def postorder_heights(tree):
@@ -686,8 +693,9 @@ def test_vg_heights_match_scipy_without_ties(kind, scipy_method):
 
 
 @pytest.mark.parametrize("kind", METHOD_KINDS)
-def test_vg_permutation_invariant_at_n60(kind):
-    n = 60
+def test_vg_permutation_invariant_at_n200(kind):
+    # groups of up to 16 clusters, so the block update sees many blocks
+    n = 200
     square = cloud_square(n, seed=9)
     labels = tuple("p%d" % i for i in range(n))
     matrix = matrix_from_square(square.tolist(), labels, precision=1)

@@ -13,8 +13,15 @@ from multidendro import (
     MethodSpec,
     UnsupportedMethod,
 )
-from multidendro.linkage import COMPLETE, SINGLE, pg_update, vg_kernel, vg_row
+from multidendro.linkage import (
+    COMPLETE,
+    SINGLE,
+    pg_update,
+    vg_update,
+    within_term,
+)
 
+from block_update import vg_block
 from oracles import (
     Blocks,
     DimensionMismatch,
@@ -22,6 +29,7 @@ from oracles import (
     direct_distance,
     jbw_oracle,
     vg_distance_tabular,
+    vg_kernel,
 )
 
 ALL_METHODS = [MethodSpec(kind) for kind in METHOD_KINDS]
@@ -79,11 +87,13 @@ def _toy_block():
     ("weighted_average", 5.0),
 ])
 def test_vg_distance_toy_values(kind, expected):
-    assert vg_kernel(kind, *_toy_block()) == expected
+    assert vg_block(kind, *_toy_block()) == expected
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_identity_on_single_cluster_blocks(method):
+    # the engine never evaluates two single clusters (block J always holds
+    # a merged group), so this is a property of the references only
     blocks = Blocks((3,), (2,), ((0.1,),), ((0.0,),), ((0.0,),))
     assert vg_kernel(method.kind, *blocks) == 0.1
     assert vg_distance_tabular(method, blocks) == 0.1
@@ -117,7 +127,7 @@ def block_views(draw, max_side=4):
 @settings(max_examples=120, deadline=None)
 @given(blocks=block_views(), method=st.sampled_from(ALL_METHODS))
 def test_tabular_route_matches_grouped_route(blocks, method):
-    a = vg_kernel(method.kind, *blocks)
+    a = vg_block(method.kind, *blocks)
     b = vg_distance_tabular(method, blocks)
     assert close(a, b, 1e-12)
 
@@ -138,7 +148,7 @@ def test_two_against_one_reduces_to_classical(sizes, d_between, d_left,
         within_j=((0.0,),),
     )
     expected = pg_update(method.kind, *sizes, d_between, d_left, d_right)
-    assert close(vg_kernel(method.kind, *blocks), expected, 1e-9)
+    assert close(vg_block(method.kind, *blocks), expected, 1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,9 +174,9 @@ def test_block_order_and_side_swap_do_not_matter(blocks, method, seed):
         within_i=shuffled.within_j,
         within_j=shuffled.within_i,
     )
-    reference = vg_kernel(method.kind, *blocks)
-    assert vg_kernel(method.kind, *shuffled) == reference
-    assert vg_kernel(method.kind, *swapped) == reference
+    reference = vg_block(method.kind, *blocks)
+    assert vg_block(method.kind, *shuffled) == reference
+    assert vg_block(method.kind, *swapped) == reference
 
 
 # ---- classical update goldens ----
@@ -217,27 +227,48 @@ signed = st.one_of(
 unsigned = st.floats(min_value=0.0, max_value=50.0).map(lambda x: x + 0.0)
 
 
+def _within(data, value, k):
+    w = [[0.0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            w[a][b] = w[b][a] = data.draw(value)
+    return w
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
-def test_vg_row_matches_kernel(kind, data):
-    q = data.draw(st.integers(2, 6) if kind in (SINGLE, COMPLETE)
-                  else st.integers(2, 3))
-    m = data.draw(st.integers(0, 6))
+def test_vg_update_matches_kernel(kind, data):
+    # block J against several blocks I laid out along the columns, or
+    # against single clusters alone (starts None), as the engine calls it
     value = unsigned if kind in (SINGLE, COMPLETE) else signed
-    sizes_i = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    q = data.draw(st.integers(2, 5))
+    single = data.draw(st.booleans())
+    widths = data.draw(st.lists(st.integers(1, 1 if single else 4),
+                                min_size=0 if single else 1, max_size=5))
+    m = sum(widths)
     sizes_j = data.draw(st.lists(st.integers(1, 40), min_size=q, max_size=q))
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
     cross = [data.draw(st.lists(value, min_size=m, max_size=m))
              for _ in range(q)]
-    within = [[0.0] * q for _ in range(q)]
-    for a in range(q):
-        for b in range(a + 1, q):
-            within[a][b] = within[b][a] = data.draw(value)
-    got = vg_row(kind, np.array(sizes_i, dtype=np.int64), sizes_j,
-                 np.array(cross, dtype=np.float64).reshape(q, m), within)
-    want = [vg_kernel(kind, (sizes_i[k],), sizes_j,
-                      ([cross[j][k] for j in range(q)],), None, within)
-            for k in range(m)]
-    assert list(map(bits, got.tolist())) == list(map(bits, want))
+    within_j = _within(data, value, q)
+    within_i = [_within(data, value, p) for p in widths]
+    starts = np.cumsum([0] + widths[:-1])
+
+    def term(sizes, within):
+        return within_term(kind, np.array(sizes, dtype=np.int64),
+                           np.array(within, dtype=np.float64))
+
+    got = vg_update(kind, np.array(sizes_j, dtype=np.int64),
+                    term(sizes_j, within_j), np.array(sizes, dtype=np.int64),
+                    np.array(cross, dtype=np.float64).reshape(q, m),
+                    None if single else starts,
+                    None if single else [term(sizes[lo:lo + p], w) for lo, p, w
+                                         in zip(starts, widths, within_i)])
+    want = [vg_kernel(kind, sizes[lo:lo + p], sizes_j,
+                      [[cross[j][k] for j in range(q)]
+                       for k in range(lo, lo + p)], w, within_j)
+            for lo, p, w in zip(starts, widths, within_i)]
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("kind", METHOD_KINDS)
@@ -250,9 +281,11 @@ def test_row_forms_keep_the_sign_of_zero(kind):
         columns = [(0.0, 0.0)]
     cross = np.array(columns, dtype=np.float64).T
     sizes_i = np.array([1, 2, 3, 4][:len(columns)], dtype=np.int64)
+    sizes_j = np.array([2, 5], dtype=np.int64)
     for w in zeros:
-        within = [[0.0, w], [w, 0.0]]
-        got = vg_row(kind, sizes_i, [2, 5], cross, within)
+        within = np.array([[0.0, w], [w, 0.0]])
+        got = vg_update(kind, sizes_j, within_term(kind, sizes_j, within),
+                        sizes_i, cross)
         want = [vg_kernel(kind, (int(s),), [2, 5], (list(col),), None, within)
                 for s, col in zip(sizes_i, columns)]
         assert list(map(bits, got.tolist())) == list(map(bits, want))

@@ -39,17 +39,28 @@ def test_every_import_is_used(path):
                              for line, name in unused))
 
 
+def _oracle_imports(module_name):
+    path = Path(__file__).resolve().parent / "oracles.py"
+    module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(alias.name for node in ast.walk(module)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == module_name
+                  for alias in node.names)
+
+
 def test_oracles_share_no_header_or_precision_code():
     # the reference readers word errors as the package does, through
     # _parse_value and _split_rows, but find headers and precisions alone
-    path = Path(__file__).resolve().parent / "oracles.py"
-    module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    private = sorted(
-        alias.name for node in ast.walk(module)
-        if isinstance(node, ast.ImportFrom)
-        and node.module == "multidendro.proximity"
-        for alias in node.names if alias.name.startswith("_"))
+    private = [name for name in _oracle_imports("multidendro.proximity")
+               if name.startswith("_")]
     assert set(private) <= {"_SYM_TOL", "_parse_value", "_split_rows"}, private
+
+
+def test_oracles_share_no_block_update_code():
+    # vg_kernel is the scalar reference for the engine's block update, so
+    # it sums its own terms and computes its own within sums
+    shared = set(_oracle_imports("multidendro.linkage"))
+    assert not shared & {"vg_update", "within_term", "_terms", "_sums"}, shared
 
 
 def _self_calls(module, prefix=""):
