@@ -22,9 +22,9 @@ the same iteration, each a few whole-row numpy operations; the classical
 engine's is one ``linkage.pg_update`` row. A group's height interval is the
 minimum and maximum of the raw distances between its constituents. A
 cluster's leaves are an int mask. The classical engine and the enumerator
-share one pair merge step (``_merge_pair``); the enumerator searches depth
-first over copies of the state, gives each distinct merge of a run one bit,
-and so holds every outcome as an int bitmask.
+share one pair merge step (``_merge_pair``); the enumerator sweeps forward
+one merge at a time over copies of the state, gives each distinct merge of
+a run one bit, and so holds every outcome as an int bitmask.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -54,7 +54,6 @@ from .linkage import (
     SINGLE,
     UNWEIGHTED_AVERAGE,
     WEIGHTED_AVERAGE,
-    WITHIN_METHODS,
     MethodSpec,
     pg_update,
     vg_update,
@@ -390,19 +389,20 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
         state.iteration += 1
         d_lower_raw, _, edges = low
         formed = []  # constituent slots, one tuple per new cluster
+        within = []  # each new cluster's linkage.within_term
         group_records = []
         reversal = False
 
         for parts in _groups_from_edges(edges):
             children = [nodes[s] for s in parts]
+            # inf on the block's diagonal; h_lower there leaves max the largest
             block = state.dist[np.ix_(parts, parts)]
-            pair_values = block[np.triu_indices(len(parts), 1)]
-            h_lower = float(pair_values.min())
-            h_upper = float(pair_values.max())
-            fusion = None
-            if policy != POLICY_INTERVAL:
-                fusion = fusion_value(state.sizes[list(parts)].tolist(),
-                                      block.tolist(), method, fusion_policy)
+            h_lower = float(block.min())
+            np.fill_diagonal(block, h_lower)
+            h_upper = float(block.max())
+            sizes = state.sizes[list(parts)]
+            fusion = (None if policy == POLICY_INTERVAL else fusion_value(
+                sizes.tolist(), block.tolist(), method, fusion_policy))
             node = internal(children, h_lower, h_upper, fusion)
             if any(reversals_between(c, node) for c in children):
                 reversal = True
@@ -412,10 +412,11 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 member_ids=tuple(state.cid_at[s] for s in parts),
                 h_lower=h_lower, h_upper=h_upper, fusion=fusion))
             formed.append(parts)
+            within.append(within_term(method.kind, sizes, block))
             # the groups are disjoint, so no later group reads this slot
             nodes[parts[0]] = node
 
-        writes = _group_update(state, formed, method)
+        writes = _group_update(state, formed, within, method)
         state.merge(formed, writes)
         d_next = None
         if state.count > 1:
@@ -431,9 +432,10 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     return tree, trace
 
 
-def _group_update(state, formed, method):
+def _group_update(state, formed, within, method):
     """``ClusterState.merge``'s writes from each new cluster (``formed``,
-    slot tuples in slot order) to the unmerged ones and those merged after."""
+    slot tuples in slot order; ``within``, their ``linkage.within_term``s)
+    to the unmerged ones and those merged after."""
     kind, dist, sizes = method.kind, state.dist, state.sizes
     groups = [list(parts) for parts in formed]
     merged = [s for g in groups for s in g]
@@ -441,8 +443,6 @@ def _group_update(state, formed, method):
     kept = state.live.copy()
     kept[merged] = False
     kept = kept.nonzero()[0]
-    within = [within_term(kind, sizes[g], dist[np.ix_(g, g)])
-              if kind in WITHIN_METHODS else 0.0 for g in groups]
     writes = []
     for t, g in enumerate(groups):
         # take keeps the cross block C-ordered, which the reductions want
@@ -516,12 +516,12 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
 def enumerate_pair_group(matrix, method, limit=10000):
     """Every distinct tree the classical procedure can produce.
 
-    Searches depth first over working states, merging each tied pair in turn
-    on a copy of the state, and memoizes each state on the live clusters'
-    leaf masks plus their raw distances. An outcome is the set of (mask,
-    height) merges made from a state onward. The first time the run makes a
-    merge it gets the next bit of a per-run table, so an outcome is an int
-    bitmask and a state's outcomes are a set of ints.
+    Sweeps forward one merge at a time: level t holds each distinct state t
+    merges reach, keyed on the live clusters' leaf masks plus their raw
+    distances, with the outcomes (sets of (mask, height) merges) of every
+    way to reach it, and each of its tied pairs is merged on a copy. The
+    first time the run makes a merge it gets the next bit of a per-run
+    table, so an outcome is an int bitmask.
 
     Outcomes whose nesting and heights (to 12 decimals) agree collapse into
     one; the one kept has the smallest heights read in postorder, with
@@ -545,51 +545,46 @@ def _enumerate_newick(matrix, method, limit):
     if matrix.n == 1:
         tree = single_leaf_tree(matrix.labels[0], **tags)
         return [(to_newick_extended(tree), tree)]
-    merges = []  # bit -> (mask, h)
-    bit_of = {}  # (mask, h) -> bit
+    bit_of = {}  # (mask, h) -> bit, in bit order
     collapsed = []  # bit -> collapsed id of its merge
     collapsed_id = {}  # (mask, h to 12 decimals) -> collapsed id
-    memo = {}
 
     def collapse(bits):
         return frozenset(map(collapsed.__getitem__, bits))
 
-    def complete(state):
-        if state.count == 1:
-            return (0,)
-        slots = state.live_slots()
-        key = (tuple(map(state.members.__getitem__, slots.tolist())),
-               state.dist[slots[:, None], slots].tobytes())
-        found = memo.get(key)
-        if found is not None:
-            return found
-        acc = set()
-        pairs = state.shortest()[2]
-        for k, (a, b) in enumerate(pairs):
-            # nothing reads this state after its last pair, so that pair
-            # merges in place; a run without ties then copies nothing
-            after = state if k == len(pairs) - 1 else state.copy()
-            merge = _merge_pair(after, a, b, method)
-            bit = bit_of.get(merge)
-            if bit is None:
-                bit = bit_of[merge] = len(merges)
-                merges.append(merge)
-                mask, h = merge
-                collapsed.append(collapsed_id.setdefault(
-                    (mask, round(h, 12)), len(collapsed_id)))
-            step = 1 << bit
-            acc.update([rest | step for rest in complete(after)])
-            # only outcomes that differ past 12 decimals make the raw count
-            # larger than the distinct one
-            if (len(acc) > limit
-                    and len({collapse(_bits(m)) for m in acc}) > limit):
-                raise TooManySolutions(
-                    "more than %d tie-break outcomes" % (limit,))
-        memo[key] = acc
-        return acc
+    # every state of a level has the same number of clusters, so equal
+    # states meet only within a level, and only its dict needs their keys
+    level = [(ClusterState.from_matrix(matrix), {0})]
+    for _ in range(matrix.n - 1):
+        reached = {}
+        for state, made in level:
+            pairs = state.shortest()[2]
+            for k, (a, b) in enumerate(pairs):
+                # nothing reads this state after its last pair, so that pair
+                # merges in place; a run without ties then copies nothing
+                after = state if k == len(pairs) - 1 else state.copy()
+                mask, h = merge = _merge_pair(after, a, b, method)
+                bit = bit_of.setdefault(merge, len(bit_of))
+                if bit == len(collapsed):
+                    collapsed.append(collapsed_id.setdefault(
+                        (mask, round(h, 12)), len(collapsed_id)))
+                step = 1 << bit
+                slots = after.live_slots()
+                key = (tuple(map(after.members.__getitem__, slots.tolist())),
+                       after.dist[slots[:, None], slots].tobytes())
+                acc = reached.setdefault(key, (after, set()))[1]
+                acc.update([rest | step for rest in made])
+                # only outcomes that differ past 12 decimals make the raw
+                # count larger than the distinct one
+                if (len(acc) > limit
+                        and len({collapse(_bits(m)) for m in acc}) > limit):
+                    raise TooManySolutions(
+                        "more than %d tie-break outcomes" % (limit,))
+        level = list(reached.values())
 
+    merges = list(bit_of)
     groups = {}
-    for mask in complete(ClusterState.from_matrix(matrix)):
+    for mask in level[0][1]:
         bits = _bits(mask)
         groups.setdefault(collapse(bits), []).append(
             [merges[bit] for bit in bits])

@@ -574,6 +574,8 @@ def parse_records(source):
             raise FormatError("merge id %r is already taken" % (rec["id"],))
         if len(rec["children"]) < 2:
             raise FormatError("merge %r has fewer than two children" % (rec["id"],))
+        if not isinstance(rec.get("fusion"), _MAYBE_NUMBER):
+            raise FormatError("merge %r lacks a valid 'fusion'" % (rec["id"],))
         children = []
         for cid in rec["children"]:
             if not isinstance(cid, int) or cid not in nodes:
@@ -587,10 +589,13 @@ def parse_records(source):
     roots = [nid for nid in nodes if nid not in consumed]
     if len(roots) != 1:
         raise FormatError("records describe %d roots" % (len(roots),))
+    decimals = doc.get("height_decimals", 3)
+    if type(decimals) is not int or decimals < 0:
+        raise FormatError("records document lacks a valid 'height_decimals'")
     tree = MultivaluedTree(
         root=nodes[roots[0]], labels=labels, method=doc.get("method"),
         alpha=doc.get("alpha"), policy=doc.get("policy"),
-        height_decimals=doc.get("height_decimals", 3))
+        height_decimals=decimals)
     trace = None
     if doc.get("trace") is not None:
         from .agglomerate import GroupRecord, IterationRecord, MergeTrace

@@ -44,6 +44,7 @@ from multidendro.agglomerate import (
     _merge_pair,
     _nesting,
 )
+from multidendro.linkage import within_term
 from multidendro.proximity import round_half_away
 from multidendro.tree import postorder
 
@@ -116,7 +117,9 @@ def test_tie_groups_respect_precision():
 def _merge_groups(state, groups, method):
     # one variable-group merge step over the given slot groups, as the
     # engine makes it, but with groups that need not be tied
-    state.merge(groups, _group_update(state, groups, method))
+    within = [within_term(method.kind, state.sizes[list(g)],
+                          state.dist[np.ix_(g, g)]) for g in groups]
+    state.merge(groups, _group_update(state, groups, within, method))
 
 
 def _check_state(state):
@@ -706,6 +709,28 @@ def test_vg_permutation_invariant_at_n200(kind):
     assert not is_tie_free(trace)  # one-decimal comparison makes ties
     again, _ = cluster_variable_group(shuffled, kind)
     assert tree_equal(tree, again, tol=0.0)
+
+
+def test_enumerate_without_ties_keeps_memory_and_stack_flat():
+    # a run without ties reaches one state per level, so the enumerator
+    # holds a few working matrices whatever n is, and its stack depth does
+    # not grow with the number of merges
+    n = 300
+    matrix = matrix_from_square(cloud_square(n, seed=2).tolist())
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    tracemalloc.start()
+    try:
+        trees = enumerate_pair_group(matrix, "unweighted_average")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(old_limit)
+    assert len(trees) == 1
+    assert peak < 8 * n * n * 8
 
 
 # ---- trees deeper than the recursion limit ----

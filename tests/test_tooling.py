@@ -84,10 +84,9 @@ def _self_calls(module, prefix=""):
 
 
 def test_no_function_calls_itself():
-    # trees of any depth are walked with explicit stacks, so no walker may
-    # recurse; the enumerator's search still does (ROADMAP item 3 replaces
-    # it with an explicit stack)
-    allowed = {"agglomerate.py: _enumerate_newick.complete"}
+    # trees of any depth are walked with explicit stacks and the enumerator
+    # sweeps one merge level at a time, so nothing may recurse
+    allowed = set()
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))

@@ -620,6 +620,9 @@ _NOT_AN_OBJECT = "is not a JSON object"
     _malformed(("merges", 0), "x", _NOT_AN_OBJECT),
     _malformed(("merges", 0, "children"), 5),
     _malformed(("merges", 0, "h_lower"), "2.0"),
+    _malformed(("merges", 0, "fusion"), "x"),
+    *[_malformed(("height_decimals",), value)
+      for value in ("3", True, -1, 1.5, None)],
     *[_malformed(("merges", 0, key), _DROP)
       for key in ("id", "children", "h_lower", "h_upper")],
     _malformed(_TRACE, [], _NOT_AN_OBJECT),
