@@ -24,7 +24,9 @@ minimum and maximum of the raw distances between its constituents. A
 cluster's leaves are an int mask. The classical engine and the enumerator
 share one pair merge step (``_merge_pair``); the enumerator sweeps forward
 one merge at a time over copies of the state, gives each distinct merge of
-a run one bit, and so holds every outcome as an int bitmask.
+a run, keyed by its two children, one bit, and so holds every outcome as an
+int bitmask. Its trees are read straight off those merges, and a subtree
+that several of them share is built once.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -464,8 +466,7 @@ def _merge_pair(state, a, b, method):
 
     The new cluster takes the lower of the two slots, and its distances to
     every other survivor are one row of the pair-group update. Returns the
-    merge as (mask, height): the new cluster's leaf mask and the raw
-    distance it formed at.
+    raw distance it formed at.
     """
     dist = state.dist
     h = float(dist[a, b])
@@ -477,7 +478,7 @@ def _merge_pair(state, a, b, method):
     row = pg_update(method.kind, size_a, size_b, state.sizes[kept],
                     h, dist[a][kept], dist[b][kept])
     state.merge([parts], [(parts[0], kept, row)])
-    return state.members[parts[0]], h
+    return h
 
 
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
@@ -506,7 +507,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
             a, b = candidates[-1]
         else:
             a, b = rng.choice(candidates)
-        _, h = _merge_pair(state, a, b, method)
+        h = _merge_pair(state, a, b, method)
         nodes[min(a, b)] = internal([nodes[a], nodes[b]], h, h, fusion=h)
     return MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
 
@@ -518,19 +519,22 @@ def enumerate_pair_group(matrix, method, limit=10000):
 
     Sweeps forward one merge at a time: level t holds each distinct state t
     merges reach, keyed on the live clusters' leaf masks plus their raw
-    distances, with the outcomes (sets of (mask, height) merges) of every
-    way to reach it, and each of its tied pairs is merged on a copy. The
-    first time the run makes a merge it gets the next bit of a per-run
-    table, so an outcome is an int bitmask.
+    distances, with the outcomes of every way to reach it, and each of its
+    tied pairs is merged on a copy. A level with one state and one tied pair
+    keys nothing, as nothing else can reach its successor. A merge is its
+    two children's masks, smallest leaf first, and its height; the first
+    time the run makes one it gets the next bit of a per-run table, so an
+    outcome is an int bitmask.
 
-    Outcomes whose nesting and heights (to 12 decimals) agree collapse into
+    Outcomes whose clusters and heights (to 12 decimals) agree collapse into
     one; the one kept has the smallest heights read in postorder, with
-    children ordered by smallest leaf. Only kept outcomes become trees, one
-    each, and they come back sorted by their extended newick text, then by
-    those heights. Raises TooManySolutions once some state has more than
-    ``limit`` distinct (collapsed) outcomes; a state's distinct outcomes
-    are distinct outcomes of the whole run, so the result never holds more
-    than ``limit`` trees.
+    children ordered by smallest leaf. Each kept outcome's tree is read off
+    its merges, and a node is built once per distinct merge and children,
+    so trees share the subtrees they have in common. They come back sorted
+    by their extended newick text, then by those heights. Raises
+    TooManySolutions once some state has more than ``limit`` distinct
+    (collapsed) outcomes; a state's distinct outcomes are distinct outcomes
+    of the whole run, so the result never holds more than ``limit`` trees.
     """
     return tuple(tree for _, tree in _enumerate_newick(matrix, method, limit))
 
@@ -542,10 +546,7 @@ def _enumerate_newick(matrix, method, limit):
     if limit < 1:
         raise ValueError("the outcome limit must be at least 1, not %d" % limit)
     method, tags = _run_tags(matrix, method)
-    if matrix.n == 1:
-        tree = single_leaf_tree(matrix.labels[0], **tags)
-        return [(to_newick_extended(tree), tree)]
-    bit_of = {}  # (mask, h) -> bit, in bit order
+    bit_of = {}  # (low slot's mask, high slot's mask, h) -> bit, in bit order
     collapsed = []  # bit -> collapsed id of its merge
     collapsed_id = {}  # (mask, h to 12 decimals) -> collapsed id
 
@@ -563,15 +564,22 @@ def _enumerate_newick(matrix, method, limit):
                 # nothing reads this state after its last pair, so that pair
                 # merges in place; a run without ties then copies nothing
                 after = state if k == len(pairs) - 1 else state.copy()
-                mask, h = merge = _merge_pair(after, a, b, method)
-                bit = bit_of.setdefault(merge, len(bit_of))
+                ma, mb = state.members[a], state.members[b]
+                h = _merge_pair(after, a, b, method)
+                # within one outcome a cluster's children follow from its
+                # other clusters, so keying by the children splits no
+                # outcome in two
+                bit = bit_of.setdefault((ma, mb, h), len(bit_of))
                 if bit == len(collapsed):
                     collapsed.append(collapsed_id.setdefault(
-                        (mask, round(h, 12)), len(collapsed_id)))
+                        (ma | mb, round(h, 12)), len(collapsed_id)))
                 step = 1 << bit
-                slots = after.live_slots()
-                key = (tuple(map(after.members.__getitem__, slots.tolist())),
-                       after.dist[slots[:, None], slots].tobytes())
+                key = None  # a level's only successor: nothing can meet it
+                if len(level) > 1 or len(pairs) > 1:
+                    slots = after.live_slots()
+                    key = (tuple(map(after.members.__getitem__,
+                                     slots.tolist())),
+                           after.dist[slots[:, None], slots].tobytes())
                 acc = reached.setdefault(key, (after, set()))[1]
                 acc.update([rest | step for rest in made])
                 # only outcomes that differ past 12 decimals make the raw
@@ -583,26 +591,46 @@ def _enumerate_newick(matrix, method, limit):
         level = list(reached.values())
 
     merges = list(bit_of)
+    root = (1 << matrix.n) - 1
+
+    def in_postorder(bits):
+        # an outcome's merges in the order tree.postorder reads the tree
+        # they form, children by smallest leaf
+        at = {merges[bit][0] | merges[bit][1]: bit for bit in bits}
+        out, stack = [], [root]
+        while stack:
+            bit = at.get(stack.pop())  # None at a leaf
+            if bit is not None:
+                out.append(bit)
+                stack.extend(merges[bit][:2])
+        out.reverse()
+        return out
+
+    def heights(bits):
+        return [merges[bit][2] for bit in bits]
+
     groups = {}
     for mask in level[0][1]:
         bits = _bits(mask)
-        groups.setdefault(collapse(bits), []).append(
-            [merges[bit] for bit in bits])
-    leaves = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
+        groups.setdefault(collapse(bits), []).append(bits)
+    leaf_at = {1 << i: Leaf(i, label) for i, label in enumerate(matrix.labels)}
+    nodes = {}  # (bit, id of each child node) -> node, for the whole run
     kept = []
     for made in groups.values():
-        # every outcome of a group has the same nesting
-        order = _nesting(mask for mask, _ in made[0])
-
-        def heights(outcome):
-            h_of = dict(outcome)
-            return [h_of[mask] for mask, _ in order]
-
         # keeping the outcome with the smallest postorder heights makes the
         # choice independent of the order the search met them in
-        best = min(made, key=heights)
-        tree = MultivaluedTree(root=_build(order, dict(best), leaves),
-                               labels=matrix.labels, **tags)
+        best = min(map(in_postorder, made), key=heights)
+        node_at = dict(leaf_at)
+        for bit in best:
+            ma, mb, h = merges[bit]
+            children = node_at[ma], node_at[mb]
+            node_key = (bit, id(children[0]), id(children[1]))
+            node = nodes.get(node_key)
+            if node is None:
+                node = nodes[node_key] = internal(children, h, h, fusion=h)
+            node_at[ma | mb] = node
+        tree = MultivaluedTree(root=node_at[root], labels=matrix.labels,
+                               **tags)
         kept.append((to_newick_extended(tree), heights(best), tree))
     kept.sort(key=lambda entry: entry[:2])
     return [(text, tree) for text, _, tree in kept]
@@ -616,45 +644,6 @@ def _bits(mask):
         out.append(top)
         mask ^= 1 << top
     return out
-
-
-def _nesting(clusters):
-    """The clusters of one hierarchy, each an int leaf mask, in the order
-    ``tree.postorder`` reads the tree they form, each with its children:
-    the largest clusters formed inside it, and its other leaves as one-bit
-    masks, ordered by lowest set bit (smallest leaf)."""
-    clusters = sorted(clusters, key=int.bit_count)
-    root = clusters[-1]
-    # leaf -> the largest cluster met so far that holds it
-    top = [1 << i for i in range(root.bit_length())]
-    children = {}
-    for mask in clusters:
-        leaves = _bits(mask)
-        children[mask] = sorted(set(map(top.__getitem__, leaves)),
-                                key=lambda c: c & -c)
-        for i in leaves:
-            top[i] = mask
-    out = []
-    stack = [root]
-    while stack:
-        mask = stack.pop()
-        out.append((mask, children[mask]))
-        stack.extend(c for c in children[mask] if c & (c - 1))
-    out.reverse()
-    return out
-
-
-def _build(order, h_of, leaves):
-    """The root of the tree whose clusters ``order`` lists as ``_nesting``
-    gives them, with heights ``h_of`` (mask -> height)."""
-    made = {}
-    for mask, children in order:
-        h = h_of[mask]
-        made[mask] = node = internal(
-            [made[c] if c & (c - 1) else leaves[c.bit_length() - 1]
-             for c in children],
-            h, h, fusion=h)
-    return node
 
 
 # ---- reversal reporting ----

@@ -535,13 +535,20 @@ def _trace_to_dict(trace):
     }
 
 
+def _is_a(value, kind):
+    # JSON true and false are Python ints, so they pass only where a bool
+    # (or anything at all) is asked for
+    return isinstance(value, kind) and (
+        kind in (bool, object) or not isinstance(value, bool))
+
+
 def _checked(obj, where, **kinds):
     """``obj``, once it is a dict holding each keyword's key with a value
     of that keyword's type; FormatError naming the first that is not."""
     if not isinstance(obj, dict):
         raise FormatError("%s is not a JSON object" % (where,))
     for key, kind in kinds.items():
-        if key not in obj or not isinstance(obj[key], kind):
+        if key not in obj or not _is_a(obj[key], kind):
             raise FormatError("%s lacks a valid %r" % (where, key))
     return obj
 
@@ -574,11 +581,11 @@ def parse_records(source):
             raise FormatError("merge id %r is already taken" % (rec["id"],))
         if len(rec["children"]) < 2:
             raise FormatError("merge %r has fewer than two children" % (rec["id"],))
-        if not isinstance(rec.get("fusion"), _MAYBE_NUMBER):
+        if not _is_a(rec.get("fusion"), _MAYBE_NUMBER):
             raise FormatError("merge %r lacks a valid 'fusion'" % (rec["id"],))
         children = []
         for cid in rec["children"]:
-            if not isinstance(cid, int) or cid not in nodes:
+            if not _is_a(cid, int) or cid not in nodes:
                 raise FormatError("merge %r references unknown id %r" % (rec["id"], cid))
             if cid in consumed:
                 raise FormatError("id %r used as a child twice" % (cid,))
@@ -611,6 +618,9 @@ def parse_records(source):
                                member_ids=list, h_lower=_MAYBE_NUMBER,
                                h_upper=_MAYBE_NUMBER, fusion=_MAYBE_NUMBER)
                       for g in it["groups"]]
+            for g in groups:
+                if not all(_is_a(cid, int) for cid in g["member_ids"]):
+                    raise FormatError("trace group lacks a valid 'member_ids'")
             iterations.append(IterationRecord(
                 it["index"], it["d_lower"],
                 tuple(GroupRecord(g["cluster_id"], tuple(g["member_ids"]),

@@ -42,7 +42,6 @@ from multidendro.agglomerate import (
     _group_update,
     _groups_from_edges,
     _merge_pair,
-    _nesting,
 )
 from multidendro.linkage import within_term
 from multidendro.proximity import round_half_away
@@ -530,6 +529,15 @@ def test_enumerate_limit_guard():
                              "unweighted_average", limit=5)
 
 
+def test_enumerate_singleton_and_empty():
+    # one individual has one outcome, the leaf the classical engine gives
+    one = ProximityMatrix(labels=("only",), values=())
+    assert enumerate_pair_group(one, "single") == (
+        cluster_pair_group(one, "single"),)
+    with pytest.raises(EmptyInput):
+        enumerate_pair_group(ProximityMatrix(labels=(), values=()), "single")
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_enumerate_limit_below_one_is_rejected(toy, limit):
     with pytest.raises(ValueError, match="at least 1"):
@@ -556,9 +564,23 @@ def test_enumerate_limit_counts_distinct_outcomes():
         enumerate_pair_group(matrix, "unweighted_average", limit=673)
 
 
-def test_enumerate_builds_one_tree_per_outcome(toy, monkeypatch):
-    # internal() runs n - 1 times per returned tree and never in the merge
-    # step, which leaves the nodes to the engines that build trees
+def distinct_subtrees(trees):
+    """How many different internal nodes the trees hold, told apart by
+    height and children alone."""
+    keys = {}
+    for tree in trees:
+        key_of = {}
+        for node in postorder(tree.root):
+            key_of[id(node)] = -1 - node.index if node.is_leaf else (
+                keys.setdefault((node.h_lower, tuple(
+                    key_of[id(c)] for c in node.children)), len(keys)))
+    return len(keys)
+
+
+def test_enumerate_builds_each_distinct_subtree_once(toy, monkeypatch):
+    # internal() runs once per subtree that differs from every other in
+    # the returned trees, and never in the merge step, which leaves the
+    # nodes to the engines that build trees
     calls = []
 
     def counting(*args, **kwargs):
@@ -566,30 +588,48 @@ def test_enumerate_builds_one_tree_per_outcome(toy, monkeypatch):
         return internal(*args, **kwargs)
 
     monkeypatch.setattr(agglomerate, "internal", counting)
-    trees = enumerate_pair_group(toy, "unweighted_average")
-    assert len(trees) == 3
-    assert len(calls) == len(trees) * (toy.n - 1)
+    seed1 = ProximityMatrix(tuple("x%d" % (i + 1) for i in range(14)),
+                            ENUMERATE_SEED1_FIRST, precision=0)
+    for matrix, n_trees, n_calls in [(toy, 3, 8), (seed1, 674, 1521)]:
+        calls.clear()
+        trees = enumerate_pair_group(matrix, "unweighted_average")
+        assert len(trees) == n_trees
+        assert len(calls) == distinct_subtrees(trees) == n_calls
     calls.clear()
     state = ClusterState.from_matrix(toy)
-    assert _merge_pair(state, 0, 1, MethodSpec("unweighted_average")) == (
-        0b11, 2.0)
+    assert _merge_pair(state, 0, 1, MethodSpec("unweighted_average")) == 2.0
     assert calls == []
     assert not hasattr(state, "nodes")
 
 
-def test_nesting_lists_clusters_in_postorder():
-    # ((0, 2), (1, (3, 4))) as leaf masks, in any order: the enumerator
-    # compares outcomes by heights read in tree.postorder's order, children
-    # by smallest leaf
-    got = _nesting([0b11010, 0b11111, 0b00101, 0b11000])
-    assert got == [(0b00101, [0b00001, 0b00100]),
-                   (0b11000, [0b01000, 0b10000]),
-                   (0b11010, [0b00010, 0b11000]),
-                   (0b11111, [0b00101, 0b11010])]
-
-
 def postorder_heights(tree):
     return [node.h_lower for node in postorder(tree.root) if not node.is_leaf]
+
+
+def test_enumerate_orders_equal_texts_by_postorder_heights():
+    # two halves, each two tied pairs that then merge; weighted average
+    # sums the four cross distances in the order the pairs formed, and at
+    # 1e4 that order moves the half's height by an ulp, which survives
+    # rounding to 12 decimals. So four outcomes share one text, and only
+    # the heights read in postorder, children by smallest leaf, order them
+    big = 10000.0
+    half = {(0, 1): big + 1, (2, 3): big + 1, (0, 2): big + 2.6,
+            (0, 3): big + 2.2, (1, 2): big + 2.4, (1, 3): big + 2.4}
+    square = [[0.0] * 8 for _ in range(8)]
+    for i, j in itertools.combinations(range(8), 2):
+        value = 3 * big if i < 4 <= j else half[i % 4, j % 4]
+        square[i][j] = square[j][i] = value
+    matrix = matrix_from_square(square, precision=0)
+    trees = enumerate_pair_group(matrix, "weighted_average")
+    assert len({to_newick_extended(t) for t in trees}) == 1
+    halves = [(hs[2], hs[5]) for hs in map(postorder_heights, trees)]
+    assert len(set(halves)) == 4
+    assert halves == sorted(halves)
+    assert halves != sorted(halves, key=lambda pair: pair[::-1])
+    want = kept_pair_group_outcomes(
+        pair_group_outcomes(matrix, "weighted_average"), matrix.labels)
+    assert [[h.hex() for h in postorder_heights(t)] for t in trees] == [
+        [h.hex() for h in hs] for _, hs in want]
 
 
 @settings(max_examples=80, deadline=None)
@@ -711,12 +751,9 @@ def test_vg_permutation_invariant_at_n200(kind):
     assert tree_equal(tree, again, tol=0.0)
 
 
-def test_enumerate_without_ties_keeps_memory_and_stack_flat():
-    # a run without ties reaches one state per level, so the enumerator
-    # holds a few working matrices whatever n is, and its stack depth does
-    # not grow with the number of merges
-    n = 300
-    matrix = matrix_from_square(cloud_square(n, seed=2).tolist())
+def flat_run(run):
+    """``run()`` and its tracemalloc peak in bytes, under a recursion limit
+    100 frames above the caller's depth."""
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -724,13 +761,46 @@ def test_enumerate_without_ties_keeps_memory_and_stack_flat():
     sys.setrecursionlimit(depth + 100)
     tracemalloc.start()
     try:
-        trees = enumerate_pair_group(matrix, "unweighted_average")
+        result = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         sys.setrecursionlimit(old_limit)
+    return result, peak
+
+
+def test_enumerate_without_ties_keeps_memory_and_stack_flat():
+    # a run without ties reaches one state per level, so the enumerator
+    # holds a few working matrices whatever n is, and its stack depth does
+    # not grow with the number of merges
+    n = 300
+    matrix = matrix_from_square(cloud_square(n, seed=2).tolist())
+    trees, peak = flat_run(
+        lambda: enumerate_pair_group(matrix, "unweighted_average"))
     assert len(trees) == 1
     assert peak < 8 * n * n * 8
+
+
+def cloud_matrix(n, seed):
+    square = cloud_square(n, seed)
+    return ProximityMatrix(tuple("p%d" % i for i in range(n)),
+                           square[np.triu_indices(n, 1)])
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: cloud_matrix(1000, seed=3), "unweighted_average"),
+    (lambda: _chain_matrix(1200), "single"),
+], ids=["cloud-1000", "chain-1200"])
+def test_enumerate_at_scale_returns_the_classical_tree(make, kind):
+    # without ties there is one outcome, the classical engine's, and each
+    # level holds one state with one pair, which nothing else can meet
+    matrix = make()
+    n = matrix.n
+    trees, peak = flat_run(lambda: enumerate_pair_group(matrix, kind))
+    assert len(trees) == 1
+    assert peak < 8 * n * n * 8
+    assert to_newick_extended(trees[0]) == to_newick_extended(
+        cluster_pair_group(matrix, kind))
 
 
 # ---- trees deeper than the recursion limit ----

@@ -63,6 +63,13 @@ def test_oracles_share_no_block_update_code():
     assert not shared & {"vg_update", "within_term", "_terms", "_sums"}, shared
 
 
+def test_oracles_share_no_enumerator_code():
+    # kept_pair_group_outcomes builds a tree per raw outcome on its own,
+    # so it checks the enumerator's sweep, merge keys and node interning
+    assert not _oracle_imports("multidendro.agglomerate")
+    assert "agglomerate" not in _oracle_imports("multidendro")
+
+
 def _self_calls(module, prefix=""):
     """Qualified names of the functions in ``module`` that call their own
     name, bare, anywhere in their body."""

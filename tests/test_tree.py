@@ -637,6 +637,15 @@ _NOT_AN_OBJECT = "is not a JSON object"
     *[_malformed(_GROUP + (key,), _DROP)
       for key in ("cluster_id", "member_ids", "h_lower", "h_upper",
                   "fusion")],
+    # JSON true and false are no numbers
+    *[_malformed(("merges", 0, key), True)
+      for key in ("h_lower", "h_upper", "fusion", "id")],
+    _malformed(("merges", 0, "children"), [0, True, 2], "unknown id True"),
+    _malformed(_ITERATION + ("d_lower",), True),
+    _malformed(_ITERATION + ("d_next",), False),
+    *[_malformed(_GROUP + (key,), True)
+      for key in ("h_lower", "h_upper", "fusion")],
+    _malformed(_GROUP + ("member_ids",), [0, True, 2]),
 ])
 def test_malformed_records_raise_format_error(toy, path, value, named):
     doc = json.loads(records_to_json(to_records(*toy_vg_tree(toy))))
