@@ -9,13 +9,14 @@ that merges one pair per iteration and needs a tie-break rule;
 procedure and returns the set of distinct outcomes.
 
 Ties are decided on comparison values: distances rounded half away from
-zero to the matrix's precision (``proximity.round_half_away_array``);
+zero to the matrix's precision (``proximity.round_half_away``);
 recorded heights always keep the raw full-precision numbers.
 
 All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
 (arXiv:1109.2378) keys its state by row, and holds no tree nodes. Finding
-the shortest distance rounds only the entries near the smallest one. A
+the shortest distance rounds only the smallest one: the entries below the
+float where its comparison value ends (``proximity.tie_edge``) tie with it. A
 variable-group merge makes two ``linkage.vg_update`` calls per new cluster,
 one to every unmerged cluster and one to the clusters merged after it in
 the same iteration, each a few whole-row numpy operations; the classical
@@ -61,15 +62,14 @@ from .linkage import (
     vg_update,
     within_term,
 )
-from .proximity import round_half_away_array, square_from_condensed
+from .proximity import square_from_condensed, tie_edge
 from .tree import (
     Leaf,
     MultivaluedTree,
     internal,
     reversal_edges,
     reversals_between,
-    single_leaf_tree,
-    to_newick_extended,
+    newick_texts,
 )
 
 POLICY_INTERVAL = "interval"
@@ -155,24 +155,15 @@ class ClusterState:
         smallest raw distance among them.
         """
         low = float(self.row_min.min())
-        # Rounding is monotone, so low has the smallest comparison value K.
-        # An entry rounding to K has its repr within q/2 of a decimal nearest
-        # K (q = 10**-p, 0 without a precision), so for normal floats it
-        # exceeds low by under q + 2**-51 * (|low| + 2q) < reach - low.
-        q = 0.0 if self.precision is None else 10.0 ** -self.precision
-        reach = low + 2 * q + abs(low) * 2.0 ** -50
-        rows = (self.row_min <= reach).nonzero()[0]
-        at, cols = np.nonzero(self.dist[rows] <= reach)
+        if not math.isfinite(low):  # a distance update overflowed
+            raise ValueError("no finite distance left, the least is %r" % low)
+        low_key, edge = tie_edge(low, self.precision)
+        rows = (self.row_min < edge).nonzero()[0]
+        at, cols = np.nonzero(self.dist[rows] < edge)
         rows = rows[at]
         upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
-        raw = self.dist[rows, cols]
-        keys = (raw if self.precision is None
-                else round_half_away_array(raw, self.precision))
-        low_key = float(keys.min())
-        tied = keys == low_key
-        return low, low_key, list(zip(rows[tied].tolist(),
-                                      cols[tied].tolist()))
+        return low, low_key, list(zip(rows[upper].tolist(),
+                                      cols[upper].tolist()))
 
     def live_slots(self):
         """Slots of the active clusters, ascending."""
@@ -376,16 +367,10 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
         notes.append(
             "no natural fusion value for %r, shortest used" % (method.kind,)
         )
-    if matrix.n == 1:
-        tree = single_leaf_tree(matrix.labels[0], **tags)
-        trace = MergeTrace(1, matrix.labels, method.kind, method.alpha,
-                           policy, matrix.precision, (), tuple(notes))
-        return tree, trace
-
     state = ClusterState.from_matrix(matrix)
     nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
     records = []
-    low = state.shortest()
+    low = state.shortest() if state.count > 1 else None
 
     while state.count > 1:
         state.iteration += 1
@@ -490,8 +475,6 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     """
     tiebreak = normalize_tiebreak(tiebreak)
     method, tags = _run_tags(matrix, method)
-    if matrix.n == 1:
-        return single_leaf_tree(matrix.labels[0], **tags)
     rng = random.Random(seed)
     state = ClusterState.from_matrix(matrix)
     nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
@@ -541,8 +524,8 @@ def enumerate_pair_group(matrix, method, limit=10000):
 
 def _enumerate_newick(matrix, method, limit):
     """``enumerate_pair_group``'s trees in its order, each as (extended
-    newick text, tree), so a caller that writes the text need not
-    serialize a tree a second time."""
+    newick text, tree); one ``newick_texts`` call writes every text, each
+    shared subtree formatted once, so no caller serializes a tree again."""
     if limit < 1:
         raise ValueError("the outcome limit must be at least 1, not %d" % limit)
     method, tags = _run_tags(matrix, method)
@@ -591,23 +574,23 @@ def _enumerate_newick(matrix, method, limit):
         level = list(reached.values())
 
     merges = list(bit_of)
+    mask_of = [ma | mb for ma, mb, _ in merges]
     root = (1 << matrix.n) - 1
 
-    def in_postorder(bits):
-        # an outcome's merges in the order tree.postorder reads the tree
-        # they form, children by smallest leaf
-        at = {merges[bit][0] | merges[bit][1]: bit for bit in bits}
+    def postorder_masks(bits):
+        # an outcome's clusters in the order tree.postorder reads them
+        children = {mask_of[bit]: merges[bit][:2] for bit in bits}
         out, stack = [], [root]
         while stack:
-            bit = at.get(stack.pop())  # None at a leaf
-            if bit is not None:
-                out.append(bit)
-                stack.extend(merges[bit][:2])
-        out.reverse()
-        return out
+            mask = stack.pop()
+            if mask in children:  # not a leaf
+                out.append(mask)
+                stack.extend(children[mask])
+        return out[::-1]
 
-    def heights(bits):
-        return [merges[bit][2] for bit in bits]
+    def heights(bits, masks):
+        h_at = {mask_of[bit]: merges[bit][2] for bit in bits}
+        return [h_at[mask] for mask in masks]
 
     groups = {}
     for mask in level[0][1]:
@@ -617,11 +600,16 @@ def _enumerate_newick(matrix, method, limit):
     nodes = {}  # (bit, id of each child node) -> node, for the whole run
     kept = []
     for made in groups.values():
-        # keeping the outcome with the smallest postorder heights makes the
-        # choice independent of the order the search met them in
-        best = min(map(in_postorder, made), key=heights)
+        best = made[0]
+        if len(made) > 1:
+            # keeping the outcome with the smallest postorder heights makes
+            # the choice independent of the order the search met them in;
+            # the outcomes of one collapsed set have the same clusters
+            masks = postorder_masks(best)
+            best = min(made, key=lambda bits: heights(bits, masks))
         node_at = dict(leaf_at)
-        for bit in best:
+        # a child's leaves are a strict subset of its parent's
+        for bit in sorted(best, key=lambda bit: mask_of[bit].bit_count()):
             ma, mb, h = merges[bit]
             children = node_at[ma], node_at[mb]
             node_key = (bit, id(children[0]), id(children[1]))
@@ -629,11 +617,15 @@ def _enumerate_newick(matrix, method, limit):
             if node is None:
                 node = nodes[node_key] = internal(children, h, h, fusion=h)
             node_at[ma | mb] = node
-        tree = MultivaluedTree(root=node_at[root], labels=matrix.labels,
-                               **tags)
-        kept.append((to_newick_extended(tree), heights(best), tree))
-    kept.sort(key=lambda entry: entry[:2])
-    return [(text, tree) for text, _, tree in kept]
+        kept.append((best, MultivaluedTree(root=node_at[root],
+                                           labels=matrix.labels, **tags)))
+    texts = newick_texts(nodes.values(), [tree.root for _, tree in kept],
+                         tags["height_decimals"])
+    order = sorted(range(len(kept)), key=texts.__getitem__)
+    if len(set(texts)) < len(texts):  # heights apart past the printed digits
+        order.sort(key=lambda k: (texts[k], heights(
+            kept[k][0], postorder_masks(kept[k][0]))))
+    return [(texts[k], kept[k][1]) for k in order]
 
 
 def _bits(mask):

@@ -132,6 +132,28 @@ def round_half_away_array(values, places):
     return out
 
 
+def tie_edge(value, places):
+    """``round_half_away(value, places)`` (``value`` if ``places`` is None)
+    and the smallest float that rounds above it; rounding is monotone, so
+    the floats from ``value`` up to that edge tie with it."""
+    if places is None:
+        return value, math.nextafter(value, math.inf)
+    scale = float(10 ** min(places, _EXACT_PLACES))
+    if places <= _EXACT_PLACES and 0 <= value < (_EXACT_LIMIT - 1) / scale:
+        # round_half_away_array's bounds at t - 0.5 and t + 0.5 quanta
+        t = math.floor(value * scale + 0.5)
+        t += (value >= (t + 0.5) / scale) - (value < (t - 0.5) / scale)
+        return math.copysign(t / scale, value), (t + 0.5) / scale
+    # a few floats off the edge, then onto it one float at a time
+    key = round_half_away(value, places)
+    edge = key + 0.5 * 10.0 ** -places
+    while round_half_away(math.nextafter(edge, -math.inf), places) > key:
+        edge = math.nextafter(edge, -math.inf)
+    while round_half_away(edge, places) <= key:
+        edge = math.nextafter(edge, math.inf)
+    return key, edge
+
+
 def condensed_size(n):
     return n * (n - 1) // 2
 

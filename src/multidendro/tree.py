@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -117,10 +118,6 @@ class MultivaluedTree:
             members = frozenset(leaf.label for leaf in node.leaves())
             out[members] = (node.h_lower, node.h_upper, node.fusion)
         return out
-
-
-def single_leaf_tree(label, **tags):
-    return MultivaluedTree(root=Leaf(0, str(label)), labels=(str(label),), **tags)
 
 
 def preorder(root):
@@ -321,28 +318,47 @@ def to_newick_extended(tree):
     Heights get ``tree.height_decimals`` decimals. Labels must be free of
     whitespace and of the delimiters ()[],; so the format stays unambiguous.
     """
-    d = tree.height_decimals
+    return newick_texts((), [tree.root], tree.height_decimals)[0]
 
-    parts = []
-    # nodes still to write, interleaved with the text that follows them
-    stack = [tree.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif item.is_leaf:
-            if not _LABEL_RE.fullmatch(item.label):
-                raise FormatError("label %r not serializable" % (item.label,))
-            parts.append(item.label)
-        else:
-            stack.append(")[%.*f,%.*f]" % (d, item.h_lower, d, item.h_upper))
-            for k, child in enumerate(reversed(item.children)):
-                if k:
-                    stack.append(",")
-                stack.append(child)
-            stack.append("(")
-    parts.append(";")
-    return "".join(parts)
+
+def newick_texts(nodes, roots, decimals):
+    """``to_newick_extended`` of the tree under each of ``roots``. Of the
+    internal ``nodes`` they share, children first, each one that several
+    parents use is formatted once and dropped after its last use."""
+    left = Counter(id(child) for node in nodes for child in node.children)
+    text = {}  # id of a shared node -> its text
+
+    def write(node):
+        parts = []
+        # nodes still to write, interleaved with the text that follows them
+        stack = [node]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.is_leaf:
+                if not _LABEL_RE.fullmatch(item.label):
+                    raise FormatError("label %r not serializable"
+                                      % (item.label,))
+                parts.append(item.label)
+            elif id(item) in text:
+                left[id(item)] -= 1
+                parts.append(text[id(item)] if left[id(item)]
+                             else text.pop(id(item)))
+            else:
+                stack.append(")[%.*f,%.*f]" % (decimals, item.h_lower,
+                                               decimals, item.h_upper))
+                for k, child in enumerate(reversed(item.children)):
+                    if k:
+                        stack.append(",")
+                    stack.append(child)
+                stack.append("(")
+        return "".join(parts)
+
+    for node in nodes:
+        if left[id(node)] > 1:
+            text[id(node)] = write(node)
+    return [write(root) + ";" for root in roots]
 
 
 def parse_newick_extended(text):

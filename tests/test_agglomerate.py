@@ -142,14 +142,15 @@ def _check_state(state):
 def test_cached_minima_match_full_scan_after_random_merges(kind, data):
     # quarter quanta from few values: ties, rounding at 0, 1, 2 and 25
     # decimals (the last one value at a time), and with the centroid rules
-    # negative distances; an offset of 2**41 quanta takes the values past
-    # the 2**40 quanta where rounding leaves the whole-array path
+    # negative distances; offsets of 2**40 - 2 and 2**41 quanta take the
+    # values to and past the 2**40 quanta where rounding leaves the
+    # whole-array path and proximity.tie_edge its float bounds
     n = data.draw(st.integers(2, 9))
     values = data.draw(st.lists(st.integers(1, 12), min_size=n * (n - 1) // 2,
                                 max_size=n * (n - 1) // 2))
     precision = data.draw(st.sampled_from([None, 0, 1, 2, 25]))
     quantum = 10.0 ** -(precision or 0)
-    offset = data.draw(st.sampled_from([0.0, 2.0 ** 41]))
+    offset = data.draw(st.sampled_from([0.0, 2.0 ** 40 - 2, 2.0 ** 41]))
     matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
                              tuple((offset + v / 4) * quantum for v in values),
                              precision=precision)
@@ -184,6 +185,23 @@ def test_cached_minima_keep_positive_zero():
     state = ClusterState.from_matrix(matrix)
     _merge_pair(state, 4, 6, MethodSpec("unweighted_centroid"))
     _check_state(state)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_shortest_refuses_a_distance_that_is_not_finite(bad):
+    # nothing ties with inf or NaN, so an engine would find no pair to
+    # merge and loop; a distance update that overflows leaves them
+    state = ClusterState.from_matrix(
+        ProximityMatrix(("a", "b", "c"), (1.0, 2.0, 3.0), precision=0))
+    state.row_min[:] = bad
+    with pytest.raises(ValueError, match="no finite distance left"):
+        state.shortest()
+    # 1.7e308 + 1.5e308 overflows in the update, and then the joint
+    # between-within rule leaves NaN behind
+    huge = ProximityMatrix(("a", "b", "c"), (1.7e308, 1e308, 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="no finite distance left"):
+        cluster_variable_group(huge, "joint_between_within")
 
 
 @pytest.mark.parametrize("precision", [None, 0, 2])
@@ -647,8 +665,9 @@ def test_enumerate_matches_brute_force(kind, data):
     matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
                              tuple(v * step for v in values),
                              precision=precision)
-    trees = enumerate_pair_group(matrix, kind, limit=200000)
-    got = [(to_newick_extended(t), postorder_heights(t)) for t in trees]
+    # the texts the command line prints, not the trees written again
+    got = [(text, postorder_heights(tree)) for text, tree
+           in agglomerate._enumerate_newick(matrix, kind, limit=200000)]
     want = kept_pair_group_outcomes(pair_group_outcomes(matrix, kind),
                                     matrix.labels)
     assert [text for text, _ in got] == [text for text, _ in want]
@@ -798,9 +817,11 @@ def test_enumerate_at_scale_returns_the_classical_tree(make, kind):
     n = matrix.n
     trees, peak = flat_run(lambda: enumerate_pair_group(matrix, kind))
     assert len(trees) == 1
-    assert peak < 8 * n * n * 8
-    assert to_newick_extended(trees[0]) == to_newick_extended(
-        cluster_pair_group(matrix, kind))
+    assert peak < 2 * n * n * 8
+    # a deep tree's text is written in one pass, not copied into each level
+    text, peak = flat_run(lambda: to_newick_extended(trees[0]))
+    assert peak < 16 * len(text)
+    assert text == to_newick_extended(cluster_pair_group(matrix, kind))
 
 
 # ---- trees deeper than the recursion limit ----

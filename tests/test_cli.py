@@ -177,21 +177,32 @@ def test_enumerate_lists_all_outcomes(toy_file, capsys):
     assert "3 distinct outcome(s)" in err
 
 
-def test_enumerate_serializes_each_tree_once(toy_file, capsys, monkeypatch):
-    calls = []
+def test_enumerate_writes_the_enumerator_texts(toy, toy_file, capsys,
+                                              monkeypatch):
+    found = agglomerate._enumerate_newick(toy, "unweighted_average", 10000)
+    texts = [text for text, _ in found]
+    assert len(texts) == 3 and texts == sorted(texts)
+    assert texts == [to_newick_extended(tree) for _, tree in found]
 
-    def counting(tree):
-        calls.append(tree)
-        return to_newick_extended(tree)
+    def refuse(tree):
+        raise AssertionError("the command line serialized a tree itself")
 
-    monkeypatch.setattr(agglomerate, "to_newick_extended", counting)
-    monkeypatch.setattr(cli, "to_newick_extended", counting)
+    monkeypatch.setattr(cli, "to_newick_extended", refuse)
     rc, out, _ = run_cli(capsys, "--input", str(toy_file),
                          "--method", "unweighted_average", "--enumerate")
     assert rc == 0
-    # one call per written tree, made before the trees are sorted
-    assert len(calls) == 3
-    assert out.splitlines() == sorted(map(to_newick_extended, calls))
+    assert out.splitlines() == texts
+
+
+@pytest.mark.parametrize("mode", [("--output", "newick"), ("--enumerate",)])
+def test_unserializable_label_is_an_error(tmp_path, capsys, mode):
+    path = tmp_path / "paren.txt"
+    path.write_text("a(b x2 x3\n0 2 4\n2 0 2\n4 2 0\n")
+    rc, out, err = run_cli(capsys, "--input", str(path),
+                           "--method", "single", *mode)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: label 'a(b' not serializable\n"
 
 
 def test_reversal_exit_code(toy_file, capsys):

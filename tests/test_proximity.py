@@ -34,6 +34,7 @@ from multidendro.proximity import (
     _read_square,
     round_half_away,
     round_half_away_array,
+    tie_edge,
 )
 
 from oracles import (
@@ -303,6 +304,44 @@ def test_round_half_away_array_matches_scalar(case):
     got = round_half_away_array(values, places).tolist()
     assert list(map(_bits, got)) == [_bits(round_half_away(v, places))
                                      for v in values]
+
+
+@st.composite
+def _tie_edge_inputs(draw):
+    # half quanta, magnitudes near 2**40 and 2**53 quanta (where the float
+    # bounds give way to decimal rounding, and where floats grow coarser
+    # than a quantum), subnormals and 1e300; neighbours of each, both signs
+    places = draw(st.integers(0, 25))
+    scale = 10 ** places
+    half = lambda quanta: quanta.map(lambda t: (2 * t + 1) / (2 * scale))
+    near = lambda m: st.floats(0.5, 2.0).map(lambda x: x * m / scale)
+    value = draw(st.one_of(
+        half(st.integers(0, 10 ** 7)),
+        half(st.integers(2 ** 40 - 64, 2 ** 40 + 64)),
+        half(st.integers(2 ** 52 - 64, 2 ** 53 + 64)),
+        near(2.0 ** 40), near(2.0 ** 53),
+        st.floats(0.0, 2.0 ** -1022), st.floats(1e299, 1e301),
+        st.sampled_from([0.0, 5e-324, 1e300])))
+    for _ in range(draw(st.integers(0, 2))):
+        value = math.nextafter(value, draw(st.sampled_from([0.0, math.inf])))
+    if draw(st.booleans()):
+        value = -value
+    return value, draw(st.sampled_from([places, None]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_tie_edge_inputs())
+def test_tie_edge_matches_array_rounding(case):
+    # the comparison value is the array's, the edge rounds above it, and
+    # the float below the edge still rounds to it
+    value, places = case
+    rounded = (lambda x: x) if places is None else (
+        lambda x: round_half_away_array([x], places)[0])
+    key, edge = tie_edge(value, places)
+    assert _bits(key) == _bits(rounded(value))
+    assert edge > value
+    assert rounded(edge) > key
+    assert rounded(math.nextafter(edge, -math.inf)) == key
 
 
 def test_round_half_away_array_edges():

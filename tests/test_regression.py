@@ -57,12 +57,12 @@ from multidendro import (
     ZeroDistanceWarning,
     cluster_pair_group,
     cluster_variable_group,
-    enumerate_pair_group,
     parse_matrix,
     records_to_json,
     to_newick_extended,
     to_records,
 )
+from multidendro.agglomerate import _enumerate_newick
 
 GOLDEN = Path(__file__).parent / "data" / "regression_sha256.json"
 ENUMERATE_GOLDEN = Path(__file__).parent / "data" / "enumerate_sha256.json"
@@ -166,9 +166,10 @@ ENUMERATE_TEXT = """\
 
 
 def _enumerate_run(method):
-    trees = enumerate_pair_group(parse_matrix(ENUMERATE_TEXT), method)
-    text = "".join(to_newick_extended(t) + "\n" for t in trees)
-    return [len(trees), hashlib.sha256(text.encode()).hexdigest()]
+    # the texts the command line prints, not the trees written again
+    found = _enumerate_newick(parse_matrix(ENUMERATE_TEXT), method, 10000)
+    text = "".join(text + "\n" for text, _ in found)
+    return [len(found), hashlib.sha256(text.encode()).hexdigest()]
 
 
 def test_enumerate_golden_covers_every_rule():

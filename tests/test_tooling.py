@@ -100,3 +100,12 @@ def test_no_function_calls_itself():
         found.update("%s: %s" % (path.name, name)
                      for name in _self_calls(module))
     assert found == allowed
+
+
+def test_one_newick_height_format():
+    # every extended newick text comes from tree.newick_texts, so no
+    # second writer of the bracketed heights can drift from it
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for _ in range(path.read_text(encoding="utf-8")
+                            .count("[%.*f,%.*f]"))]
+    assert found == ["tree.py"]

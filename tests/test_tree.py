@@ -34,7 +34,7 @@ from multidendro import (
     tree_equal,
     validate_tree,
 )
-from multidendro.tree import postorder
+from multidendro.tree import newick_texts, postorder
 from oracles import (
     parse_newick_extended_recursive,
     record_members,
@@ -317,6 +317,28 @@ def test_newick_decimals_follow_precision():
     root = internal((Leaf(0, "a"), Leaf(1, "b")), 0.1234, 0.1234)
     tree = MultivaluedTree(root=root, labels=("a", "b"), height_decimals=4)
     assert to_newick_extended(tree) == "(a,b)[0.1234,0.1234];"
+
+
+def test_newick_texts_of_trees_that_share_nodes():
+    # (a,b) sits under two different parents and is a root of its own;
+    # one root has only leaves below it, and one is a leaf (n = 1)
+    a, b, c, d = (Leaf(i, label) for i, label in enumerate("abcd"))
+    ab = internal((a, b), 1.0, 1.0)
+    abc = internal((ab, c), 2.0, 2.0)
+    cd = internal((c, d), 1.5, 1.5)
+    roots = [internal((abc, d), 3.0, 3.0), internal((ab, cd), 4.0, 5.0),
+             internal((a, b, c, d), 1.0, 2.0), ab, a]
+    nodes = [ab, abc, roots[0], cd, roots[1], roots[2]]
+    assert newick_texts(nodes, roots, 3) == [
+        "(((a,b)[1.000,1.000],c)[2.000,2.000],d)[3.000,3.000];",
+        "((a,b)[1.000,1.000],(c,d)[1.500,1.500])[4.000,5.000];",
+        "(a,b,c,d)[1.000,2.000];",
+        "(a,b)[1.000,1.000];",
+        "a;",
+    ]
+    single = MultivaluedTree(root=a, labels=("a",))
+    assert to_newick_extended(single) == "a;"
+    assert newick_texts(nodes, [], 3) == []
 
 
 def test_parse_newick_golden():
