@@ -33,7 +33,6 @@ from .errors import (
     EmptyInput,
     FormatError,
     FusionFallbackWarning,
-    InvalidAlpha,
     MissingPair,
     MultidendroError,
     NegativeValue,

@@ -19,10 +19,10 @@ the shortest distance rounds only the smallest one: the entries below the
 float where its comparison value ends (``proximity.tie_edge``) tie with it. A
 variable-group merge makes two ``linkage.vg_update`` calls per new cluster,
 one to every unmerged cluster and one to the clusters merged after it in
-the same iteration, each a few whole-row numpy operations; the classical
-engine's is one ``linkage.pg_update`` row. A group's height interval is the
-minimum and maximum of the raw distances between its constituents. A
-cluster's leaves are an int mask. The classical engine and the enumerator
+the same iteration, each a few whole-row numpy operations; a classical
+merge makes one, with the merged pair as its block J. A group's height
+interval is the minimum and maximum of the raw distances between its
+constituents. A cluster's leaves are an int mask. The classical engine and the enumerator
 share one pair merge step (``_merge_pair``); the enumerator sweeps forward
 one merge at a time over copies of the state, gives each distinct merge of
 a run, keyed by its two children, one bit, and so holds every outcome as an
@@ -58,7 +58,6 @@ from .linkage import (
     UNWEIGHTED_AVERAGE,
     WEIGHTED_AVERAGE,
     MethodSpec,
-    pg_update,
     vg_update,
     within_term,
 )
@@ -225,6 +224,16 @@ class ClusterState:
         row_arg[rows] = block.argmin(axis=1)
 
 
+def _least(state):
+    # shortest() for an engine about to merge there, as no tree has a node
+    # below zero; only centroid and joint between-within updates go there
+    low = state.shortest()
+    if low[0] < 0:
+        raise ValueError("a distance update went negative, to %r; this "
+                         "rule needs Euclidean input" % low[0])
+    return low
+
+
 def _groups_from_edges(edges):
     # the slots the edges join, one ascending tuple per connected set, in
     # order of smallest slot: a union keeps the smaller root, so every
@@ -322,7 +331,6 @@ class MergeTrace:
     n_items: int
     labels: tuple
     method: str
-    alpha: "float | None"
     policy: "str | None"
     precision: "int | None"
     iterations: tuple
@@ -342,7 +350,7 @@ def _run_tags(matrix, method, policy=None):
     if matrix.n == 0:
         raise EmptyInput("no individuals to cluster")
     decimals = 3 if matrix.precision is None else max(3, matrix.precision + 1)
-    return method, dict(method=method.kind, alpha=method.alpha, policy=policy,
+    return method, dict(method=method.kind, policy=policy,
                         height_decimals=decimals)
 
 
@@ -370,7 +378,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     state = ClusterState.from_matrix(matrix)
     nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
     records = []
-    low = state.shortest() if state.count > 1 else None
+    low = _least(state) if state.count > 1 else None
 
     while state.count > 1:
         state.iteration += 1
@@ -407,15 +415,15 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
         state.merge(formed, writes)
         d_next = None
         if state.count > 1:
-            low = state.shortest()
+            low = _least(state)
             d_next = low[0]
         records.append(IterationRecord(
             index=state.iteration, d_lower=d_lower_raw,
             groups=tuple(group_records), d_next=d_next, reversal=reversal))
 
     tree = MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
-    trace = MergeTrace(matrix.n, matrix.labels, method.kind, method.alpha,
-                       policy, matrix.precision, tuple(records), tuple(notes))
+    trace = MergeTrace(matrix.n, matrix.labels, method.kind, policy,
+                       matrix.precision, tuple(records), tuple(notes))
     return tree, trace
 
 
@@ -450,19 +458,19 @@ def _merge_pair(state, a, b, method):
     distance.
 
     The new cluster takes the lower of the two slots, and its distances to
-    every other survivor are one row of the pair-group update. Returns the
-    raw distance it formed at.
+    every other survivor are one ``linkage.vg_update`` row, with the two
+    merged clusters as block J. Returns the raw distance it formed at.
     """
-    dist = state.dist
+    dist, kind = state.dist, method.kind
     h = float(dist[a, b])
-    parts = (a, b) if a < b else (b, a)
+    pair = [a, b] if a < b else [b, a]
     kept = state.live.copy()
     kept[a] = kept[b] = False
     kept = kept.nonzero()[0]
-    size_a, size_b = state.sizes[[a, b]].tolist()
-    row = pg_update(method.kind, size_a, size_b, state.sizes[kept],
-                    h, dist[a][kept], dist[b][kept])
-    state.merge([parts], [(parts[0], kept, row)])
+    rows, size = dist.take(pair, axis=0), state.sizes[pair]
+    row = vg_update(kind, size, within_term(kind, size, rows.take(pair, axis=1)),
+                    state.sizes[kept], rows.take(kept, axis=1))
+    state.merge([pair], [(pair[0], kept, row)])
     return h
 
 
@@ -482,7 +490,7 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     while state.count > 1:
         # the rules order tied pairs by their cluster ids, low id first
         candidates = sorted(
-            state.shortest()[2],
+            _least(state)[2],
             key=lambda edge: sorted(map(cid_at.__getitem__, edge)))
         if tiebreak == TIEBREAK_FIRST:
             a, b = candidates[0]
@@ -542,7 +550,7 @@ def _enumerate_newick(matrix, method, limit):
     for _ in range(matrix.n - 1):
         reached = {}
         for state, made in level:
-            pairs = state.shortest()[2]
+            pairs = _least(state)[2]
             for k, (a, b) in enumerate(pairs):
                 # nothing reads this state after its last pair, so that pair
                 # merges in place; a run without ties then copies nothing

@@ -50,8 +50,6 @@ def build_parser():
                    help="decimals used to round values and detect ties "
                         "(default: inferred from the written input)")
     p.add_argument("--method", required=True, choices=METHOD_KINDS)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="exponent for joint_between_within, in (0, 2]")
     p.add_argument("--policy", choices=POLICIES, default=None,
                    help="how tied groups report a height: interval only "
                         "(the default), the method's natural summary, or the "
@@ -106,7 +104,7 @@ def run(config):
                                       or config.tiebreak is not None):
         raise ValueError("--policy only applies without --tiebreak and "
                          "--enumerate")
-    method = MethodSpec(config.method, config.alpha)
+    method = MethodSpec(config.method)
     # utf-8-sig drops the byte-order mark some editors write
     text = Path(config.input).read_text(encoding="utf-8-sig")
     matrix = parse_matrix(text, config.format, similarity=config.similarity)

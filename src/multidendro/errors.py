@@ -36,14 +36,10 @@ class DuplicateLabel(MultidendroError):
 
 
 class OutOfRange(MultidendroError):
-    """Similarity value outside [0, 1]."""
+    """Similarity outside [0, 1], or a value above proximity.MAX_VALUE."""
 
 
 # ---- linkage evaluation ----
-
-class InvalidAlpha(MultidendroError):
-    """Exponent parameter outside (0, 2], or given for a method without one."""
-
 
 class UnsupportedMethod(MultidendroError):
     """Method name unknown, or operation undefined for the method."""

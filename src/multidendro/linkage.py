@@ -4,10 +4,11 @@ Seven rules are supported. ``vg_update`` is the paper's generalized
 Lance-Williams formula: the distances from a block J of clusters merged in
 one step to many blocks I at once, from the current between-cluster
 distances, cluster sizes and each block's ``within_term`` alone.
-``pg_update`` is the classical case where exactly two clusters merge, over
-a row of other clusters. Both are unchecked internals: the engines call
-them with sizes and slices read from ``ClusterState``'s slot-indexed
-arrays. The scalar reference, ``vg_kernel``, lives with the tests.
+With two clusters in J it is the classical Lance-Williams update, so every
+engine updates distances through it, an unchecked internal called with
+sizes and slices of ``ClusterState``'s slot-indexed arrays. The scalar
+reference, ``vg_kernel``, and the textbook two-cluster formula,
+``lance_williams``, live with the tests.
 
 Numerical notes: each block's terms sum correctly rounded (math.fsum), so
 results do not depend on term order and equal the scalar ones bit for bit.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, UnsupportedMethod
+from .errors import UnsupportedMethod
 
 SINGLE = "single"
 COMPLETE = "complete"
@@ -48,27 +49,17 @@ WITHIN_METHODS = (UNWEIGHTED_CENTROID, WEIGHTED_CENTROID, JOINT_BETWEEN_WITHIN)
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A linkage rule plus its parameter, if any.
-
-    ``alpha`` is the exponent of the joint between-within rule, restricted
-    to (0, 2] and defaulting to 1; other rules take no parameter.
-    """
+    """A linkage rule, by a name in METHOD_KINDS ("-" for "_"); no rule has a
+    parameter, as joint between-within takes distances already raised to
+    its exponent alpha, the form Szekely and Rizzo define it in."""
 
     kind: str
-    alpha: "float | None" = None
 
     def __post_init__(self):
         kind = self.kind.replace("-", "_")
         object.__setattr__(self, "kind", kind)
         if kind not in METHOD_KINDS:
             raise UnsupportedMethod("unknown method %r" % (self.kind,))
-        if kind == JOINT_BETWEEN_WITHIN:
-            alpha = 1.0 if self.alpha is None else float(self.alpha)
-            if not 0.0 < alpha <= 2.0:
-                raise InvalidAlpha("alpha must lie in (0, 2], got %r" % (alpha,))
-            object.__setattr__(self, "alpha", alpha)
-        elif self.alpha is not None:
-            raise InvalidAlpha("method %r takes no alpha" % (kind,))
 
 
 def _terms(kind, si, sj, d):
@@ -128,33 +119,3 @@ def vg_update(kind, sizes_j, within_j, sizes, cross, starts=None, within=None):
         rest_i = (tj / ti if jbw else 1) * np.asarray(within)
         out = _sums(np.array(np.broadcast_arrays(between, -rest_j, -rest_i)))
     return out / (ti + tj) if jbw else out
-
-
-# ---- classical two-way update ----
-
-def pg_update(kind, si, si2, sj, d_between, d_left, d_right):
-    """Distance from the merge of two clusters to a third, unchecked.
-
-    ``si`` and ``si2`` are the sizes of the merged clusters and ``sj`` that
-    of the other; ``d_between`` is the distance separating the two merged
-    clusters, ``d_left``/``d_right`` their distances to the other cluster.
-    ``sj``, ``d_left`` and ``d_right`` may be numpy arrays, one entry per
-    other cluster: the operations are the same IEEE ones in the same
-    order, so each entry of the row equals the scalar result bit for bit.
-    Single and complete are an exact minimum and maximum, as in ``vg_update``.
-    """
-    if kind in (SINGLE, COMPLETE):
-        out = (np.minimum if kind == SINGLE else np.maximum)(d_left, d_right)
-        return out if np.ndim(out) else float(out)
-    if kind == UNWEIGHTED_AVERAGE:
-        return (si * d_left + si2 * d_right) / (si + si2)
-    if kind == WEIGHTED_AVERAGE:
-        return 0.5 * d_left + 0.5 * d_right
-    if kind == UNWEIGHTED_CENTROID:
-        total = si + si2
-        return (si * d_left + si2 * d_right) / total \
-            - (si * si2 * d_between) / (total * total)
-    if kind == WEIGHTED_CENTROID:
-        return 0.5 * d_left + 0.5 * d_right - 0.25 * d_between
-    return ((si + sj) * d_left + (si2 + sj) * d_right - sj * d_between) \
-        / (si + si2 + sj)

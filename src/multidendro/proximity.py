@@ -62,6 +62,10 @@ _TOKEN_RE = re.compile(r"\S+")
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # tolerance for symmetry and diagonal checks on parsed text
 _SYM_TOL = 1e-12
+# the largest value parse_matrix accepts: stored distances stay within 4n
+# times it, and an update sums at most n**2 of them times at most 2n**2, so
+# below 2**20 individuals (an 8 TiB matrix) nothing nears 2**1024
+MAX_VALUE = 2.0 ** 900
 
 
 def _normalize_format(fmt):
@@ -288,7 +292,8 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
     places among the value tokens. Pass an int to override, or None to keep
     raw comparison. With ``similarity`` the self entries must be 1 instead
     of 0 and the zero-distance warning stays quiet; pass the result through
-    similarity_to_dissimilarity before clustering.
+    similarity_to_dissimilarity before clustering. A value above
+    ``MAX_VALUE`` raises OutOfRange once the matrix is built.
     """
     fmt = _normalize_format(fmt)
     # a byte-order mark some editors write is no part of the first token
@@ -302,11 +307,15 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
             text, labeled=(fmt == "labeled-pairs"), self_value=self_value)
     if precision == "infer":
         precision = inferred
-    if similarity:
-        with warnings.catch_warnings():
+    with warnings.catch_warnings():
+        if similarity:
             warnings.simplefilter("ignore", ZeroDistanceWarning)
-            return ProximityMatrix(labels, values, precision=precision)
-    return ProximityMatrix(labels, values, precision=precision)
+        matrix = ProximityMatrix(labels, values, precision=precision)
+    big = matrix.condensed[matrix.condensed > MAX_VALUE]
+    if big.size:
+        raise OutOfRange("value %r is above 2**900, the largest accepted"
+                         % (float(big[0]),))
+    return matrix
 
 
 def _split_rows(text):

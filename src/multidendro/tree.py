@@ -94,7 +94,6 @@ class MultivaluedTree:
     root: object
     labels: tuple
     method: "str | None" = None
-    alpha: "float | None" = None
     policy: "str | None" = None
     height_decimals: int = 3
 
@@ -495,7 +494,6 @@ def to_records(tree, trace=None):
         "format_version": FORMAT_VERSION,
         "labels": list(tree.labels),
         "method": tree.method,
-        "alpha": tree.alpha,
         "policy": tree.policy,
         "height_decimals": tree.height_decimals,
         "merges": merges,
@@ -513,8 +511,8 @@ def _ids_from_trace(tree, trace):
     """Map id of each internal node -> its cluster id in a trace with the
     tree's labels and tags, which forms each node from the same ids at
     the same heights."""
-    if (tuple(trace.labels), trace.method, trace.alpha, trace.policy) != (
-            tree.labels, tree.method, tree.alpha, tree.policy):
+    if (tuple(trace.labels), trace.method, trace.policy) != (
+            tree.labels, tree.method, tree.policy):
         raise FormatError("trace does not describe this tree")
     formed = {frozenset(grp.member_ids): grp
               for it in trace.iterations for grp in it.groups}
@@ -535,7 +533,6 @@ def _trace_to_dict(trace):
         "n_items": trace.n_items,
         "labels": list(trace.labels),
         "method": trace.method,
-        "alpha": trace.alpha,
         "policy": trace.policy,
         "precision": trace.precision,
         "notes": list(trace.notes),
@@ -578,8 +575,9 @@ def parse_records(source):
     """Rebuild (tree, trace) from a records document or its JSON text.
 
     Reads versions "1" to "3" alike: the leaf lists of 1 and 2 are ignored,
-    and so are a version 1 trace's pass-through groups, with null heights.
-    A missing or ill-typed key raises FormatError.
+    and so are a version 1 trace's pass-through groups, with null heights,
+    and the "alpha" tag older documents carry. A missing or ill-typed key
+    raises FormatError.
     """
     doc = json.loads(source) if isinstance(source, str) else source
     _checked(doc, "records document")
@@ -617,14 +615,13 @@ def parse_records(source):
         raise FormatError("records document lacks a valid 'height_decimals'")
     tree = MultivaluedTree(
         root=nodes[roots[0]], labels=labels, method=doc.get("method"),
-        alpha=doc.get("alpha"), policy=doc.get("policy"),
-        height_decimals=decimals)
+        policy=doc.get("policy"), height_decimals=decimals)
     trace = None
     if doc.get("trace") is not None:
         from .agglomerate import GroupRecord, IterationRecord, MergeTrace
 
         td = _checked(doc["trace"], "trace", n_items=int, labels=list,
-                      method=object, alpha=object, policy=object,
+                      method=object, policy=object,
                       precision=object, notes=list, iterations=list)
         iterations = []
         for it in td["iterations"]:
@@ -644,7 +641,7 @@ def parse_records(source):
                       for g in groups if g["h_lower"] is not None),
                 it["d_next"], it["reversal"]))
         trace = MergeTrace(td["n_items"], tuple(td["labels"]), td["method"],
-                           td["alpha"], td["policy"], td["precision"],
-                           tuple(iterations), tuple(td["notes"]))
+                           td["policy"], td["precision"], tuple(iterations),
+                           tuple(td["notes"]))
         _ids_from_trace(tree, trace)
     return tree, trace

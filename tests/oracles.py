@@ -17,7 +17,6 @@ from multidendro.errors import (
     AsymmetricInput,
     DuplicateLabel,
     FormatError,
-    InvalidAlpha,
     MultidendroError,
     NegativeValue,
     ParseError,
@@ -31,7 +30,6 @@ from multidendro.linkage import (
     UNWEIGHTED_CENTROID,
     WEIGHTED_AVERAGE,
     WEIGHTED_CENTROID,
-    pg_update,
 )
 from multidendro.proximity import (
     _SYM_TOL,
@@ -230,6 +228,35 @@ def vg_kernel(kind, sizes_i, sizes_j, cross, within_i, within_j):
                       -(ti / tj) * within_j)) / (ti + tj)
 
 
+# ---- the classical two-cluster update ----
+
+def lance_williams(kind, si, si2, sj, d_between, d_left, d_right):
+    """Distance from the merge of two clusters to a third, by the textbook
+    Lance-Williams formula in plain IEEE operations.
+
+    ``si`` and ``si2`` are the sizes of the merged clusters and ``sj`` that
+    of the other; ``d_between`` is the distance separating the two merged
+    clusters, ``d_left``/``d_right`` their distances to the other cluster.
+    It agrees with the block update to rounding, not bit for bit.
+    """
+    if kind == SINGLE:
+        return min(d_left, d_right)
+    if kind == COMPLETE:
+        return max(d_left, d_right)
+    if kind == UNWEIGHTED_AVERAGE:
+        return (si * d_left + si2 * d_right) / (si + si2)
+    if kind == WEIGHTED_AVERAGE:
+        return 0.5 * d_left + 0.5 * d_right
+    if kind == UNWEIGHTED_CENTROID:
+        total = si + si2
+        return (si * d_left + si2 * d_right) / total \
+            - (si * si2 * d_between) / (total * total)
+    if kind == WEIGHTED_CENTROID:
+        return 0.5 * d_left + 0.5 * d_right - 0.25 * d_between
+    return ((si + sj) * d_left + (si2 + sj) * d_right - sj * d_between) \
+        / (si + si2 + sj)
+
+
 # ---- the block update through an explicit coefficient table ----
 
 class Blocks(NamedTuple):
@@ -388,6 +415,10 @@ def direct_distance(method, matrix, side_i, side_j):
 
 class DimensionMismatch(MultidendroError):
     """Point sets whose coordinate dimensions disagree."""
+
+
+class InvalidAlpha(MultidendroError):
+    """A joint between-within exponent outside (0, 2]."""
 
 
 def _as_points(obj, what):
@@ -561,7 +592,8 @@ def pair_group_outcomes(matrix, kind):
     """Every raw outcome of the classical procedure, by plain recursion.
 
     No memo and no early collapse: each tied pair at each step is merged on
-    its own copy of a pair -> distance table, with the scalar update.
+    its own copy of a pair -> distance table, with the scalar block update
+    (``vg_kernel``) and the merged pair as block J.
     Ties are decided on distances rounded half away from zero to the
     matrix's precision. An outcome is the frozenset of its (members,
     height) merges, members as ascending leaf indices and heights raw.
@@ -586,10 +618,13 @@ def pair_group_outcomes(matrix, kind):
             keep = [c for c in members if c not in (a, b)]
             table2 = {pair: v for pair, v in table.items()
                       if a not in pair and b not in pair}
+            within = ((0.0, d), (d, 0.0))
             for c in keep:
-                table2[(c, new)] = pg_update(
-                    kind, sizes[a], sizes[b], sizes[c], d,
-                    table[min(a, c), max(a, c)], table[min(b, c), max(b, c)])
+                cross = ((table[min(a, c), max(a, c)],
+                          table[min(b, c), max(b, c)]),)
+                table2[(c, new)] = vg_kernel(kind, (sizes[c],),
+                                             (sizes[a], sizes[b]), cross,
+                                             None, within)
             merged = tuple(sorted(members[a] + members[b]))
             members2 = {c: members[c] for c in keep}
             members2[new] = merged

@@ -25,7 +25,6 @@ from multidendro import (
     to_newick_extended,
     tree_equal,
 )
-from multidendro.linkage import pg_update
 
 from block_update import vg_block
 from oracles import (
@@ -33,6 +32,7 @@ from oracles import (
     centroid_oracle,
     direct_distance,
     jbw_oracle,
+    lance_williams,
     vg_distance_tabular,
 )
 
@@ -305,7 +305,8 @@ def run_jbw_config(rng, alpha):
     dim = int(rng.integers(2, 6))
     n = int(rng.integers(4, 13))
     pts = rng.uniform(-5, 5, size=(n, dim))
-    method = MethodSpec("joint_between_within", alpha=alpha)
+    # the rule takes distances already raised to the power alpha
+    method = MethodSpec("joint_between_within")
     clusters = [dict(members=[i], size=1) for i in range(n)]
     dist = {}
     for i in range(n):
@@ -357,17 +358,15 @@ def test_criterion_07_reduction_to_classical():
             sizes = tuple(int(s) for s in rng.integers(1, 7, size=3))
             d_between, d_left, d_right = rng.uniform(0.05, 50.0, size=3)
             for kind in METHOD_KINDS:
-                alpha = None
-                if kind == "joint_between_within":
-                    alpha = float(rng.choice((0.5, 1.0, 2.0)))
-                m = MethodSpec(kind, alpha)
+                m = MethodSpec(kind)
                 blocks = Blocks(
                     sizes_i=sizes[:2], sizes_j=sizes[2:],
                     cross=((d_left,), (d_right,)),
                     within_i=((0.0, d_between), (d_between, 0.0)),
                     within_j=((0.0,),),
                 )
-                want = pg_update(kind, *sizes, d_between, d_left, d_right)
+                want = lance_williams(kind, *sizes, d_between, d_left,
+                                      d_right)
                 assert rel(vg_distance_tabular(m, blocks), want) <= 1e-9
                 assert rel(vg_block(kind, *blocks), want) <= 1e-9
 
@@ -375,6 +374,8 @@ def test_criterion_07_reduction_to_classical():
 # ---- 8: without ties both engines build the same tree ----
 
 def test_criterion_08_no_tie_equivalence():
+    # both engines update through linkage.vg_update, a merged pair being a
+    # block J of two clusters, so their heights agree to the last bit
     with criterion(8, "tie-free runs match the classical engine"):
         rng = np.random.default_rng(505)
         done = 0
@@ -390,12 +391,25 @@ def test_criterion_08_no_tie_equivalence():
                     all_clean = False
                     break
                 pg = cluster_pair_group(m, kind)
-                assert tree_equal(vg, pg, 1e-9), (kind, n)
+                assert tree_equal(vg, pg, 0.0), (kind, n)
             if not all_clean:
                 redraws += 1
                 assert redraws < 10, "continuous draws keep producing ties"
                 continue
             done += 1
+
+
+def test_criterion_08_no_tie_equivalence_at_scale():
+    # one tie-free draw of 800 points under every rule, about 1.2 s
+    with criterion(8, "tie-free runs match the classical engine at n=800"):
+        n = 800
+        vals = np.random.default_rng(808).uniform(0.5, 100.0,
+                                                  size=n * (n - 1) // 2)
+        m = matrix_from_values(n, vals)
+        for kind in METHOD_KINDS:
+            vg, trace = cluster_variable_group(m, kind)
+            assert tie_free(trace), kind
+            assert tree_equal(vg, cluster_pair_group(m, kind), 0.0), kind
 
 
 # ---- 9: single linkage is immune to tie-break order ----

@@ -204,6 +204,18 @@ def test_shortest_refuses_a_distance_that_is_not_finite(bad):
         cluster_variable_group(huge, "joint_between_within")
 
 
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+def test_engines_refuse_to_merge_below_zero():
+    # x1-x2 at 0.4 ties with the zeros at 0 places and merges first, and
+    # the centroid update from that pair takes x3 to -0.1
+    matrix = ProximityMatrix(("x1", "x2", "x3"), (0.4, 0.0, 0.0),
+                             precision=0)
+    for run in (lambda: cluster_pair_group(matrix, "unweighted_centroid"),
+                lambda: enumerate_pair_group(matrix, "unweighted_centroid")):
+        with pytest.raises(ValueError, match="went negative, to -0.1;"):
+            run()
+
+
 @pytest.mark.parametrize("precision", [None, 0, 2])
 def test_state_setup_builds_one_square(precision):
     # one n x n float64 working matrix plus its n x n boolean triangle

@@ -1,5 +1,8 @@
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -7,19 +10,25 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multidendro import (
+    METHOD_KINDS,
     Leaf,
     MultivaluedTree,
     ZeroDistanceWarning,
     cluster_variable_group,
     internal,
     parse_matrix,
+    parse_newick_extended,
     render_text,
     to_newick_extended,
+    validate_tree,
 )
 from multidendro import agglomerate, cli
 from multidendro.cli import main
+from multidendro.proximity import MAX_VALUE
 
 TOY_NEWICK = "((x1,x2,x3)[2.000,4.000],x4)[5.000,5.000];"
 
@@ -350,13 +359,18 @@ def test_enumeration_limit_below_one_is_rejected(tmp_path, capsys):
 
 
 def test_alpha_flag(tmp_path, capsys):
+    # no rule reads an exponent: joint between-within takes distances
+    # already raised to it, so --alpha is refused, not silently ignored
     path = tmp_path / "two.txt"
     path.write_text("0 9\n9 0\n")
+    rc, out, err = run_cli(capsys, "--input", str(path),
+                           "--method", "joint_between_within",
+                           "--alpha", "2.0")
+    assert (rc, out) == (1, "")
+    assert "unrecognized arguments: --alpha 2.0" in err
     rc, out, _ = run_cli(capsys, "--input", str(path),
-                         "--method", "joint_between_within",
-                         "--alpha", "2.0")
-    assert rc == 0
-    assert out == "(x1,x2)[9.000,9.000];\n"
+                         "--method", "joint_between_within")
+    assert (rc, out) == (0, "(x1,x2)[9.000,9.000];\n")
 
 
 HUGE_TEXT = "0 1e30 2\n1e30 0 3\n2 3 0\n"
@@ -393,6 +407,66 @@ def test_extreme_and_malformed_input_never_raises(tmp_path, capsys, text,
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert rc == 0
+
+
+# the ends of the accepted range and their neighbours
+_EDGES = [0.0, 5e-324, 2.0 ** -1022, 1.0, MAX_VALUE,
+          math.nextafter(MAX_VALUE, 0.0)]
+_ENGINES = [(), ("--tiebreak", "first"), ("--tiebreak", "last"),
+            ("--tiebreak", "random", "--seed", "1"), ("--enumerate",)]
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 64), method=st.sampled_from(METHOD_KINDS),
+       engine=st.sampled_from(_ENGINES))
+def test_accepted_values_give_a_valid_tree_or_one_error(
+        tmp_path, capsys, seed, method, engine):
+    # the matrix comes from the seed, as hypothesis' own float draws would
+    # take most of the time: up to 5 points, and a pool of up to 10 values
+    # from subnormals to the largest accepted that each pair picks from, so
+    # that some tie. The tree of every run that exits 0 or 2 is valid, and
+    # any other run prints one error line and no traceback
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    pool = [rng.choice(_EDGES) if rng.random() < 0.2
+            else math.ldexp(rng.random(), rng.randint(-1073, 900))
+            for _ in range(rng.randint(1, 10))]
+    square = [[0.0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        square[i][j] = square[j][i] = rng.choice(pool)
+    path = tmp_path / "accepted.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n"
+                            for row in square))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroDistanceWarning)
+        rc, out, err = run_cli(capsys, "--input", str(path),
+                               "--method", method, *engine)
+    if rc == 1:
+        assert out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == err.splitlines()[-1:]
+        return
+    assert rc in (0, 2), err
+    for line in out.splitlines():
+        report = validate_tree(parse_newick_extended(line))
+        assert not report.errors, (line, report.errors)
+
+
+@pytest.mark.parametrize("method", ["unweighted_centroid", "weighted_centroid",
+                                    "joint_between_within"])
+def test_negative_update_is_one_error_line(tmp_path, capsys, method):
+    # x1 and x3 are 100 apart but join x2 at distance 0 in one group, and
+    # the group's within term takes its distance to x4 below zero
+    path = tmp_path / "bent.txt"
+    path.write_text("0 0 100 1\n0 0 0 1\n100 0 0 1\n1 1 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroDistanceWarning)
+        rc, out, err = run_cli(capsys, "--input", str(path),
+                               "--method", method)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: a distance update went negative")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["a b\n", "a b\n \n\t\n"])

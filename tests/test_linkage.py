@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidendro import (
-    InvalidAlpha,
     METHOD_KINDS,
     MethodSpec,
     UnsupportedMethod,
@@ -16,7 +15,6 @@ from multidendro import (
 from multidendro.linkage import (
     COMPLETE,
     SINGLE,
-    pg_update,
     vg_update,
     within_term,
 )
@@ -25,9 +23,11 @@ from block_update import vg_block
 from oracles import (
     Blocks,
     DimensionMismatch,
+    InvalidAlpha,
     centroid_oracle,
     direct_distance,
     jbw_oracle,
+    lance_williams,
     vg_distance_tabular,
     vg_kernel,
 )
@@ -40,23 +40,6 @@ def close(a, b, tol=1e-9):
 
 
 # ---- method specs ----
-
-def test_alpha_defaults_to_one():
-    assert MethodSpec("joint_between_within").alpha == 1.0
-
-
-def test_alpha_range_checked():
-    with pytest.raises(InvalidAlpha):
-        MethodSpec("joint_between_within", alpha=2.5)
-    with pytest.raises(InvalidAlpha):
-        MethodSpec("joint_between_within", alpha=0.0)
-    assert MethodSpec("joint_between_within", alpha=2.0).alpha == 2.0
-
-
-def test_alpha_rejected_elsewhere():
-    with pytest.raises(InvalidAlpha):
-        MethodSpec("single", alpha=1.0)
-
 
 def test_unknown_method():
     with pytest.raises(UnsupportedMethod):
@@ -147,7 +130,7 @@ def test_two_against_one_reduces_to_classical(sizes, d_between, d_left,
         within_i=((0.0, d_between), (d_between, 0.0)),
         within_j=((0.0,),),
     )
-    expected = pg_update(method.kind, *sizes, d_between, d_left, d_right)
+    expected = lance_williams(method.kind, *sizes, d_between, d_left, d_right)
     assert close(vg_block(method.kind, *blocks), expected, 1e-9)
 
 
@@ -179,14 +162,47 @@ def test_block_order_and_side_swap_do_not_matter(blocks, method, seed):
     assert vg_block(method.kind, *swapped) == reference
 
 
-# ---- classical update goldens ----
+# ---- the classical merge: the block update with the pair as block J ----
+
+def pair_row(kind, sizes_j, d_between, sizes, left, right):
+    """The row ``agglomerate._merge_pair`` writes when the clusters of sizes
+    ``sizes_j`` merge at ``d_between``: ``vg_update`` over columns of other
+    clusters (``sizes``), the merged pair's distances to them in ``left``
+    and ``right``."""
+    sizes_j = np.array(sizes_j, dtype=np.int64)
+    # the pair's rows of the working matrix, inf on the diagonal
+    within = np.array([[np.inf, d_between], [d_between, np.inf]])
+    return vg_update(kind, sizes_j, within_term(kind, sizes_j, within),
+                     np.array(sizes, dtype=np.int64),
+                     np.array([left, right], dtype=np.float64).reshape(2, -1))
+
+
+def pair_kernel(kind, sizes_j, d_between, sizes, left, right):
+    """``pair_row`` one column at a time, through the scalar ``vg_kernel``."""
+    within = ((0.0, d_between), (d_between, 0.0))
+    return [vg_kernel(kind, (int(s),), tuple(sizes_j), ((a, b),), None, within)
+            for s, a, b in zip(sizes, left, right)]
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_pair_row(kind, sizes_j, d_between, sizes, left, right, want=None):
+    got = pair_row(kind, sizes_j, d_between, sizes, left, right).tolist()
+    kernel = pair_kernel(kind, sizes_j, d_between, sizes, left, right)
+    assert list(map(bits, got)) == list(map(bits, kernel))
+    if want is not None:
+        assert list(map(bits, got)) == list(map(bits, want))
+
 
 def test_pg_unweighted_average():
-    assert pg_update("unweighted_average", 1, 1, 1, 2.0, 4.0, 2.0) == 3.0
+    assert_pair_row("unweighted_average", (1, 1), 2.0, [1], [4.0], [2.0],
+                    want=[3.0])
 
 
 def test_pg_single_is_minimum():
-    assert pg_update("single", 1, 1, 1, 2.0, 4.0, 2.0) == 2.0
+    assert_pair_row("single", (1, 1), 2.0, [1], [4.0], [2.0], want=[2.0])
 
 
 @pytest.mark.parametrize("kind, left, right, want", [
@@ -198,23 +214,16 @@ def test_pg_single_is_minimum():
 def test_pg_single_and_complete_are_exact(kind, left, right, want):
     # halving a sum and a difference loses bits: 0.1 and 0.3 gave
     # 0.10000000000000002, and 0.1 against 1e20 gave 0.0
-    got = pg_update(kind, 1, 1, 1, 0.05, left, right)
-    assert type(got) is float
-    assert bits(got) == bits(want)
-    row = pg_update(kind, 1, 1, np.ones(2, dtype=np.int64), 0.05,
-                    np.array([left, right]), np.array([right, left]))
-    assert row.tolist() == [want, want]
+    assert_pair_row(kind, (1, 1), 0.05, [1, 1], [left, right], [right, left],
+                    want=[want, want])
 
 
 def test_pg_unweighted_centroid():
-    assert pg_update("unweighted_centroid", 1, 1, 1, 2.0, 7.0, 5.0) == 5.5
+    assert_pair_row("unweighted_centroid", (1, 1), 2.0, [1], [7.0], [5.0],
+                    want=[5.5])
 
 
 # ---- row forms against the scalar updates ----
-
-def bits(x):
-    return struct.pack("<d", x)
-
 
 # whole rows see negative values (centroid rules) and exact cancellations,
 # where the sign of a zero result is the first thing to go wrong
@@ -289,29 +298,21 @@ def test_row_forms_keep_the_sign_of_zero(kind):
         want = [vg_kernel(kind, (int(s),), [2, 5], (list(col),), None, within)
                 for s, col in zip(sizes_i, columns)]
         assert list(map(bits, got.tolist())) == list(map(bits, want))
-    for h in zeros:
-        left, right = cross
-        got = pg_update(kind, 2, 5, sizes_i, h, left, right)
-        want = [pg_update(kind, 2, 5, int(s), h, a, b)
-                for s, a, b in zip(sizes_i, left, right)]
-        assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
 
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
 def test_pg_update_row_matches_pg_distance(kind, data):
+    # the classical merge's row, as the engine computes it, against the
+    # scalar kernel with the merged pair as block J, down to the last bit
+    value = unsigned if kind in (SINGLE, COMPLETE) else signed
     m = data.draw(st.integers(0, 6))
-    si, si2 = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
-    sj = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
-    h = data.draw(signed)
-    left = data.draw(st.lists(signed, min_size=m, max_size=m))
-    right = data.draw(st.lists(signed, min_size=m, max_size=m))
-    got = pg_update(kind, si, si2, np.array(sj, dtype=np.int64), h,
-                    np.array(left, dtype=np.float64),
-                    np.array(right, dtype=np.float64))
-    want = [pg_update(kind, si, si2, sj[k], h, left[k], right[k])
-            for k in range(m)]
-    assert list(map(bits, np.asarray(got).tolist())) == list(map(bits, want))
+    sizes_j = data.draw(st.lists(st.integers(1, 40), min_size=2, max_size=2))
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    h = data.draw(value)
+    left = data.draw(st.lists(value, min_size=m, max_size=m))
+    right = data.draw(st.lists(value, min_size=m, max_size=m))
+    assert_pair_row(kind, sizes_j, h, sizes, left, right)
 
 
 # ---- flat recomputation ----

@@ -436,6 +436,21 @@ def test_similarity_out_of_range():
         similarity_to_dissimilarity(m)
 
 
+@pytest.mark.parametrize("fmt, text, first", [
+    ("square", "0 1.7e308 1\n1.7e308 0 1e271\n1 1e271 0\n", "1.7e+308"),
+    ("pairs", "1 2 3\n1 3 %r\n2 3 1e300\n" % (2.0 ** 900,), "1e+300"),
+    ("lower", "0\n%r 0\n1 2 0\n" % (2.0 ** 900,), None),
+])
+def test_values_above_the_bound_are_refused(fmt, text, first):
+    # the first value past 2**900 in row order; 2**900 itself is accepted
+    if first is None:
+        assert parse_matrix(text, fmt).condensed.max() == 2.0 ** 900
+        return
+    with pytest.raises(OutOfRange) as caught:
+        parse_matrix(text, fmt)
+    assert str(caught.value).startswith("value %s is above 2**900" % first)
+
+
 @pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
 @given(
     numerators=st.lists(st.integers(min_value=1, max_value=10 ** 6),

@@ -27,6 +27,17 @@ group's leaves. Before that, each case's version 3 document was checked
 to equal its version 2 document once "members" was rebuilt from each
 merge's "children", "leaves" from each group's "member_ids", and
 "format_version" was set to "2"; all 126 agreed, byte for byte as JSON.
+The classical unweighted average and unweighted centroid hashes on all
+three matrices, and the joint between-within ones on the one-decimal and
+whole-number matrices (24 cases), were recorded again when the classical
+engine's update became the block formula with the merged pair as block J,
+whose terms sum correctly rounded. Before that, each case's tree was
+checked to nest the same clusters as before, with every height moved by 3
+ulps at most; the records moved only in those heights and, in two joint
+between-within cases, in the id order that follows from them. All 126
+records hashes were recorded again when trees and traces lost their
+"alpha" tag, after a check that each new document equals the one before
+with the two "alpha" keys removed.
 To record them again after an intended output change, run
 ``python tests/test_regression.py > tests/data/regression_sha256.json``
 with ``src`` on the import path.
@@ -36,7 +47,10 @@ whole-number matrix, under every linkage rule: the sha256 of its newick
 lines is kept in ``data/enumerate_sha256.json`` (record with
 ``python tests/test_regression.py enumerate``). Those hashes were recorded
 from the enumerator that kept its own condensed state, before it moved onto
-the engines' working matrix.
+the engines' working matrix. The unweighted centroid hash was recorded
+again with the block formula above: the same 648 outcomes nest the same
+clusters, heights moved by 6 ulps at most, and 16 texts differ in one
+printed digit, a height near 3.1875 printed as 3.187 or 3.188.
 """
 
 import hashlib

@@ -39,6 +39,43 @@ def test_every_import_is_used(path):
                              for line, name in unused))
 
 
+def _names_used(tree, skip=None):
+    """Every name a bare name, an attribute or an import refers to in
+    ``tree``, leaving out the subtree ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_src_definition_has_a_src_user():
+    # code that only the tests use lives under tests/, so every module-level
+    # function and class is used by other package code or exported by
+    # __init__; a name its own body refers to does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for name, module in trees.items():
+        elsewhere = set().union(*(_names_used(other) for key, other
+                                  in trees.items() if key != name))
+        for node in module.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in elsewhere
+                    and node.name not in _names_used(module, skip=node)):
+                unused.append("%s: %s" % (name, node.name))
+    assert not unused, "defined but used by no package code: %s" % (
+        ", ".join(unused))
+
+
 def _oracle_imports(module_name):
     path = Path(__file__).resolve().parent / "oracles.py"
     module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

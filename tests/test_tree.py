@@ -617,6 +617,18 @@ def test_version_1_records_read_as_a_fresh_run(name, toy):
         assert to_records(tree1, trace1) == to_records(tree, trace)
 
 
+def test_records_with_an_alpha_tag_still_read(toy):
+    # documents written while trees and traces carried an "alpha" tag
+    tree, trace = cluster_variable_group(toy, "joint_between_within")
+    doc = to_records(tree, trace)
+    assert "alpha" not in doc and "alpha" not in doc["trace"]
+    tagged = json.loads(records_to_json(doc))
+    tagged["alpha"] = tagged["trace"]["alpha"] = 1.0
+    tree1, trace1 = parse_records(tagged)
+    assert (tree1, trace1) == parse_records(doc)
+    assert to_records(tree1, trace1) == doc
+
+
 _DROP = object()
 _TRACE = ("trace",)
 _ITERATION = _TRACE + ("iterations", 0)
@@ -652,8 +664,8 @@ _NOT_AN_OBJECT = "is not a JSON object"
     _malformed(_ITERATION + ("groups",), None),
     _malformed(_GROUP + ("member_ids",), 4),
     *[_malformed(_TRACE + (key,), _DROP)
-      for key in ("n_items", "labels", "method", "alpha", "policy",
-                  "precision", "notes", "iterations")],
+      for key in ("n_items", "labels", "method", "policy", "precision",
+                  "notes", "iterations")],
     *[_malformed(_ITERATION + (key,), _DROP)
       for key in ("index", "d_lower", "d_next", "reversal", "groups")],
     *[_malformed(_GROUP + (key,), _DROP)
