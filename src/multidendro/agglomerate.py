@@ -16,18 +16,17 @@ All three engines work on a ``ClusterState``, which keys everything by slot
 (a row of the working matrix), as Müllner's "generic" algorithm
 (arXiv:1109.2378) keys its state by row, and holds no tree nodes. Finding
 the shortest distance rounds only the smallest one: the entries below the
-float where its comparison value ends (``proximity.tie_edge``) tie with it. A
-variable-group merge makes two ``linkage.vg_update`` calls per new cluster,
-one to every unmerged cluster and one to the clusters merged after it in
-the same iteration, each a few whole-row numpy operations; a classical
-merge makes one, with the merged pair as its block J. A group's height
-interval is the minimum and maximum of the raw distances between its
-constituents. A cluster's leaves are an int mask. The classical engine and the enumerator
-share one pair merge step (``_merge_pair``); the enumerator sweeps forward
-one merge at a time over copies of the state, gives each distinct merge of
-a run, keyed by its two children, one bit, and so holds every outcome as an
-int bitmask. Its trees are read straight off those merges, and a subtree
-that several of them share is built once.
+float where its comparison value ends (``proximity.tie_edge``) tie with it.
+Every engine merges through ``ClusterState.merge``, which makes two
+``linkage.vg_update`` calls per new cluster, to the unmerged clusters and
+to those merged before it in the same step; a classical merge is a step of
+one group, the pair as block J. A group's height interval is the minimum
+and maximum of the raw distances between its constituents. A cluster's
+leaves are an int mask. The enumerator sweeps forward one merge at a time
+over copies of the state, gives each distinct merge of a run, keyed by its
+two children, one bit, and so holds every outcome as an int bitmask. Its
+trees are read straight off those merges, and a subtree that several of
+them share is built once.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -42,13 +41,14 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     EmptyInput,
     FusionFallbackWarning,
+    OutOfRange,
     PolicyUnavailable,
     TooManySolutions,
 )
@@ -57,11 +57,12 @@ from .linkage import (
     SINGLE,
     UNWEIGHTED_AVERAGE,
     WEIGHTED_AVERAGE,
+    WITHIN_METHODS,
     MethodSpec,
     vg_update,
     within_term,
 )
-from .proximity import square_from_condensed, tie_edge
+from .proximity import MAX_VALUE, square_from_condensed, tie_edge
 from .tree import (
     Leaf,
     MultivaluedTree,
@@ -113,8 +114,9 @@ class ClusterState:
     ``row_arg[s]`` a column holding it, so the shortest live distance is
     ``row_min.min()``. Comparison values under ``precision`` are made only
     by ``shortest``. Values leave the array as Python floats. ``next_id`` is
-    the id the next merged cluster gets. The state holds no tree nodes: an
-    engine that builds a tree keeps its nodes by slot beside the state.
+    the id the next merged cluster gets. Only ``merge`` writes distances.
+    The state holds no tree nodes: an engine that builds a tree keeps its
+    nodes by slot beside the state.
     """
 
     dist: np.ndarray
@@ -126,11 +128,15 @@ class ClusterState:
     row_arg: np.ndarray
     count: int
     precision: "int | None" = None
-    iteration: int = 0
     next_id: int = 0
 
     @classmethod
     def from_matrix(cls, matrix):
+        """The unmerged state; OutOfRange past ``proximity.MAX_VALUE``."""
+        big = matrix.condensed[matrix.condensed > MAX_VALUE]
+        if big.size:
+            raise OutOfRange("value %r is above 2**900, the largest accepted"
+                             % (float(big[0]),))
         n = matrix.n
         dist = square_from_condensed(matrix.condensed, n, np.inf)
         return cls(dist, [1 << i for i in range(n)], list(range(n)),
@@ -144,7 +150,7 @@ class ClusterState:
                             list(self.cid_at), self.sizes.copy(),
                             self.live.copy(), self.row_min.copy(),
                             self.row_arg.copy(), self.count, self.precision,
-                            self.iteration, self.next_id)
+                            self.next_id)
 
     def shortest(self):
         """(raw value, comparison value, tied edges) of the current minimum.
@@ -168,36 +174,60 @@ class ClusterState:
         """Slots of the active clusters, ascending."""
         return self.live.nonzero()[0]
 
-    def merge(self, formed, writes):
-        """Replace constituents by merged clusters and store new distances.
+    def merge(self, groups, method):
+        """Merge each group of active clusters into one new cluster.
 
-        ``formed`` lists each new cluster's constituent slots ascending;
-        it takes over the first of them and the next id, in list order.
-        ``writes`` lists (slot, other slots, raw distances) triples, written
-        symmetrically, and must cover every pair that touches a new
-        cluster; all other entries stay as they are.
+        ``groups`` lists the new clusters' constituent slots, each tuple
+        ascending and the tuples in slot order; a new cluster takes over the
+        first of its slots and the next id. Its distances to the unmerged
+        clusters and to the clusters merged before it are
+        ``linkage.vg_update`` rows of ``method``; no other entry changes.
         """
-        homes, gone, members = [], [], self.members
-        for parts in formed:
-            home = parts[0]
+        kind, dist, sizes = method.kind, self.dist, self.sizes
+        kept = self.live.copy()
+        for g in groups:
+            # scalar writes, here and below, cost less than a list index
+            for s in g:
+                kept[s] = False
+        kept = kept.nonzero()[0]
+        homes, merged, starts, within = [], [], [], []
+        # a group writes only its own row and column, at the unmerged
+        # clusters and the groups before it, so no row it reads has changed
+        for g in groups:
+            home, size = g[0], sizes.take(g)
+            # only these rules read the within block, which can be as large
+            # as the matrix, so it is summed before the rows are taken
+            term = (within_term(kind, size,
+                                dist.take(g, axis=0).take(g, axis=1))
+                    if kind in WITHIN_METHODS else 0.0)
+            # take keeps the cross block C-ordered, which the reductions want
+            rows = dist.take(g, axis=0)
+            row = vg_update(kind, size, term, sizes[kept],
+                            rows.take(kept, axis=1))
+            dist[home][kept] = row
+            dist[:, home][kept] = row
+            if merged:
+                row = vg_update(kind, size, term, sizes[merged],
+                                rows.take(merged, axis=1), starts, within)
+                dist[home][homes] = row
+                dist[:, home][homes] = row
             homes.append(home)
-            gone.extend(parts[1:])
-            for s in parts[1:]:
+            starts.append(len(merged))
+            merged.extend(g)
+            within.append(term)
+        gone, members = [], self.members
+        for home, g in zip(homes, groups):
+            for s in g[1:]:
                 members[home] |= members[s]
+                self.live[s] = False
+                dist[s] = np.inf
+                dist[:, s] = np.inf
+                self.row_min[s] = np.inf
+                gone.append(s)
             self.cid_at[home] = self.next_id
             self.next_id += 1
-            self.sizes[home] = members[home].bit_count()
+            sizes[home] = members[home].bit_count()
         self.count -= len(gone)
-        # one slot at a time: a handful of scalar and view assignments cost
-        # less than indexing with a list
-        for s in gone:
-            self.live[s] = False
-            self.dist[s] = np.inf
-            self.dist[:, s] = np.inf
-            self.row_min[s] = np.inf
-        for s, cols, raw in writes:
-            self.dist[s][cols] = raw
-            self.dist[:, s][cols] = raw
         self._refresh_minima(homes, gone)
 
     def _refresh_minima(self, homes, gone):
@@ -380,11 +410,9 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     records = []
     low = _least(state) if state.count > 1 else None
 
-    while state.count > 1:
-        state.iteration += 1
+    while low is not None:
         d_lower_raw, _, edges = low
         formed = []  # constituent slots, one tuple per new cluster
-        within = []  # each new cluster's linkage.within_term
         group_records = []
         reversal = False
 
@@ -407,19 +435,16 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
                 member_ids=tuple(state.cid_at[s] for s in parts),
                 h_lower=h_lower, h_upper=h_upper, fusion=fusion))
             formed.append(parts)
-            within.append(within_term(method.kind, sizes, block))
             # the groups are disjoint, so no later group reads this slot
             nodes[parts[0]] = node
 
-        writes = _group_update(state, formed, within, method)
-        state.merge(formed, writes)
-        d_next = None
-        if state.count > 1:
-            low = _least(state)
-            d_next = low[0]
+        del block  # it can be as large as the matrix; merge reads its own
+        state.merge(formed, method)
+        low = _least(state) if state.count > 1 else None
         records.append(IterationRecord(
-            index=state.iteration, d_lower=d_lower_raw,
-            groups=tuple(group_records), d_next=d_next, reversal=reversal))
+            index=len(records) + 1, d_lower=d_lower_raw,
+            groups=tuple(group_records),
+            d_next=None if low is None else low[0], reversal=reversal))
 
     tree = MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
     trace = MergeTrace(matrix.n, matrix.labels, method.kind, policy,
@@ -427,52 +452,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     return tree, trace
 
 
-def _group_update(state, formed, within, method):
-    """``ClusterState.merge``'s writes from each new cluster (``formed``,
-    slot tuples in slot order; ``within``, their ``linkage.within_term``s)
-    to the unmerged ones and those merged after."""
-    kind, dist, sizes = method.kind, state.dist, state.sizes
-    groups = [list(parts) for parts in formed]
-    merged = [s for g in groups for s in g]
-    ends = list(accumulate(map(len, groups)))
-    kept = state.live.copy()
-    kept[merged] = False
-    kept = kept.nonzero()[0]
-    writes = []
-    for t, g in enumerate(groups):
-        # take keeps the cross block C-ordered, which the reductions want
-        rows, size, later = dist.take(g, axis=0), sizes[g], merged[ends[t]:]
-        writes.append((g[0], kept, vg_update(
-            kind, size, within[t], sizes[kept], rows.take(kept, axis=1))))
-        if later:
-            writes.append((g[0], [h[0] for h in groups[t + 1:]], vg_update(
-                kind, size, within[t], sizes[later], rows.take(later, axis=1),
-                [end - ends[t] for end in ends[t:-1]], within[t + 1:])))
-    return writes
-
-
 # ---- classical pair-group engine ----
-
-def _merge_pair(state, a, b, method):
-    """Merge the active clusters in slots ``a`` and ``b`` at their current
-    distance.
-
-    The new cluster takes the lower of the two slots, and its distances to
-    every other survivor are one ``linkage.vg_update`` row, with the two
-    merged clusters as block J. Returns the raw distance it formed at.
-    """
-    dist, kind = state.dist, method.kind
-    h = float(dist[a, b])
-    pair = [a, b] if a < b else [b, a]
-    kept = state.live.copy()
-    kept[a] = kept[b] = False
-    kept = kept.nonzero()[0]
-    rows, size = dist.take(pair, axis=0), state.sizes[pair]
-    row = vg_update(kind, size, within_term(kind, size, rows.take(pair, axis=1)),
-                    state.sizes[kept], rows.take(kept, axis=1))
-    state.merge([pair], [(pair[0], kept, row)])
-    return h
-
 
 def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     """Classical clustering: one pair per iteration, ties broken by rule.
@@ -498,8 +478,9 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
             a, b = candidates[-1]
         else:
             a, b = rng.choice(candidates)
-        h = _merge_pair(state, a, b, method)
-        nodes[min(a, b)] = internal([nodes[a], nodes[b]], h, h, fusion=h)
+        h = float(state.dist[a, b])
+        state.merge([(a, b)], method)
+        nodes[a] = internal([nodes[a], nodes[b]], h, h, fusion=h)
     return MultivaluedTree(root=nodes[0], labels=matrix.labels, **tags)
 
 
@@ -556,7 +537,8 @@ def _enumerate_newick(matrix, method, limit):
                 # merges in place; a run without ties then copies nothing
                 after = state if k == len(pairs) - 1 else state.copy()
                 ma, mb = state.members[a], state.members[b]
-                h = _merge_pair(after, a, b, method)
+                h = float(state.dist[a, b])
+                after.merge([(a, b)], method)
                 # within one outcome a cluster's children follow from its
                 # other clusters, so keying by the children splits no
                 # outcome in two

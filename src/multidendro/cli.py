@@ -8,6 +8,7 @@ success, 2 when the run finished but reversals were detected, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -35,6 +36,7 @@ from .tree import records_to_json, to_newick_extended, to_records
 OUTPUTS = ("newick", "records", "text", "svg")
 
 
+@functools.cache  # its help formatters cost more than a small run
 def build_parser():
     p = argparse.ArgumentParser(
         prog="multidendro",

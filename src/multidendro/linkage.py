@@ -5,10 +5,11 @@ Lance-Williams formula: the distances from a block J of clusters merged in
 one step to many blocks I at once, from the current between-cluster
 distances, cluster sizes and each block's ``within_term`` alone.
 With two clusters in J it is the classical Lance-Williams update, so every
-engine updates distances through it, an unchecked internal called with
-sizes and slices of ``ClusterState``'s slot-indexed arrays. The scalar
-reference, ``vg_kernel``, and the textbook two-cluster formula,
-``lance_williams``, live with the tests.
+engine updates distances through it, in one place: the merge step
+``agglomerate.ClusterState.merge`` calls it, unchecked, with sizes and
+slices of the state's slot-indexed arrays. The scalar reference,
+``vg_kernel``, and the textbook two-cluster formula, ``lance_williams``,
+live with the tests.
 
 Numerical notes: each block's terms sum correctly rounded (math.fsum), so
 results do not depend on term order and equal the scalar ones bit for bit.

@@ -26,7 +26,7 @@ from multidendro import (
     tree_equal,
 )
 
-from block_update import vg_block
+from block_update import pair_row, vg_block
 from oracles import (
     Blocks,
     centroid_oracle,
@@ -369,6 +369,10 @@ def test_criterion_07_reduction_to_classical():
                                       d_right)
                 assert rel(vg_distance_tabular(m, blocks), want) <= 1e-9
                 assert rel(vg_block(kind, *blocks), want) <= 1e-9
+                # the classical engine's own merge of the pair
+                got = pair_row(kind, sizes[:2], d_between, sizes[2:],
+                               [d_left], [d_right])
+                assert rel(float(got[0]), want) <= 1e-9
 
 
 # ---- 8: without ties both engines build the same tree ----

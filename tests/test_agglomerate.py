@@ -17,6 +17,7 @@ from multidendro import (
     EmptyInput,
     FusionFallbackWarning,
     MethodSpec,
+    OutOfRange,
     PolicyUnavailable,
     ProximityMatrix,
     TooManySolutions,
@@ -38,12 +39,7 @@ from multidendro import (
     validate_tree,
 )
 from multidendro import agglomerate
-from multidendro.agglomerate import (
-    _group_update,
-    _groups_from_edges,
-    _merge_pair,
-)
-from multidendro.linkage import within_term
+from multidendro.agglomerate import _groups_from_edges
 from multidendro.proximity import round_half_away
 from multidendro.tree import postorder
 
@@ -113,14 +109,6 @@ def test_tie_groups_respect_precision():
 
 # ---- cached row minima ----
 
-def _merge_groups(state, groups, method):
-    # one variable-group merge step over the given slot groups, as the
-    # engine makes it, but with groups that need not be tied
-    within = [within_term(method.kind, state.sizes[list(g)],
-                          state.dist[np.ix_(g, g)]) for g in groups]
-    state.merge(groups, _group_update(state, groups, within, method))
-
-
 def _check_state(state):
     bits = lambda values: [struct.pack("<d", v) for v in values]
     assert bits(state.row_min.tolist()) == bits(
@@ -160,8 +148,8 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
     while state.count > 1:
         live = state.live_slots().tolist()
         if data.draw(st.booleans()):
-            a, b = data.draw(st.permutations(live))[:2]
-            _merge_pair(state, a, b, method)
+            state.merge([tuple(sorted(data.draw(st.permutations(live))[:2]))],
+                        method)
         else:
             # random disjoint groups; at least one has two members
             tags = data.draw(st.lists(st.integers(0, len(live) - 1),
@@ -170,8 +158,9 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
             by_tag = {}
             for s, tag in zip(live, tags):
                 by_tag.setdefault(tag, []).append(s)
+            # merged as the engine merges tied groups, but need not tie
             groups = sorted(tuple(g) for g in by_tag.values() if len(g) > 1)
-            _merge_groups(state, groups, method)
+            state.merge(groups, method)
         _check_state(state)
 
 
@@ -183,7 +172,7 @@ def test_cached_minima_keep_positive_zero():
                              tuple(v / 4 for v in [1] * 19 + [5, 1]),
                              precision=0)
     state = ClusterState.from_matrix(matrix)
-    _merge_pair(state, 4, 6, MethodSpec("unweighted_centroid"))
+    state.merge([(4, 6)], MethodSpec("unweighted_centroid"))
     _check_state(state)
 
 
@@ -196,12 +185,13 @@ def test_shortest_refuses_a_distance_that_is_not_finite(bad):
     state.row_min[:] = bad
     with pytest.raises(ValueError, match="no finite distance left"):
         state.shortest()
-    # 1.7e308 + 1.5e308 overflows in the update, and then the joint
-    # between-within rule leaves NaN behind
-    huge = ProximityMatrix(("a", "b", "c"), (1.7e308, 1e308, 1.5e308))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            ValueError, match="no finite distance left"):
-        cluster_variable_group(huge, "joint_between_within")
+    # values past proximity.MAX_VALUE, whose updates would overflow, are
+    # refused where every engine builds its state
+    huge = ProximityMatrix(("a", "b", "c"), (1.7e308,) * 3)
+    for run in (cluster_variable_group, cluster_pair_group,
+                enumerate_pair_group):
+        with pytest.raises(OutOfRange, match=r"^value 1\.7e\+308 is above"):
+            run(huge, "unweighted_centroid")
 
 
 @pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
@@ -627,7 +617,7 @@ def test_enumerate_builds_each_distinct_subtree_once(toy, monkeypatch):
         assert len(calls) == distinct_subtrees(trees) == n_calls
     calls.clear()
     state = ClusterState.from_matrix(toy)
-    assert _merge_pair(state, 0, 1, MethodSpec("unweighted_average")) == 2.0
+    state.merge([(0, 1)], MethodSpec("unweighted_average"))
     assert calls == []
     assert not hasattr(state, "nodes")
 

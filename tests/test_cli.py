@@ -453,6 +453,17 @@ def test_accepted_values_give_a_valid_tree_or_one_error(
         assert not report.errors, (line, report.errors)
 
 
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_values_above_the_bound_are_one_error_line(tmp_path, capsys, engine):
+    # every engine refuses the value where it builds its state
+    path = tmp_path / "big.txt"
+    path.write_text("0 1e300 1\n1e300 0 2\n1 2 0\n")
+    rc, out, err = run_cli(capsys, "--input", str(path),
+                           "--method", "unweighted_centroid", *engine)
+    assert (rc, out) == (1, "")
+    assert err == "error: value 1e+300 is above 2**900, the largest accepted\n"
+
+
 @pytest.mark.parametrize("method", ["unweighted_centroid", "weighted_centroid",
                                     "joint_between_within"])
 def test_negative_update_is_one_error_line(tmp_path, capsys, method):

@@ -19,7 +19,7 @@ from multidendro.linkage import (
     within_term,
 )
 
-from block_update import vg_block
+from block_update import pair_row, vg_block
 from oracles import (
     Blocks,
     DimensionMismatch,
@@ -163,19 +163,6 @@ def test_block_order_and_side_swap_do_not_matter(blocks, method, seed):
 
 
 # ---- the classical merge: the block update with the pair as block J ----
-
-def pair_row(kind, sizes_j, d_between, sizes, left, right):
-    """The row ``agglomerate._merge_pair`` writes when the clusters of sizes
-    ``sizes_j`` merge at ``d_between``: ``vg_update`` over columns of other
-    clusters (``sizes``), the merged pair's distances to them in ``left``
-    and ``right``."""
-    sizes_j = np.array(sizes_j, dtype=np.int64)
-    # the pair's rows of the working matrix, inf on the diagonal
-    within = np.array([[np.inf, d_between], [d_between, np.inf]])
-    return vg_update(kind, sizes_j, within_term(kind, sizes_j, within),
-                     np.array(sizes, dtype=np.int64),
-                     np.array([left, right], dtype=np.float64).reshape(2, -1))
-
 
 def pair_kernel(kind, sizes_j, d_between, sizes, left, right):
     """``pair_row`` one column at a time, through the scalar ``vg_kernel``."""

@@ -442,12 +442,15 @@ def test_similarity_out_of_range():
     ("lower", "0\n%r 0\n1 2 0\n" % (2.0 ** 900,), None),
 ])
 def test_values_above_the_bound_are_refused(fmt, text, first):
-    # the first value past 2**900 in row order; 2**900 itself is accepted
+    # the engine refuses the first value past 2**900 in condensed order,
+    # which is row order; 2**900 itself is accepted
+    matrix = parse_matrix(text, fmt)
     if first is None:
-        assert parse_matrix(text, fmt).condensed.max() == 2.0 ** 900
+        assert matrix.condensed.max() == 2.0 ** 900
+        cluster_variable_group(matrix, "single")
         return
     with pytest.raises(OutOfRange) as caught:
-        parse_matrix(text, fmt)
+        cluster_variable_group(matrix, "single")
     assert str(caught.value).startswith("value %s is above 2**900" % first)
 
 

@@ -146,3 +146,40 @@ def test_one_newick_height_format():
              for _ in range(path.read_text(encoding="utf-8")
                             .count("[%.*f,%.*f]"))]
     assert found == ["tree.py"]
+
+
+def _scoped(module):
+    """(qualified name of the innermost def or class, or "", node) for every
+    node in ``module``."""
+    stack = [("", module)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (scope + "." if scope else "") + node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_one_merge_step():
+    # ClusterState.merge computes every distance update, through
+    # linkage.vg_update, and writes it, so no engine keeps a merge path
+    # of its own
+    calls, writes = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(module):
+            where = "%s: %s" % (path.name, scope)
+            if isinstance(node, ast.Call) and "vg_update" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.add(where)
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)):
+                base = node.value  # dist[:, s][cols] is stored through dist
+                while isinstance(base, ast.Subscript):
+                    base = base.value
+                if (getattr(base, "attr", None) == "dist"
+                        and scope.split(".")[0] != "ClusterState"):
+                    writes.add(where)
+    assert calls == {"agglomerate.py: ClusterState.merge"}
+    assert not writes, "distances written outside ClusterState: %s" % writes
