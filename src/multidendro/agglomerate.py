@@ -32,7 +32,7 @@ Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
 tied pairs. The trace names each merged group by its new id and the ids
 of the clusters it merged, never by its leaves; ``detect_reversals``
-expands ids to leaf labels only for the groups it reports.
+builds the nodes a trace's groups form and scans them as it scans a tree.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ from .tree import (
     Leaf,
     MultivaluedTree,
     internal,
+    newick_texts,
+    postorder,
     reversal_edges,
     reversals_between,
-    newick_texts,
 )
 
 POLICY_INTERVAL = "interval"
@@ -427,8 +428,7 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             fusion = (None if policy == POLICY_INTERVAL else fusion_value(
                 sizes.tolist(), block.tolist(), method, fusion_policy))
             node = internal(children, h_lower, h_upper, fusion)
-            if any(reversals_between(c, node) for c in children):
-                reversal = True
+            reversal |= any(reversals_between(c, node) for c in children)
             # merge gives the new clusters the next ids in this order
             group_records.append(GroupRecord(
                 cluster_id=state.next_id + len(formed),
@@ -565,41 +565,18 @@ def _enumerate_newick(matrix, method, limit):
 
     merges = list(bit_of)
     mask_of = [ma | mb for ma, mb, _ in merges]
-    root = (1 << matrix.n) - 1
-
-    def postorder_masks(bits):
-        # an outcome's clusters in the order tree.postorder reads them
-        children = {mask_of[bit]: merges[bit][:2] for bit in bits}
-        out, stack = [], [root]
-        while stack:
-            mask = stack.pop()
-            if mask in children:  # not a leaf
-                out.append(mask)
-                stack.extend(children[mask])
-        return out[::-1]
-
-    def heights(bits, masks):
-        h_at = {mask_of[bit]: merges[bit][2] for bit in bits}
-        return [h_at[mask] for mask in masks]
-
     groups = {}
     for mask in level[0][1]:
         bits = _bits(mask)
         groups.setdefault(collapse(bits), []).append(bits)
     leaf_at = {1 << i: Leaf(i, label) for i, label in enumerate(matrix.labels)}
     nodes = {}  # (bit, id of each child node) -> node, for the whole run
-    kept = []
-    for made in groups.values():
-        best = made[0]
-        if len(made) > 1:
-            # keeping the outcome with the smallest postorder heights makes
-            # the choice independent of the order the search met them in;
-            # the outcomes of one collapsed set have the same clusters
-            masks = postorder_masks(best)
-            best = min(made, key=lambda bits: heights(bits, masks))
+
+    def build(bits):
+        # an outcome's root; a child's leaves are a strict subset of its
+        # parent's, so children are built first
         node_at = dict(leaf_at)
-        # a child's leaves are a strict subset of its parent's
-        for bit in sorted(best, key=lambda bit: mask_of[bit].bit_count()):
+        for bit in sorted(bits, key=lambda bit: mask_of[bit].bit_count()):
             ma, mb, h = merges[bit]
             children = node_at[ma], node_at[mb]
             node_key = (bit, id(children[0]), id(children[1]))
@@ -607,15 +584,23 @@ def _enumerate_newick(matrix, method, limit):
             if node is None:
                 node = nodes[node_key] = internal(children, h, h, fusion=h)
             node_at[ma | mb] = node
-        kept.append((best, MultivaluedTree(root=node_at[root],
-                                           labels=matrix.labels, **tags)))
-    texts = newick_texts(nodes.values(), [tree.root for _, tree in kept],
-                         tags["height_decimals"])
-    order = sorted(range(len(kept)), key=texts.__getitem__)
+        return node_at[(1 << matrix.n) - 1]
+
+    def heights(root):
+        return [node.h_lower for node in postorder(root)]
+
+    roots = []
+    for made in groups.values():
+        # keeping the outcome with the smallest postorder heights makes the
+        # choice independent of the order the search met them in
+        roots.append(build(made[0]) if len(made) == 1
+                     else min(map(build, made), key=heights))
+    texts = newick_texts(nodes.values(), roots, tags["height_decimals"])
+    order = sorted(range(len(roots)), key=texts.__getitem__)
     if len(set(texts)) < len(texts):  # heights apart past the printed digits
-        order.sort(key=lambda k: (texts[k], heights(
-            kept[k][0], postorder_masks(kept[k][0]))))
-    return [(texts[k], kept[k][1]) for k in order]
+        order.sort(key=lambda k: (texts[k], heights(roots[k])))
+    return [(texts[k], MultivaluedTree(root=roots[k], labels=matrix.labels,
+                                       **tags)) for k in order]
 
 
 def _bits(mask):
@@ -644,53 +629,29 @@ def detect_reversals(source):
 
     An interval reversal is a node whose upper bound exceeds the lower bound
     of the node it later merges into; a fusion reversal is a chosen fusion
-    value above the enclosing node's chosen value.
+    value above the enclosing node's chosen value. A trace is read as the
+    nodes its groups form, one root per cluster left unmerged, in the order
+    they formed, so reports come in preorder, by ``tree.reversal_edges``.
     """
     if isinstance(source, MergeTrace):
-        return _reversals_from_trace(source)
-    if isinstance(source, MultivaluedTree):
-        return _reversals_from_tree(source)
-    raise TypeError("expected a MergeTrace or a MultivaluedTree")
+        nodes = {i: Leaf(i, label) for i, label in enumerate(source.labels)}
+        for it in source.iterations:
+            for grp in it.groups:
+                nodes[grp.cluster_id] = internal(
+                    [nodes.pop(cid) for cid in grp.member_ids],
+                    grp.h_lower, grp.h_upper, grp.fusion)
+        roots = nodes.values()
+    elif isinstance(source, MultivaluedTree):
+        roots = [source.root]
+    else:
+        raise TypeError("expected a MergeTrace or a MultivaluedTree")
 
-
-def _reversals_from_trace(trace):
-    formed = {}  # cluster id -> the group that formed it
-
-    def leaf_labels(grp):
-        # in leaf-index order; a leaf's id is the one no group forms
-        leaves, stack = [], list(grp.member_ids)
-        while stack:
-            cid = stack.pop()
-            if cid in formed:
-                stack.extend(formed[cid].member_ids)
-            else:
-                leaves.append(cid)
-        return tuple(trace.labels[i] for i in sorted(leaves))
-
-    reports = []
-    for it in trace.iterations:
-        for grp in it.groups:
-            for cid in grp.member_ids:
-                child = formed.get(cid)
-                if child is None:
-                    continue
-                for kind, child_value, parent_value in reversals_between(child, grp):
-                    reports.append(ReversalReport(
-                        kind, leaf_labels(child), leaf_labels(grp),
-                        child_value, parent_value))
-            # a group's own id is new, so no group of its iteration holds it
-            formed[grp.cluster_id] = grp
-    return tuple(reports)
-
-
-def _reversals_from_tree(tree):
-    def leaves_of(node):
-        # in leaf-index order, as the reports from a trace list them
-        leaves = sorted(node.leaves(), key=lambda leaf: leaf.index)
-        return tuple(leaf.label for leaf in leaves)
+    def leaves_of(node):  # labels in leaf-index order
+        return tuple(leaf.label for leaf in sorted(
+            node.leaves(), key=lambda leaf: leaf.index))
 
     return tuple(
         ReversalReport(kind, leaves_of(node), leaves_of(parent),
                        value, parent_value)
-        for node, parent, kind, value, parent_value
-        in reversal_edges(tree.root))
+        for root in roots
+        for node, parent, kind, value, parent_value in reversal_edges(root))

@@ -132,7 +132,7 @@ def run(config):
     tree, trace = cluster_variable_group(matrix, method,
                                          policy=config.policy or POLICY_INTERVAL)
     _emit(tree, trace, config)
-    return 2 if detect_reversals(trace) else 0
+    return 2 if detect_reversals(tree) else 0
 
 
 def _emit(tree, trace, config):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -86,8 +87,10 @@ def within_term(kind, sizes, within):
     """A block's own term: 0.0 for one cluster and outside WITHIN_METHODS."""
     if kind not in WITHIN_METHODS:
         return 0.0
-    a, b = np.nonzero(np.tri(len(sizes), k=-1, dtype=bool))
-    total = math.fsum(_terms(kind, sizes[a], sizes[b], within[a, b]).tolist())
+    # a row at a time, so no k*k/2 list; fsum's sum has no order to move
+    total = math.fsum(chain.from_iterable(
+        _terms(kind, sizes[r], sizes[:r], within[r, :r]).tolist()
+        for r in range(1, len(sizes))))
     norm = {UNWEIGHTED_CENTROID: sum(sizes.tolist()), WEIGHTED_CENTROID: len(sizes)}
     return total / norm.get(kind, 1) ** 2
 

@@ -163,8 +163,8 @@ def reversals_between(child, parent):
     parent value) tuples.
 
     An "interval" reversal is an upper bound above the parent's lower bound;
-    a "fusion" reversal is a chosen fusion value above the parent's. Works
-    on tree nodes and on trace GroupRecords alike.
+    a "fusion" reversal is a chosen fusion value above the parent's. Only
+    ``reversal_edges`` and the variable-group engine's iteration flag ask.
     """
     found = []
     if child.h_upper > parent.h_lower:

@@ -1,6 +1,6 @@
+import dataclasses
 import itertools
 import json
-from collections import Counter
 import struct
 import sys
 import tracemalloc
@@ -17,6 +17,7 @@ from multidendro import (
     EmptyInput,
     FusionFallbackWarning,
     MethodSpec,
+    MultivaluedTree,
     OutOfRange,
     PolicyUnavailable,
     ProximityMatrix,
@@ -418,13 +419,57 @@ def centroid_runs():
 
 @pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
 def test_reversals_from_trace_and_tree_agree():
-    # reports may come in a different order
+    # a trace is read as the tree its groups form, so both report in preorder
     with_reversals = 0
     for tree, trace in centroid_runs():
         from_trace = detect_reversals(trace)
-        assert Counter(from_trace) == Counter(detect_reversals(tree))
+        assert from_trace == detect_reversals(tree)
         with_reversals += bool(from_trace)
     assert with_reversals >= 10
+
+
+@pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
+def test_reversals_from_a_partial_trace():
+    # the first k iterations of a run form a forest: its trace reports the
+    # reversals inside each subtree, root by root in the order they formed
+    far = 100.0
+    twins = matrix_from_square([  # two reversed triples, far apart
+        [0.0, 4.0, 4.5, far, far, far], [4.0, 0.0, 4.5, far, far, far],
+        [4.5, 4.5, 0.0, far, far, far], [far, far, far, 0.0, 5.0, 5.5],
+        [far, far, far, 5.0, 0.0, 5.5], [far, far, far, 5.5, 5.5, 0.0]],
+        labels=tuple("abcdef"), precision=1)
+    twin_run = cluster_variable_group(twins, "unweighted_centroid")
+    forest = dataclasses.replace(twin_run[1],
+                                 iterations=twin_run[1].iterations[:4])
+    assert [report.child for report in detect_reversals(forest)] == [
+        ("a", "b"), ("d", "e")]
+    forests = 0
+    for tree, trace in itertools.chain(centroid_runs(), [twin_run]):
+        node_of = {frozenset(leaf.label for leaf in node.leaves()): node
+                   for node in tree.internal_nodes()}
+        full = detect_reversals(tree)
+        for k in range(1, len(trace.iterations)):
+            partial = dataclasses.replace(trace,
+                                          iterations=trace.iterations[:k])
+            # each unmerged cluster's leaves, read off the groups alone
+            leaves = {i: {label} for i, label in enumerate(trace.labels)}
+            for it in partial.iterations:
+                for grp in it.groups:
+                    leaves[grp.cluster_id] = set().union(
+                        *(leaves.pop(cid) for cid in grp.member_ids))
+            roots = [node_of[frozenset(members)]
+                     for cid, members in leaves.items()
+                     if cid >= trace.n_items]
+            want = tuple(report for root in roots for report in
+                         detect_reversals(MultivaluedTree(root, tree.labels)))
+            assert detect_reversals(partial) == want
+            # the whole tree's reports whose parent the forest holds
+            inside = {frozenset(leaf.label for leaf in node.leaves())
+                      for root in roots for node in postorder(root)}
+            assert set(want) == {report for report in full
+                                 if frozenset(report.parent) in inside}
+            forests += len(roots) > 1 and bool(want)
+    assert forests >= 5
 
 
 @pytest.mark.filterwarnings("ignore::multidendro.ZeroDistanceWarning")
@@ -700,6 +745,25 @@ def test_pair_group_outcomes_are_enumerated(kind):
                                         seed=draw) for draw in (1, 2)]
             for tree in runs:
                 assert to_newick_extended(tree) in outcomes
+
+
+@pytest.mark.parametrize("kind", ["unweighted_centroid",
+                                  "joint_between_within"])
+def test_collapsed_outcomes_keep_the_smallest_postorder_heights(kind):
+    # outcomes apart only past 12 decimals collapse into one, and which one
+    # is kept shows only in the last bits of its heights
+    collapsed = 0
+    for n in range(5, 9):
+        for seed in range(10):
+            matrix = whole_number_matrix(n, seed)
+            outcomes = pair_group_outcomes(matrix, kind)
+            got = [(text, postorder_heights(tree)) for text, tree
+                   in agglomerate._enumerate_newick(matrix, kind, limit=10000)]
+            want = kept_pair_group_outcomes(outcomes, matrix.labels)
+            assert [(text, [h.hex() for h in hs]) for text, hs in got] == [
+                (text, [h.hex() for h in hs]) for text, hs in want]
+            collapsed += len(set(map(frozenset, outcomes))) > len(want)
+    assert collapsed >= 5
 
 
 def _clusters(tree):

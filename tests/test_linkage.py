@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from multidendro import (
 from multidendro.linkage import (
     COMPLETE,
     SINGLE,
+    WITHIN_METHODS,
     vg_update,
     within_term,
 )
@@ -69,7 +71,7 @@ def _toy_block():
     ("unweighted_average", 5.0),
     ("weighted_average", 5.0),
 ])
-def test_vg_distance_toy_values(kind, expected):
+def test_vg_block_toy_values(kind, expected):
     assert vg_block(kind, *_toy_block()) == expected
 
 
@@ -289,7 +291,7 @@ def test_row_forms_keep_the_sign_of_zero(kind):
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
-def test_pg_update_row_matches_pg_distance(kind, data):
+def test_pair_row_matches_vg_kernel(kind, data):
     # the classical merge's row, as the engine computes it, against the
     # scalar kernel with the merged pair as block J, down to the last bit
     value = unsigned if kind in (SINGLE, COMPLETE) else signed
@@ -300,6 +302,31 @@ def test_pg_update_row_matches_pg_distance(kind, data):
     left = data.draw(st.lists(value, min_size=m, max_size=m))
     right = data.draw(st.lists(value, min_size=m, max_size=m))
     assert_pair_row(kind, sizes_j, h, sizes, left, right)
+
+
+def test_within_term_of_a_large_group_holds_no_pair_list():
+    # the terms are summed one row at a time, so a group of k clusters
+    # never holds its k(k-1)/2 terms, their indices or a k x k mask
+    k = 1000
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(1, 5, size=k)
+    within = rng.random((k, k))
+    within += within.T
+    a, b = np.tril_indices(k, -1)
+    for kind in WITHIN_METHODS:
+        terms = {"joint_between_within": sizes[a] + sizes[b],
+                 "weighted_centroid": 1}.get(kind, sizes[a] * sizes[b])
+        norm = {"unweighted_centroid": int(sizes.sum()),
+                "weighted_centroid": k}.get(kind, 1)
+        want = math.fsum((terms * within[a, b]).tolist()) / norm ** 2
+        tracemalloc.start()
+        try:
+            got = within_term(kind, sizes, within)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < k * k, peak  # bytes; the pair terms alone take 4 k**2
 
 
 # ---- flat recomputation ----

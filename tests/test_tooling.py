@@ -160,26 +160,47 @@ def _scoped(module):
         stack.extend((scope, child) for child in ast.iter_child_nodes(node))
 
 
+def _package_nodes():
+    """("module.py: scope", node) for every node of every package module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(module):
+            yield "%s: %s" % (path.name, scope), node
+
+
+def _call_sites(name):
+    """Where the package calls ``name``, bare or as an attribute."""
+    return {where for where, node in _package_nodes()
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))}
+
+
 def test_one_merge_step():
     # ClusterState.merge computes every distance update, through
     # linkage.vg_update, and writes it, so no engine keeps a merge path
     # of its own
-    calls, writes = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = ast.parse(path.read_text(encoding="utf-8"))
-        for scope, node in _scoped(module):
-            where = "%s: %s" % (path.name, scope)
-            if isinstance(node, ast.Call) and "vg_update" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
-                calls.add(where)
-            if (isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, ast.Store)):
-                base = node.value  # dist[:, s][cols] is stored through dist
-                while isinstance(base, ast.Subscript):
-                    base = base.value
-                if (getattr(base, "attr", None) == "dist"
-                        and scope.split(".")[0] != "ClusterState"):
-                    writes.add(where)
-    assert calls == {"agglomerate.py: ClusterState.merge"}
+    writes = set()
+    for where, node in _package_nodes():
+        scope = where.split(": ")[1]
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)):
+            base = node.value  # dist[:, s][cols] is stored through dist
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if (getattr(base, "attr", None) == "dist"
+                    and scope.split(".")[0] != "ClusterState"):
+                writes.add(where)
+    assert _call_sites("vg_update") == {"agglomerate.py: ClusterState.merge"}
     assert not writes, "distances written outside ClusterState: %s" % writes
+
+
+def test_one_reversal_scan():
+    # a reversal is a node that tops its parent: tree.reversal_edges finds
+    # them in a tree, and detect_reversals reads a trace as the tree its
+    # groups form, so no second scan can drift; the variable-group engine
+    # asks reversals_between only for its per-iteration flag
+    assert _call_sites("reversals_between") == {
+        "tree.py: reversal_edges", "agglomerate.py: cluster_variable_group"}
+    assert _call_sites("ReversalReport") == {
+        "agglomerate.py: detect_reversals"}
