@@ -509,13 +509,21 @@ def _ids_bottom_up(tree):
 
 def _ids_from_trace(tree, trace):
     """Map id of each internal node -> its cluster id in a trace with the
-    tree's labels and tags, which forms each node from the same ids at
-    the same heights."""
+    tree's labels and tags, whose groups form exactly the tree's nodes,
+    each from free ids formed before it, at the node's heights."""
     if (tuple(trace.labels), trace.method, trace.policy) != (
             tree.labels, tree.method, tree.policy):
         raise FormatError("trace does not describe this tree")
-    formed = {frozenset(grp.member_ids): grp
-              for it in trace.iterations for grp in it.groups}
+    free, taken, formed = set(range(tree.n)), set(range(tree.n)), {}
+    for grp in (grp for it in trace.iterations for grp in it.groups):
+        members = frozenset(grp.member_ids)
+        if (len(members) != len(grp.member_ids) or not members <= free
+                or grp.cluster_id in taken):
+            raise FormatError("trace does not describe this tree")
+        free -= members
+        free.add(grp.cluster_id)
+        taken.add(grp.cluster_id)
+        formed[members] = grp
     ids = {}
     # reversed preorder: every node after the nodes below it
     for node in reversed(list(tree.internal_nodes())):
@@ -525,6 +533,8 @@ def _ids_from_trace(tree, trace):
                 node.h_lower, node.h_upper, node.fusion):
             raise FormatError("trace does not describe this tree")
         ids[id(node)] = grp.cluster_id
+    if len(ids) != len(formed):  # a group that forms no node
+        raise FormatError("trace does not describe this tree")
     return ids
 
 

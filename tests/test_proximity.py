@@ -28,6 +28,7 @@ from multidendro import (
     similarity_to_dissimilarity,
     to_newick_extended,
 )
+from multidendro import proximity
 from multidendro.errors import MultidendroError
 from multidendro.proximity import (
     _precision,
@@ -730,6 +731,98 @@ def test_bulk_lower_matches_scalar_reader(case):
     _same_outcome(text, "lower", parse_lower_scalar, similarity)
 
 
+@st.composite
+def _plain_token(draw):
+    # up to 17 digits, with a point anywhere or none
+    digits = draw(st.text("0123456789", min_size=1, max_size=17))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    return digits if point is None else digits[:point] + "." + digits[point:]
+
+
+@st.composite
+def _plain_rows(draw, lower):
+    # plain decimal text: a symmetric grid (its lower triangle when
+    # ``lower``), up to two asymmetric pairs or bad diagonals, space or tab
+    # separators, blank lines, an optional header, the last "\n" optional
+    n = draw(st.integers(1, 7))
+    similarity = draw(st.booleans())
+    diag = "1" if similarity else "0"
+    good = st.sampled_from([".5", "5.", "007", "0.0", "12", "2.25"]) | (
+        st.sampled_from(["1", "22", "333"]) if draw(st.booleans())
+        else _plain_token())
+    rows = [[diag] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from([diag, diag + ".0", diag + "."]))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(good)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i][i] = draw(st.sampled_from(
+                ["2", "0.5", "0.0000000000001", "0.00000000001", "1.000"]))
+        else:
+            rows[i][j] = draw(good)
+    if lower:
+        rows = [row[:r + 1] for r, row in enumerate(rows)]
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    lines = [draw(sep).join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, draw(sep).join("s%d" % k for k in range(n)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t"])))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text, similarity
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_rows(lower=False))
+def test_plain_square_matches_scalar_reader(case):
+    text, similarity = case
+    _same_outcome(text, "square", parse_square_scalar, similarity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_rows(lower=True))
+def test_plain_lower_matches_scalar_reader(case):
+    text, similarity = case
+    _same_outcome(text, "lower", parse_lower_scalar, similarity)
+
+
+class _Declined(Exception):
+    pass
+
+
+def _decline(*args, **kwargs):
+    raise _Declined
+
+
+@pytest.mark.parametrize("fmt", ["square", "lower"])
+def test_plain_text_needs_no_other_reader(monkeypatch, fmt):
+    # plain text is read in bulk: numpy's reader and the row reader are
+    # never called; text that is not plain reaches one of them
+    monkeypatch.setattr(np, "loadtxt", _decline)
+    monkeypatch.setattr(proximity, "_read_rows", _decline)
+    d = np.array([[0.0, 1.25, 7.5], [1.25, 0.0, 12.0], [7.5, 12.0, 0.0]])
+    for write, places in (("%.0f", 0), ("%.2f", 2)):
+        rows = [[write % v for v in row] for row in d]
+        if fmt == "lower":
+            rows = [row[:r + 1] for r, row in enumerate(rows)]
+        text = "a b c\n" + "".join(" ".join(row) + "\n" for row in rows)
+        m = parse_matrix(text, fmt)
+        assert m.labels == ("a", "b", "c")
+        assert m.values == tuple(float(write % v)
+                                 for v in (1.25, 7.5, 12.0))
+        assert m.precision == places
+    for tok, end in [("1.000000000000000000e+00", "\n"), ("-0", "\n"),
+                     ("1e2", "\n"), ("nan", "\n"), ("1", "\r\n"),
+                     ("\u0663", "\n")]:
+        rows = ["0", tok + " 0"] if fmt == "lower" else ["0 " + tok,
+                                                          tok + " 0"]
+        with pytest.raises(_Declined):
+            parse_matrix(end.join(rows) + end, fmt)
+
+
 @pytest.mark.parametrize("text", [
     "0 1\n1 0\n",
     "\n a\tb \n\n0  1\n \n1\u20030",
@@ -777,7 +870,7 @@ def test_square_text_parses_without_warnings():
                                                  (1.0, 2.0, 3.0), 0)
 
 
-@pytest.mark.parametrize("fmt", ["%.18e", "%.0f"])
+@pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
 def test_square_reader_memory_stays_near_the_matrix(fmt):
     # all tokens of the text alive at once would take several times n*n
     # floats; the limit is four n x n float64 arrays
@@ -796,7 +889,7 @@ def test_square_reader_memory_stays_near_the_matrix(fmt):
     assert peak < 4 * n * n * 8
 
 
-@pytest.mark.parametrize("fmt", ["%.18e", "%.0f"])
+@pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
 def test_lower_reader_memory_stays_near_the_matrix(fmt):
     # the square guard's bound, for text read one line at a time
     n = 600

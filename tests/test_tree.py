@@ -565,6 +565,30 @@ def test_records_reject_a_trace_of_another_run(toy):
     assert tree_equal(parse_records(doc)[0], tree)
 
 
+def _four_point_records():
+    matrix = parse_matrix("0 1 4 5\n1 0 4 5\n4 4 0 2\n5 5 2 0\n")
+    return json.loads(records_to_json(to_records(
+        *cluster_variable_group(matrix, "single"))))
+
+
+def test_records_reject_a_trace_that_forms_more_than_the_tree():
+    # a group that forms no node of the tree, taking leaf 0 a second time
+    extra = _four_point_records()
+    extra["trace"]["iterations"][0]["groups"].append(
+        {"cluster_id": 50, "member_ids": [0, 99], "h_lower": 1.0,
+         "h_upper": 1.0, "fusion": None})
+    # the root's group first, naming clusters formed after it
+    swapped = _four_point_records()
+    its = swapped["trace"]["iterations"]
+    its[0], its[-1] = its[-1], its[0]
+    for bad in (extra, swapped):
+        with pytest.raises(FormatError,
+                           match="trace does not describe this tree"):
+            parse_records(bad)
+    tree, trace = parse_records(_four_point_records())
+    assert detect_reversals(trace) == detect_reversals(tree) == ()
+
+
 def test_records_json_is_stable(toy):
     tree, trace = toy_vg_tree(toy)
     a = records_to_json(to_records(tree, trace))
