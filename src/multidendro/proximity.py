@@ -16,20 +16,20 @@ half-quantum exactly when ``v`` reaches the float nearest to it, and that
 float is one correctly rounded division, so each value needs only a floor
 and one comparison on either side.
 
-Plain decimal text, square or lower-triangle, is read in bulk
-(``_read_plain``): each token of 1 to 15 ASCII digits and at most one
-point is its digits m over 10**p for p decimals, both exact floats, so
-one division gives ``float(token)`` (Clinger, PLDI 1990). Other square
-text (signs, exponents, nan, "_", "\\r", non-ASCII, longer tokens, the
-wrong shape) goes to numpy's C reader one line at a time, which converts
-each token as ``float`` does. Text that reader refuses, and other
-lower-triangle text, is read one line at a time into a preallocated
-array, a row's tokens converted with ``float`` and dropped, so no reader
-builds a list of every token. One rule finds the header line
-(``_header``) and one the written precision (``_precision``). The diagonal
-and symmetry are checked on the resulting array, and ``ProximityMatrix``
-checks its values in one numpy pass too. When anything fails, the error
-raised is the one a row-by-row reading meets first.
+Square text of 64 KiB or more whose tokens are all whole numbers of 1 to
+15 ASCII digits is read in bulk (``_read_whole``): numpy finds each
+token's digits and sums them times powers of ten, every partial sum an
+integer below 2**53 and so exact, which is ``float(token)`` bit for bit.
+Other square text (shorter, or with a point, sign, exponent, nan, "_",
+"\\r", non-ASCII digits or longer tokens) goes to numpy's C reader one
+line at a time, which converts each token as ``float`` does. Text that
+reader refuses, and all lower-triangle text, is read one line at a time
+into a preallocated array, a row's tokens converted with ``float`` and
+dropped, so no reader builds a list of every token. One rule finds the
+header line (``_header``) and one the written precision (``_precision``).
+The diagonal and symmetry are checked on the resulting array, and
+``ProximityMatrix`` checks its values in one numpy pass too. When anything
+fails, the error raised is the one a row-by-row reading meets first.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ _SYM_TOL = 1e-12
 # at most n**2 of them times at most 2n**2, so below 2**20 individuals (an
 # 8 TiB matrix) nothing nears 2**1024
 MAX_VALUE = 2.0 ** 900
-# 10**k as exact floats, for plain tokens of up to 15 digits
-_POWERS = np.array([float(10 ** k) for k in range(16)])
+# bytes of whole lines _read_whole tokenizes at once; shorter text is
+# quicker through numpy's reader
+_BLOCK = 65536
 
 
 def _normalize_format(fmt):
@@ -384,86 +385,47 @@ def _lines(text, start, split=False):
         start = stop
 
 
-def _read_plain(text, fmt, self_value):
-    """(labels, n x n grid, precision) of plain decimal text, or None."""
-    header, start = _header(text)
-    # what float() reads besides plain tokens is found before any copy
-    if (start == len(text) or not text.isascii()
-            or any(text.find(c, start) >= 0 for c in "eE+-_nN\r")):
+def _read_whole(text, start):
+    """The rows of text from ``start`` on whose tokens are all 1 to 15
+    ASCII digits, if each holds as many and the text fills a block, else
+    None. A value sums its digits times powers of ten, all integers below
+    2**53, so it is ``float(token)`` exactly."""
+    if len(text) - start < _BLOCK or text.find(".", start) >= 0:
         return None
-    blocks = []
+    values, widths = [], []
     while start < len(text):
-        # 64 KiB of whole lines, padded with a space at both ends
-        stop = text.find("\n", start + 65536) + 1 or len(text)
-        blocks.append(_plain_block((" %s " % text[start:stop]).encode()))
-        if blocks[-1] is None:
-            return None
+        # a block of whole lines, padded with a space at both ends
+        stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+        data = (" %s " % text[start:stop]).encode()
         start = stop
-    values, widths, places = zip(*blocks)
-    del blocks  # each block's values go once joined
-    widths = np.concatenate(widths)
-    n, lower = len(widths), fmt == "lower"
-    if (not n or (header is not None and len(header) != n)
-            or (widths != (np.arange(1, n + 1) if lower else n)).any()):
-        return None
-    grid = values = np.concatenate(values)
-    if lower:
-        if not (abs(values[np.cumsum(widths) - 1] - self_value)
-                <= _SYM_TOL).all():
+        if data.translate(None, b"0123456789 \t\n"):
             return None
-        grid = np.zeros((n, n))
-        grid[np.tri(n, dtype=bool)] = values
-    labels = _default_labels(n) if header is None else tuple(header)
-    return labels, grid.reshape(n, n), max(places)
-
-
-def _plain_block(data):
-    # (values, tokens on each non-blank line, most decimals) of lines
-    # padded with a space at both ends, or None
-    if data.translate(None, b"0123456789. \t\n"):
+        raw = np.frombuffer(data, dtype=np.uint8)
+        digit = raw - 48  # a separator wraps past 9
+        # the edges alternate: the byte before a token, then its last byte
+        before, last = np.flatnonzero(np.diff(digit < 10)).reshape(-1, 2).T
+        count = last - before
+        if count.max(initial=0) > 15:
+            return None
+        value = np.zeros(len(last))
+        # past a short token's first digit, last - j runs into the token
+        # before it or wraps round, and the mask drops what it reads
+        for j in range(count.max(initial=0)):
+            value += np.where(count > j, digit[last - j], 0) * float(10 ** j)
+        values.append(value)
+        ends = np.searchsorted(last, np.flatnonzero(raw == 10))
+        widths.append(np.diff(ends, prepend=0, append=len(last)))
+    widths = np.concatenate(widths)
+    widths = widths[widths > 0]
+    if (widths != widths[0]).any():
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # the edges alternate: the byte before a token, then its last byte
-    edges = np.flatnonzero(np.diff(raw > 32))
-    before, last = edges[::2], edges[1::2]
-    widths = np.diff(np.searchsorted(last, np.flatnonzero(raw == 10)),
-                     prepend=0, append=len(last))
-    # where the digits before the point end, and how many follow it
-    dots = np.flatnonzero(raw == 46)
-    owner = np.searchsorted(last, dots)
-    whole, decimals = last.copy(), np.zeros(len(last), dtype=np.intp)
-    whole[owner] = dots - 1
-    decimals[owner] = last[owner] - dots
-    digits = whole - before
-    total = digits + decimals
-    # each token holds at most one point and 1 to 15 digits
-    if (not np.diff(owner).all() or total.min(initial=1) < 1
-            or total.max(initial=1) > 15):
-        return None
-    # pairs[i] holds the digits at bytes i and i + 1, where a separator or
-    # the point reads as 0: the first pair of a run may start before it
-    digit = np.maximum(raw, 48) - 48
-    pairs = digit[:-1] * 10 + digit[1:]
-    value = _digits_value(pairs, whole, digits)
-    if dots.size:
-        scale = _POWERS[decimals]
-        value = (value * scale + _digits_value(pairs, last, decimals)) / scale
-    return value, widths[widths > 0], int(decimals.max(initial=0))
-
-
-def _digits_value(pairs, end, count):
-    # the integer each run of ``count`` digits up to byte ``end`` writes
-    value = np.zeros(len(end))
-    for j in range(0, count.max(initial=0), 2):
-        pair = np.take(pairs, end - 1 - j)
-        pair[count <= j] = 0
-        value += pair * _POWERS[j]
-    return value
+    return np.concatenate(values).reshape(len(widths), -1)
 
 
 def _read_square(text):
-    """(labels, n x n grid, precision) from numpy's reader, or None to
-    leave the text to _read_rows, which also words every error."""
+    """(labels, n x n grid, precision) read in bulk or by numpy's reader,
+    or None to leave the text to _read_rows, which also words every
+    error."""
     if (any(brk in text for brk in _OTHER_BREAKS)
             or text.count("\r") != text.count("\r\n")):
         return None
@@ -472,8 +434,10 @@ def _read_square(text):
     if not _TOKEN_RE.search(text, start):
         return None
     try:
-        grid = np.loadtxt(_lines(text, start), dtype=np.float64,
-                          comments=None, ndmin=2)
+        grid = _read_whole(text, start)
+        if grid is None:
+            grid = np.loadtxt(_lines(text, start), dtype=np.float64,
+                              comments=None, ndmin=2)
     except ValueError:
         return None
     n = len(grid)
@@ -529,13 +493,11 @@ def _read_rows(text, fmt, self_value):
 def _parse_grid(text, fmt, self_value):
     # square or lower-triangle text: (labels, condensed values, precision)
     if fmt == "square":
-        labels, grid, inferred = (_read_plain(text, fmt, self_value)
-                                  or _read_square(text)
+        labels, grid, inferred = (_read_square(text)
                                   or _read_rows(text, fmt, self_value))
         _check_square(grid, self_value)
     else:
-        labels, grid, inferred = (_read_plain(text, fmt, self_value)
-                                  or _read_rows(text, fmt, self_value))
+        labels, grid, inferred = _read_rows(text, fmt, self_value)
         # the lower triangle by columns is the condensed upper triangle
         grid = grid.T
     return labels, grid[~np.tri(len(grid), dtype=bool)], inferred

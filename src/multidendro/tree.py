@@ -510,30 +510,28 @@ def _ids_bottom_up(tree):
 def _ids_from_trace(tree, trace):
     """Map id of each internal node -> its cluster id in a trace with the
     tree's labels and tags, whose groups form exactly the tree's nodes,
-    each from free ids formed before it, at the node's heights."""
+    each from ids formed before it, at the node's heights."""
     if (tuple(trace.labels), trace.method, trace.policy) != (
             tree.labels, tree.method, tree.policy):
         raise FormatError("trace does not describe this tree")
-    free, taken, formed = set(range(tree.n)), set(range(tree.n)), {}
-    for grp in (grp for it in trace.iterations for grp in it.groups):
-        members = frozenset(grp.member_ids)
-        if (len(members) != len(grp.member_ids) or not members <= free
-                or grp.cluster_id in taken):
+    groups = [grp for it in trace.iterations for grp in it.groups]
+    known, formed = set(range(tree.n)), {}
+    for grp in groups:
+        if grp.cluster_id in known or not known.issuperset(grp.member_ids):
             raise FormatError("trace does not describe this tree")
-        free -= members
-        free.add(grp.cluster_id)
-        taken.add(grp.cluster_id)
-        formed[members] = grp
+        known.add(grp.cluster_id)
+        formed[frozenset(grp.member_ids)] = grp
     ids = {}
     # reversed preorder: every node after the nodes below it
     for node in reversed(list(tree.internal_nodes())):
         grp = formed.get(frozenset(c.index if c.is_leaf else ids[id(c)]
                                    for c in node.children))
-        if grp is None or (grp.h_lower, grp.h_upper, grp.fusion) != (
-                node.h_lower, node.h_upper, node.fusion):
+        if grp is None or (grp.h_lower, grp.h_upper, grp.fusion,
+                           len(grp.member_ids)) != (
+                node.h_lower, node.h_upper, node.fusion, len(node.children)):
             raise FormatError("trace does not describe this tree")
         ids[id(node)] = grp.cluster_id
-    if len(ids) != len(formed):  # a group that forms no node
+    if len(ids) != len(groups):  # a group that forms no node
         raise FormatError("trace does not describe this tree")
     return ids
 

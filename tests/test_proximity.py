@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -741,8 +742,9 @@ def _plain_token(draw):
 
 @st.composite
 def _plain_rows(draw, lower):
-    # plain decimal text: a symmetric grid (its lower triangle when
-    # ``lower``), up to two asymmetric pairs or bad diagonals, space or tab
+    # plain decimal text, whole numbers only half the time: a symmetric
+    # grid (its lower triangle when ``lower``), up to two asymmetric pairs
+    # or bad diagonals, up to two rows of the wrong length, space or tab
     # separators, blank lines, an optional header, the last "\n" optional
     n = draw(st.integers(1, 7))
     similarity = draw(st.booleans())
@@ -764,6 +766,13 @@ def _plain_rows(draw, lower):
             rows[i][j] = draw(good)
     if lower:
         rows = [row[:r + 1] for r, row in enumerate(rows)]
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        # a row a token short or long
+        row = rows[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            del row[-1]
+        else:
+            row.append(draw(good))
     sep = st.sampled_from([" ", "\t", "  ", " \t"])
     lines = [draw(sep).join(row) for row in rows]
     if draw(st.booleans()):
@@ -772,14 +781,19 @@ def _plain_rows(draw, lower):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", " ", "\t"])))
     text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    if draw(st.booleans()):
+        text = text.replace(".", "")
     return text, similarity
 
 
 @settings(max_examples=300, deadline=None)
-@given(_plain_rows(lower=False))
-def test_plain_square_matches_scalar_reader(case):
+@given(_plain_rows(lower=False), st.sampled_from([1, 8, 64]))
+def test_plain_square_matches_scalar_reader(case, block):
+    # blocks of a line or a few, so that short whole-number text is read
+    # in bulk too
     text, similarity = case
-    _same_outcome(text, "square", parse_square_scalar, similarity)
+    with mock.patch.object(proximity, "_BLOCK", block):
+        _same_outcome(text, "square", parse_square_scalar, similarity)
 
 
 @settings(max_examples=300, deadline=None)
@@ -797,30 +811,38 @@ def _decline(*args, **kwargs):
     raise _Declined
 
 
-@pytest.mark.parametrize("fmt", ["square", "lower"])
-def test_plain_text_needs_no_other_reader(monkeypatch, fmt):
-    # plain text is read in bulk: numpy's reader and the row reader are
-    # never called; text that is not plain reaches one of them
+def test_whole_number_square_text_needs_no_other_reader(monkeypatch):
+    # square text of whole numbers that fills a block is read in bulk:
+    # numpy's reader and the row reader are never called; any other text
+    # reaches one of them
     monkeypatch.setattr(np, "loadtxt", _decline)
     monkeypatch.setattr(proximity, "_read_rows", _decline)
-    d = np.array([[0.0, 1.25, 7.5], [1.25, 0.0, 12.0], [7.5, 12.0, 0.0]])
-    for write, places in (("%.0f", 0), ("%.2f", 2)):
-        rows = [[write % v for v in row] for row in d]
-        if fmt == "lower":
-            rows = [row[:r + 1] for r, row in enumerate(rows)]
-        text = "a b c\n" + "".join(" ".join(row) + "\n" for row in rows)
-        m = parse_matrix(text, fmt)
-        assert m.labels == ("a", "b", "c")
-        assert m.values == tuple(float(write % v)
-                                 for v in (1.25, 7.5, 12.0))
-        assert m.precision == places
+    # text of several blocks, tokens of 1 to 15 digits
+    rng = np.random.default_rng(7)
+    d = rng.integers(1, 10 ** rng.integers(1, 16, (150, 150)))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    text = "".join(" ".join(map(str, row)) + "\n" for row in d)
+    assert len(text) > 3 * proximity._BLOCK
+    assert parse_matrix(text).as_square() == d.tolist()
+    with pytest.raises(_Declined):
+        parse_matrix("0 1\n1 0\n")  # shorter than a block
+    monkeypatch.setattr(proximity, "_BLOCK", 4)
+    for text, labels in [("a b c\n0 1 75\n1 0 120\n75 120 0\n",
+                          ("a", "b", "c")),
+                         ("\n0\t01  75\n\n01 0 120\n75 120 000",
+                          ("x1", "x2", "x3"))]:
+        m = parse_matrix(text)
+        assert (m.labels, m.values, m.precision) == (
+            labels, (1.0, 75.0, 120.0), 0)
+    others = [("0 1.25\n1.25 0\n", "square"), ("0\n1 0\n", "lower"),
+              ("0\n1.25 0\n", "lower")]
     for tok, end in [("1.000000000000000000e+00", "\n"), ("-0", "\n"),
                      ("1e2", "\n"), ("nan", "\n"), ("1", "\r\n"),
-                     ("\u0663", "\n")]:
-        rows = ["0", tok + " 0"] if fmt == "lower" else ["0 " + tok,
-                                                          tok + " 0"]
+                     ("\u0663", "\n"), ("1" * 16, "\n")]:
+        others.append(("0 %s%s%s 0%s" % (tok, end, tok, end), "square"))
+    for text, fmt in others:
         with pytest.raises(_Declined):
-            parse_matrix(end.join(rows) + end, fmt)
+            parse_matrix(text, fmt)
 
 
 @pytest.mark.parametrize("text", [

@@ -581,7 +581,18 @@ def test_records_reject_a_trace_that_forms_more_than_the_tree():
     swapped = _four_point_records()
     its = swapped["trace"]["iterations"]
     its[0], its[-1] = its[-1], its[0]
-    for bad in (extra, swapped):
+    # a group of formed ids that forms no node
+    unformed = _four_point_records()
+    unformed["trace"]["iterations"][-1]["groups"].append(
+        {"cluster_id": 50, "member_ids": [0, 2], "h_lower": 1.0,
+         "h_upper": 1.0, "fusion": None})
+    # the root's group under a leaf's id
+    reused = _four_point_records()
+    reused["trace"]["iterations"][-1]["groups"][0]["cluster_id"] = 0
+    # a group naming one id twice
+    repeated = _four_point_records()
+    repeated["trace"]["iterations"][0]["groups"][0]["member_ids"].append(0)
+    for bad in (extra, swapped, unformed, reused, repeated):
         with pytest.raises(FormatError,
                            match="trace does not describe this tree"):
             parse_records(bad)
