@@ -21,12 +21,15 @@ Every engine merges through ``ClusterState.merge``, which makes two
 ``linkage.vg_update`` calls per new cluster, to the unmerged clusters and
 to those merged before it in the same step; a classical merge is a step of
 one group, the pair as block J. A group's height interval is the minimum
-and maximum of the raw distances between its constituents. A cluster's
-leaves are an int mask. The enumerator sweeps forward one merge at a time
-over copies of the state, gives each distinct merge of a run, keyed by its
-two children, one bit, and so holds every outcome as an int bitmask. Its
-trees are read straight off those merges, and a subtree that several of
-them share is built once.
+and maximum of the raw distances between its constituents. One tied group
+can hold almost every cluster, yet beside the working matrix a run makes
+at most one array as large: the tied rows and a group's interval are read
+in bands of rows (``proximity.row_bands``), and a merge gathers the blocks
+it reads one at a time. A cluster's leaves are an int mask. The
+enumerator sweeps forward one merge at a time over copies of the state,
+gives each distinct merge of a run, keyed by its two children, one bit,
+and so holds every outcome as an int bitmask. Its trees are read straight
+off those merges, and a subtree that several of them share is built once.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -62,7 +65,7 @@ from .linkage import (
     vg_update,
     within_term,
 )
-from .proximity import MAX_VALUE, square_from_condensed, tie_edge
+from .proximity import MAX_VALUE, row_bands, square_from_condensed, tie_edge
 from .tree import (
     Leaf,
     MultivaluedTree,
@@ -164,12 +167,15 @@ class ClusterState:
         if not math.isfinite(low):  # a distance update overflowed
             raise ValueError("no finite distance left, the least is %r" % low)
         low_key, edge = tie_edge(low, self.precision)
-        rows = (self.row_min < edge).nonzero()[0]
-        at, cols = np.nonzero(self.dist[rows] < edge)
-        rows = rows[at]
-        upper = rows < cols
-        return low, low_key, list(zip(rows[upper].tolist(),
-                                      cols[upper].tolist()))
+        under, edges = (self.row_min < edge).nonzero()[0], []
+        # a band of those rows at a time, as they can be every row
+        for band in row_bands(len(under), len(self.dist)):
+            rows = under[band]
+            at, cols = np.nonzero(self.dist[rows] < edge)
+            rows = rows[at]
+            upper = rows < cols
+            edges += zip(rows[upper].tolist(), cols[upper].tolist())
+        return low, low_key, edges
 
     def live_slots(self):
         """Slots of the active clusters, ascending."""
@@ -193,23 +199,19 @@ class ClusterState:
         kept = kept.nonzero()[0]
         homes, merged, starts, within = [], [], [], []
         # a group writes only its own row and column, at the unmerged
-        # clusters and the groups before it, so no row it reads has changed
+        # clusters and the groups before it, so no entry it reads has
+        # changed; it gathers one block it reads at a time, not its rows
         for g in groups:
-            home, size = g[0], sizes.take(g)
-            # only these rules read the within block, which can be as large
-            # as the matrix, so it is summed before the rows are taken
-            term = (within_term(kind, size,
-                                dist.take(g, axis=0).take(g, axis=1))
+            home, size, at = g[0], sizes.take(g), np.array(g)[:, None]
+            # only these rules read the within block
+            term = (within_term(kind, size, dist[at, g])
                     if kind in WITHIN_METHODS else 0.0)
-            # take keeps the cross block C-ordered, which the reductions want
-            rows = dist.take(g, axis=0)
-            row = vg_update(kind, size, term, sizes[kept],
-                            rows.take(kept, axis=1))
+            row = vg_update(kind, size, term, sizes[kept], dist[at, kept])
             dist[home][kept] = row
             dist[:, home][kept] = row
             if merged:
                 row = vg_update(kind, size, term, sizes[merged],
-                                rows.take(merged, axis=1), starts, within)
+                                dist[at, merged], starts, within)
                 dist[home][homes] = row
                 dist[:, home][homes] = row
             homes.append(home)
@@ -419,14 +421,18 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
         for parts in _groups_from_edges(edges):
             children = [nodes[s] for s in parts]
-            # inf on the block's diagonal; h_lower there leaves max the largest
-            block = state.dist[np.ix_(parts, parts)]
-            h_lower = float(block.min())
-            np.fill_diagonal(block, h_lower)
-            h_upper = float(block.max())
-            sizes = state.sizes[list(parts)]
+            # a band of the group's rows at a time, as it can hold almost
+            # every cluster; the inf diagonal goes -inf to drop out of max
+            h_lower, h_upper, k = math.inf, -math.inf, len(parts)
+            at = np.array(parts)[:, None]
+            for band in row_bands(k, k):
+                block = state.dist[at[band], parts]
+                h_lower = min(h_lower, float(block.min()))
+                block.flat[band.start::k + 1] = -math.inf
+                h_upper = max(h_upper, float(block.max()))
             fusion = (None if policy == POLICY_INTERVAL else fusion_value(
-                sizes.tolist(), block.tolist(), method, fusion_policy))
+                state.sizes.take(parts).tolist(),
+                state.dist[at, parts].tolist(), method, fusion_policy))
             node = internal(children, h_lower, h_upper, fusion)
             reversal |= any(reversals_between(c, node) for c in children)
             # merge gives the new clusters the next ids in this order
@@ -438,7 +444,6 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
             # the groups are disjoint, so no later group reads this slot
             nodes[parts[0]] = node
 
-        del block  # it can be as large as the matrix; merge reads its own
         state.merge(formed, method)
         low = _least(state) if state.count > 1 else None
         records.append(IterationRecord(

@@ -107,9 +107,9 @@ def run(config):
         raise ValueError("--policy only applies without --tiebreak and "
                          "--enumerate")
     method = MethodSpec(config.method)
-    # utf-8-sig drops the byte-order mark some editors write
-    text = Path(config.input).read_text(encoding="utf-8-sig")
-    matrix = parse_matrix(text, config.format, similarity=config.similarity)
+    # utf-8-sig drops a byte-order mark; parse_matrix holds the only text
+    matrix = parse_matrix(Path(config.input).read_text(encoding="utf-8-sig"),
+                          config.format, similarity=config.similarity)
     if config.similarity:
         matrix = similarity_to_dissimilarity(matrix)
     if config.precision is not None:

@@ -17,19 +17,22 @@ float is one correctly rounded division, so each value needs only a floor
 and one comparison on either side.
 
 Square text of 64 KiB or more whose tokens are all whole numbers of 1 to
-15 ASCII digits is read in bulk (``_read_whole``): numpy finds each
-token's digits and sums them times powers of ten, every partial sum an
-integer below 2**53 and so exact, which is ``float(token)`` bit for bit.
-Other square text (shorter, or with a point, sign, exponent, nan, "_",
-"\\r", non-ASCII digits or longer tokens) goes to numpy's C reader one
-line at a time, which converts each token as ``float`` does. Text that
-reader refuses, and all lower-triangle text, is read one line at a time
-into a preallocated array, a row's tokens converted with ``float`` and
-dropped, so no reader builds a list of every token. One rule finds the
+15 ASCII digits is read in bulk (``_read_whole``) into one n x n array:
+numpy finds each token's digits and sums them times powers of ten, every
+partial sum an integer below 2**53 and so exact, which is ``float(token)``
+bit for bit. Other square text (shorter, or with a point, sign, exponent,
+nan, "_", "\\r", non-ASCII digits or longer tokens) goes to numpy's C
+reader one line at a time, which converts each token as ``float`` does.
+Text that reader refuses, and all lower-triangle text, is read one line at
+a time into a preallocated array, a row's tokens converted with ``float``
+and dropped, so no reader builds a list of every token. One rule finds the
 header line (``_header``) and one the written precision (``_precision``).
-The diagonal and symmetry are checked on the resulting array, and
+The diagonal and symmetry are checked on the resulting n x n grid, one
+band of rows against its columns at a time (``row_bands``), and
 ``ProximityMatrix`` checks its values in one numpy pass too. When anything
-fails, the error raised is the one a row-by-row reading meets first.
+fails, the error raised is the one a row-by-row reading meets first. The
+text is dropped before the grid is condensed, and the grid before
+``ProximityMatrix`` copies the condensed values.
 """
 
 from __future__ import annotations
@@ -75,6 +78,15 @@ MAX_VALUE = 2.0 ** 900
 # bytes of whole lines _read_whole tokenizes at once; shorter text is
 # quicker through numpy's reader
 _BLOCK = 65536
+
+
+def row_bands(count, width):
+    """Slices of the first ``count`` rows of a ``width``-wide array, each of
+    about _BLOCK entries, so what a band makes stays far below an n x n
+    array; up to 256 wide, one slice takes every row."""
+    step = max(1, _BLOCK // max(1, width))
+    return [slice(top, min(top + step, count))
+            for top in range(0, count, step)]
 
 
 def _normalize_format(fmt):
@@ -309,7 +321,13 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
         text = text[1:]
     self_value = 1.0 if similarity else 0.0
     if fmt in ("square", "lower"):
-        labels, values, inferred = _parse_grid(text, fmt, self_value)
+        labels, grid, inferred = _parse_grid(text, fmt, self_value)
+        # each dropped once read; the lower triangle by columns is the
+        # condensed upper triangle
+        del text
+        values = (grid.T if fmt == "lower" else grid)[~np.tri(len(grid),
+                                                             dtype=bool)]
+        del grid
     else:
         labels, values, inferred = _parse_pairs(
             text, labeled=(fmt == "labeled-pairs"), self_value=self_value)
@@ -386,13 +404,18 @@ def _lines(text, start, split=False):
 
 
 def _read_whole(text, start):
-    """The rows of text from ``start`` on whose tokens are all 1 to 15
-    ASCII digits, if each holds as many and the text fills a block, else
-    None. A value sums its digits times powers of ten, all integers below
-    2**53, so it is ``float(token)`` exactly."""
+    """The n x n grid of text from ``start`` on whose tokens are all 1 to
+    15 ASCII digits, if it has n rows as wide as the first and fills a
+    block, else None. A value sums its digits times powers of ten, all
+    integers below 2**53, so it is ``float(token)`` exactly."""
     if len(text) - start < _BLOCK or text.find(".", start) >= 0:
         return None
-    values, widths = [], []
+    # n from the first row; n * n tokens fill 2 * n * n - 1 characters
+    first = _TOKEN_RE.search(text, start)
+    n = len(text[first.start():text.find("\n", first.start())].split())
+    if 2 * n * n - 1 > len(text) - start:
+        return None
+    grid, filled = np.empty(n * n), 0
     while start < len(text):
         # a block of whole lines, padded with a space at both ends
         stop = text.find("\n", start + _BLOCK) + 1 or len(text)
@@ -407,19 +430,18 @@ def _read_whole(text, start):
         count = last - before
         if count.max(initial=0) > 15:
             return None
-        value = np.zeros(len(last))
+        ends = np.searchsorted(last, np.flatnonzero(raw == 10))
+        widths = np.diff(ends, prepend=0, append=len(last))
+        if ((widths != n) & (widths > 0)).any() or filled + len(last) > n * n:
+            return None
+        value = grid[filled:filled + len(last)]
+        filled += len(last)
+        value[:] = 0.0
         # past a short token's first digit, last - j runs into the token
         # before it or wraps round, and the mask drops what it reads
         for j in range(count.max(initial=0)):
             value += np.where(count > j, digit[last - j], 0) * float(10 ** j)
-        values.append(value)
-        ends = np.searchsorted(last, np.flatnonzero(raw == 10))
-        widths.append(np.diff(ends, prepend=0, append=len(last)))
-    widths = np.concatenate(widths)
-    widths = widths[widths > 0]
-    if (widths != widths[0]).any():
-        return None
-    return np.concatenate(values).reshape(len(widths), -1)
+    return grid.reshape(n, n) if filled == n * n else None
 
 
 def _read_square(text):
@@ -491,42 +513,39 @@ def _read_rows(text, fmt, self_value):
 
 
 def _parse_grid(text, fmt, self_value):
-    # square or lower-triangle text: (labels, condensed values, precision)
-    if fmt == "square":
-        labels, grid, inferred = (_read_square(text)
-                                  or _read_rows(text, fmt, self_value))
-        _check_square(grid, self_value)
-    else:
-        labels, grid, inferred = _read_rows(text, fmt, self_value)
-        # the lower triangle by columns is the condensed upper triangle
-        grid = grid.T
-    return labels, grid[~np.tri(len(grid), dtype=bool)], inferred
+    # square or lower-triangle text: (labels, n x n grid, precision); a
+    # lower-triangle grid holds the lower triangle and diagonal only
+    if fmt == "lower":
+        return _read_rows(text, fmt, self_value)
+    labels, grid, inferred = (_read_square(text)
+                              or _read_rows(text, fmt, self_value))
+    _check_square(grid, self_value)
+    return labels, grid, inferred
 
 
 def _check_square(grid, self_value):
     # the first failure in row order, a row's diagonal before its pairs
     n = len(grid)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):
         # written so that a NaN self entry fails too
         bad_diag = ~(np.abs(grid.diagonal() - self_value) <= _SYM_TOL)
-        diff = grid - grid.T
-        np.abs(diff, out=diff)
-        # symmetric, so the first flagged entry in row order lies above
-        # the diagonal, in the lowest row holding an asymmetric pair
-        asym = diff > _SYM_TOL
     diag_row = int(bad_diag.argmax()) if bad_diag.any() else n
-    k = int(asym.argmax())
-    asym_row = k // n if asym.flat[k] else n
-    if diag_row < n and diag_row <= asym_row:
+    # a band of rows against the same band of columns, only above the bad
+    # diagonal entry; flags are symmetric, so the first in row order lies
+    # above the diagonal, in the lowest row holding an asymmetric pair
+    for band in row_bands(diag_row, n):
+        with np.errstate(invalid="ignore", over="ignore"):
+            asym = np.abs(grid[band] - grid[:, band].T) > _SYM_TOL
+        if asym.any():
+            i, j = divmod(int(asym.argmax()) + band.start * n, n)
+            raise AsymmetricInput(
+                "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
+                % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i]))
+            )
+    if diag_row < n:
         raise FormatError(
             "diagonal entry (%d,%d) must be %g"
             % (diag_row + 1, diag_row + 1, self_value)
-        )
-    if asym_row < n:
-        i, j = divmod(k, n)
-        raise AsymmetricInput(
-            "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
-            % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i]))
         )
 
 

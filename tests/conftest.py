@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from multidendro import parse_matrix
@@ -26,3 +27,15 @@ def toy_file(tmp_path):
     path = tmp_path / "toy.txt"
     path.write_text(TOY_TEXT)
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def tied_cloud():
+    """Whole-number distances rint(d) + 1 between 900 uniform points, as a
+    square array with a zero diagonal: the first iteration merges one
+    group of 896 of the 900 clusters."""
+    pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(900, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    d = np.rint(d) + 1.0
+    np.fill_diagonal(d, 0.0)
+    return d

@@ -225,6 +225,42 @@ def test_state_setup_builds_one_square(precision):
     assert peak < 1.5 * n * n * 8
 
 
+def _tied_matrix(d):
+    n = len(d)
+    return ProximityMatrix(tuple("x%d" % i for i in range(n)),
+                           d[np.triu_indices(n, 1)], precision=0)
+
+
+@pytest.mark.parametrize("kind", ["single", "complete", "unweighted_average"])
+def test_engine_memory_stays_near_the_matrix_on_one_large_group(tied_cloud,
+                                                               kind):
+    # a group of 896 of 900 clusters: a copy of its rows, of its block or
+    # of the tied rows is as large as the working matrix, which with the
+    # matrix passes 1.6 * n * n * 8 bytes beyond the condensed input
+    n = len(tied_cloud)
+    matrix = _tied_matrix(tied_cloud)
+    tracemalloc.start()
+    try:
+        _, trace = cluster_variable_group(matrix, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(len(g.member_ids) for g in trace.iterations[0].groups) == 896
+    assert peak < 1.6 * n * n * 8
+
+
+def test_group_interval_spans_its_whole_block(tied_cloud):
+    # the 896-cluster group is read in several bands of rows; its interval
+    # is still the least and greatest distance within it
+    matrix = _tied_matrix(tied_cloud)
+    _, trace = cluster_variable_group(matrix, "single")
+    for group in trace.iterations[0].groups:
+        ids = np.array(group.member_ids)
+        block = tied_cloud[np.ix_(ids, ids)][~np.eye(len(ids), dtype=bool)]
+        assert (group.h_lower, group.h_upper) == (block.min(), block.max())
+    assert len(agglomerate.row_bands(896, 896)) > 1
+
+
 # ---- single linkage at scale ----
 
 def _variable_group_levels(matrix):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -490,3 +491,23 @@ def test_header_only_input_is_one_error_line(tmp_path, capsys, text):
                                "--method", "single")
     assert (rc, out) == (1, "")
     assert err == "error: square input has a header but no rows\n"
+
+
+def test_cli_memory_stays_near_the_matrix(tmp_path, capsys, tied_cloud):
+    # the text, the parsed grid, the condensed matrix and the working
+    # matrix: only the matrix and one array as large as the grid may be
+    # alive at once; the run traces about 1.8 * n * n * 8 bytes, and 2.06
+    # times that when it keeps the text alive to the end
+    n = len(tied_cloud)
+    path = tmp_path / "tied.txt"
+    path.write_text("\n".join(" ".join("%.0f" % v for v in row)
+                              for row in tied_cloud) + "\n")
+    tracemalloc.start()
+    try:
+        rc = main(["--input", str(path), "--method", "single"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2: the large group's interval reaches above its parent's
+    assert rc == 2 and capsys.readouterr().out.endswith(";\n")
+    assert peak < 2 * n * n * 8

@@ -895,7 +895,8 @@ def test_square_text_parses_without_warnings():
 @pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
 def test_square_reader_memory_stays_near_the_matrix(fmt):
     # all tokens of the text alive at once would take several times n*n
-    # floats; the limit is four n x n float64 arrays
+    # floats, and so would a second n x n array beside the grid; the limit
+    # is two n x n float64 arrays
     n = 600
     pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
@@ -908,7 +909,7 @@ def test_square_reader_memory_stays_near_the_matrix(fmt):
     finally:
         tracemalloc.stop()
     assert m.n == n
-    assert peak < 4 * n * n * 8
+    assert peak < 2 * n * n * 8
 
 
 @pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
@@ -927,7 +928,56 @@ def test_lower_reader_memory_stays_near_the_matrix(fmt):
     finally:
         tracemalloc.stop()
     assert m.n == n
-    assert peak < 4 * n * n * 8
+    assert peak < 2 * n * n * 8
+
+
+def _banded_grid(asym=None, diag=None):
+    # a symmetric 600 x 600 grid, many bands of _check_square's rows, with
+    # one entry above the diagonal raised and one diagonal entry set
+    n = 600
+    half = np.random.default_rng(7).integers(1, 9, size=(n, n)).astype(float)
+    grid = half + half.T
+    np.fill_diagonal(grid, 0.0)
+    if asym is not None:
+        grid[asym] += 0.5
+    if diag is not None:
+        grid[diag, diag] = 2.0
+    return grid
+
+
+@pytest.mark.parametrize("asym,diag,first", [
+    # the pair's row, several bands down, comes before the diagonal's
+    ((450, 520), 500, "pair"),
+    ((299, 550), 300, "pair"),
+    # the diagonal's row comes first, or is the pair's row
+    ((450, 520), 300, "diag"),
+    ((450, 520), 450, "diag"),
+    # a pair across a band edge, and alone
+    ((108, 109), None, "pair"),
+    ((327, 599), None, "pair"),
+    (None, 598, "diag"),
+])
+def test_square_check_reports_the_first_failure_across_bands(asym, diag,
+                                                             first):
+    grid = _banded_grid(asym, diag)
+    # rows 300 and on lie at least two bands below row 0
+    assert proximity.row_bands(len(grid), len(grid))[1].stop <= 300
+    if first == "diag":
+        error, message = FormatError, "diagonal entry (%d,%d) must be 0" % (
+            diag + 1, diag + 1)
+    else:
+        i, j = asym
+        error, message = AsymmetricInput, (
+            "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
+            % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i])))
+    with pytest.raises(error) as info:
+        proximity._check_square(grid, 0.0)
+    assert str(info.value) == message
+    # the same through the text reader
+    text = "\n".join(" ".join("%g" % v for v in row) for row in grid)
+    with pytest.raises(error) as info:
+        parse_matrix(text, "square")
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("text,error,message", [
