@@ -26,10 +26,13 @@ can hold almost every cluster, yet beside the working matrix a run makes
 at most one array as large: the tied rows and a group's interval are read
 in bands of rows (``proximity.row_bands``), and a merge gathers the blocks
 it reads one at a time. A cluster's leaves are an int mask. The
-enumerator sweeps forward one merge at a time over copies of the state,
-gives each distinct merge of a run, keyed by its two children, one bit,
-and so holds every outcome as an int bitmask. Its trees are read straight
-off those merges, and a subtree that several of them share is built once.
+enumerator sweeps forward one merge at a time. It holds a level's distinct
+states as one stack over their live clusters, which a ``ClusterState``
+also is, and makes every successor of the level with one ``merge`` call on
+a stack that puts each tied pair in slots 0 and 1. It gives each distinct
+merge of a run, keyed by its two children, one bit, and so holds every
+outcome as an int bitmask. Its trees are read straight off those merges,
+and a subtree that several of them share is built once.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -121,6 +124,13 @@ class ClusterState:
     the id the next merged cluster gets. Only ``merge`` writes distances.
     The state holds no tree nodes: an engine that builds a tree keeps its
     nodes by slot beside the state.
+
+    A stack holds S states of the same slots that merge the same slots:
+    ``dist`` is k x k x S, the other per-slot arrays are k x S (``members``
+    an object array of masks), and ``live`` is k x 1, as every state
+    retires the same slots. ``merge``, ``_refresh_minima`` and ``shortest``
+    run the same steps on a stack as on one state, one numpy call for all
+    of them. ``unmerged`` numbers a new stack's clusters from its slots.
     """
 
     dist: np.ndarray
@@ -142,44 +152,68 @@ class ClusterState:
             raise OutOfRange("value %r is above 2**900, the largest accepted"
                              % (float(big[0]),))
         n = matrix.n
-        dist = square_from_condensed(matrix.condensed, n, np.inf)
-        return cls(dist, [1 << i for i in range(n)], list(range(n)),
-                   np.ones(n, dtype=np.int64), np.ones(n, dtype=bool),
-                   dist.min(axis=1), dist.argmin(axis=1), n,
-                   precision=matrix.precision, next_id=n)
+        return cls.unmerged(square_from_condensed(matrix.condensed, n, np.inf),
+                            [1 << i for i in range(n)],
+                            np.ones(n, dtype=np.int64), matrix.precision)
 
-    def copy(self):
-        """An independent state that can be merged on without touching this one."""
-        return ClusterState(self.dist.copy(), list(self.members),
-                            list(self.cid_at), self.sizes.copy(),
-                            self.live.copy(), self.row_min.copy(),
-                            self.row_arg.copy(), self.count, self.precision,
-                            self.next_id)
+    @classmethod
+    def unmerged(cls, dist, members, sizes, precision):
+        """Every slot of ``dist`` active, as one state or, with a trailing
+        stack axis on each array, as a stack."""
+        k = len(dist)
+        live = np.ones((k, 1) if dist.ndim == 3 else k, dtype=bool)
+        return cls(dist, members, list(range(k)), sizes, live,
+                   dist.min(axis=1), dist.argmin(axis=1), k,
+                   precision=precision, next_id=k)
+
+    def gather(self, slots, states):
+        """The distances, leaf masks and sizes of a stack of states: the
+        j-th holds, in this order, the clusters at slots ``slots[:, j]`` of
+        state ``states[j]`` (all 0 for one state)."""
+        dist, members, sizes = self.dist, self.members, self.sizes
+        if dist.ndim == 2:  # one state, a stack of one
+            dist, sizes = dist[:, :, None], sizes[:, None]
+            members = np.array(members, dtype=object)[:, None]
+        return (dist[slots[:, None], slots, states], members[slots, states],
+                sizes[slots, states])
 
     def shortest(self):
-        """(raw value, comparison value, tied edges) of the current minimum.
+        """(raw value, comparison value, tied pairs) of the current minimum.
 
-        Edges are (low slot, high slot) pairs in row-major order whose
-        comparison values equal the smallest one; the raw value is the
-        smallest raw distance among them.
+        The tied pairs are the (low slot, high slot) pairs whose comparison
+        values equal the smallest one, as an int array of low slots and one
+        of high slots in row-major order; the raw value is the smallest raw
+        distance among them. On a stack both values are arrays, each
+        state's pairs tie with its own least, and a first array gives each
+        pair's state, the pairs running state by state.
         """
-        low = float(self.row_min.min())
-        if not math.isfinite(low):  # a distance update overflowed
-            raise ValueError("no finite distance left, the least is %r" % low)
+        low = self.row_min.min(axis=0)
+        stack = low.ndim == 1
+        lows = low.tolist() if stack else [float(low)]
+        for value in lows:
+            if not math.isfinite(value):  # a distance update overflowed
+                raise ValueError("no finite distance left, the least is %r"
+                                 % value)
+        if stack:
+            keys, edges = np.array([tie_edge(value, self.precision)
+                                    for value in lows]).T
+            # a stack holds small states, so its pairs are found at once
+            at = np.nonzero(np.moveaxis(self.dist < edges, -1, 0))
+            upper = at[1] < at[2]
+            return low, keys, tuple(index[upper] for index in at)
+        low = lows[0]
         low_key, edge = tie_edge(low, self.precision)
-        under, edges = (self.row_min < edge).nonzero()[0], []
+        under, found = (self.row_min < edge).nonzero()[0], []
         # a band of those rows at a time, as they can be every row
         for band in row_bands(len(under), len(self.dist)):
             rows = under[band]
             at, cols = np.nonzero(self.dist[rows] < edge)
             rows = rows[at]
             upper = rows < cols
-            edges += zip(rows[upper].tolist(), cols[upper].tolist())
-        return low, low_key, edges
-
-    def live_slots(self):
-        """Slots of the active clusters, ascending."""
-        return self.live.nonzero()[0]
+            found.append((rows[upper], cols[upper]))
+        rows, cols = (found[0] if len(found) == 1
+                      else map(np.concatenate, zip(*found)))
+        return low, low_key, (rows, cols)
 
     def merge(self, groups, method):
         """Merge each group of active clusters into one new cluster.
@@ -189,6 +223,7 @@ class ClusterState:
         first of its slots and the next id. Its distances to the unmerged
         clusters and to the clusters merged before it are
         ``linkage.vg_update`` rows of ``method``; no other entry changes.
+        A stack merges one pair.
         """
         kind, dist, sizes = method.kind, self.dist, self.sizes
         kept = self.live.copy()
@@ -202,9 +237,9 @@ class ClusterState:
         # clusters and the groups before it, so no entry it reads has
         # changed; it gathers one block it reads at a time, not its rows
         for g in groups:
-            home, size, at = g[0], sizes.take(g), np.array(g)[:, None]
-            # only these rules read the within block
-            term = (within_term(kind, size, dist[at, g])
+            home, size, at = g[0], sizes.take(g, axis=0), np.array(g)[:, None]
+            # only these rules read the within block, a row at a time
+            term = (within_term(kind, size, dist, g)
                     if kind in WITHIN_METHODS else 0.0)
             row = vg_update(kind, size, term, sizes[kept], dist[at, kept])
             dist[home][kept] = row
@@ -222,6 +257,7 @@ class ClusterState:
         for home, g in zip(homes, groups):
             for s in g[1:]:
                 members[home] |= members[s]
+                sizes[home] += sizes[s]
                 self.live[s] = False
                 dist[s] = np.inf
                 dist[:, s] = np.inf
@@ -229,7 +265,6 @@ class ClusterState:
                 gone.append(s)
             self.cid_at[home] = self.next_id
             self.next_id += 1
-            sizes[home] = members[home].bit_count()
         self.count -= len(gone)
         self._refresh_minima(homes, gone)
 
@@ -251,26 +286,34 @@ class ClusterState:
             stale[better] = False
         for home in homes:
             stale[home] = True
-        rows = stale.nonzero()[0]
-        block = dist[rows]
-        row_min[rows] = block.min(axis=1)
-        row_arg[rows] = block.argmin(axis=1)
+        # (rows,), or (rows, states) on a stack, whose rows swapaxes lays
+        # out by state
+        at = stale.nonzero()
+        block = dist.swapaxes(1, -1)[at]
+        row_min[at] = block.min(axis=1)
+        row_arg[at] = block.argmin(axis=1)
 
 
 def _least(state):
     # shortest() for an engine about to merge there, as no tree has a node
     # below zero; only centroid and joint between-within updates go there
     low = state.shortest()
-    if low[0] < 0:
-        raise ValueError("a distance update went negative, to %r; this "
-                         "rule needs Euclidean input" % low[0])
+    lows = low[0].tolist() if state.dist.ndim == 3 else (low[0],)
+    for value in lows:
+        if value < 0:
+            raise ValueError("a distance update went negative, to %r; this "
+                             "rule needs Euclidean input" % value)
     return low
 
 
-def _groups_from_edges(edges):
-    # the slots the edges join, one ascending tuple per connected set, in
-    # order of smallest slot: a union keeps the smaller root, so every
-    # parent is at most its child and each set's root is its smallest slot
+def _groups_from_edges(low, high):
+    # the slots the edges (low[e], high[e]) join, one ascending tuple per
+    # connected set, in order of smallest slot: a union keeps the smaller
+    # root, so every parent is at most its child and each set's root is
+    # its smallest slot
+    edges = list(zip(low.tolist(), high.tolist()))
+    if len(edges) == 1:
+        return edges
     parent = {s: s for pair in edges for s in pair}
     for a, b in edges:
         # path halving: point the slot at its grandparent (assignments run
@@ -414,12 +457,12 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
     low = _least(state) if state.count > 1 else None
 
     while low is not None:
-        d_lower_raw, _, edges = low
+        d_lower_raw, _, pairs = low
         formed = []  # constituent slots, one tuple per new cluster
         group_records = []
         reversal = False
 
-        for parts in _groups_from_edges(edges):
+        for parts in _groups_from_edges(*pairs):
             children = [nodes[s] for s in parts]
             # a band of the group's rows at a time, as it can hold almost
             # every cluster; the inf diagonal goes -inf to drop out of max
@@ -474,8 +517,9 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     cid_at = state.cid_at
     while state.count > 1:
         # the rules order tied pairs by their cluster ids, low id first
+        low, high = _least(state)[2]
         candidates = sorted(
-            _least(state)[2],
+            zip(low.tolist(), high.tolist()),
             key=lambda edge: sorted(map(cid_at.__getitem__, edge)))
         if tiebreak == TIEBREAK_FIRST:
             a, b = candidates[0]
@@ -496,9 +540,14 @@ def enumerate_pair_group(matrix, method, limit=10000):
 
     Sweeps forward one merge at a time: level t holds each distinct state t
     merges reach, keyed on the live clusters' leaf masks plus their raw
-    distances, with the outcomes of every way to reach it, and each of its
-    tied pairs is merged on a copy. A level with one state and one tied pair
-    keys nothing, as nothing else can reach its successor. A merge is its
+    distances, with the outcomes of every way to reach it. The states are
+    one stack over their live clusters; one ``shortest`` call finds every
+    state's tied pairs, and each band of successors (state by state, pairs
+    in row-major order) is gathered as a stack with its pair in slots 0
+    and 1, merged with one ``merge`` call, and gathered back to
+    smallest-leaf order for its key. A level with one state and one tied
+    pair merges it in place and keys nothing, as nothing else can reach
+    its successor, so a run without ties copies no state. A merge is its
     two children's masks, smallest leaf first, and its height; the first
     time the run makes one it gets the next bit of a per-run table, so an
     outcome is an int bitmask.
@@ -530,58 +579,108 @@ def _enumerate_newick(matrix, method, limit):
     def collapse(bits):
         return frozenset(map(collapsed.__getitem__, bits))
 
-    # every state of a level has the same number of clusters, so equal
-    # states meet only within a level, and only its dict needs their keys
-    level = [(ClusterState.from_matrix(matrix), {0})]
+    def bit(ma, mb, h):
+        # within one outcome a cluster's children follow from its other
+        # clusters, so keying a merge by the children splits no outcome
+        bit = bit_of.setdefault((ma, mb, h), len(bit_of))
+        if bit == len(collapsed):
+            collapsed.append(collapsed_id.setdefault(
+                (ma | mb, round(h, 12)), len(collapsed_id)))
+        return 1 << bit
+
+    def reach(acc, made, step):
+        acc.update([rest | step for rest in made])
+        # only outcomes that differ past 12 decimals make the raw count
+        # larger than the distinct one
+        if len(acc) > limit and len({collapse(_bits(m)) for m in acc}) > limit:
+            raise TooManySolutions(
+                "more than %d tie-break outcomes" % (limit,))
+        return acc
+
+    def successors(level, live, a, b, at):
+        # a band of successors, as (children's masks, height) of each
+        # merge, each state's key, and its sizes: each pair goes to slots 0
+        # and 1 of a stack of the live clusters, so one merge makes them
+        # all, and back to smallest-leaf order, where the new cluster takes
+        # its first constituent's place
+        k, count = len(live), len(a)
+        rest = np.broadcast_to(live, (count, k))
+        rest = rest[(rest != a[:, None]) & (rest != b[:, None])]
+        stack = ClusterState.unmerged(*level.gather(
+            np.vstack([a, b, rest.reshape(count, k - 2).T]), at),
+            level.precision)
+        merged = zip(stack.members[0].tolist(), stack.members[1].tolist(),
+                     stack.dist[0, 1].tolist())
+        stack.merge([(0, 1)], method)
+        c, first = np.arange(k - 1)[:, None], np.searchsorted(live, a)
+        dist, masks, sizes = stack.gather(
+            np.where(c < first, c + 2, np.where(c == first, 0, c + 1)),
+            np.arange(count))
+        keys = zip(map(tuple, masks.T.tolist()),
+                   map(np.ndarray.tobytes, np.moveaxis(dist, -1, 0)))
+        return list(zip(merged, keys)), sizes
+
+    # a level is one state, or a stack of the distinct states its merges
+    # reach, in the order first reached, with each one's outcomes; every
+    # state of a level has the same clusters count, so equal states meet
+    # only within a level, and only its dict needs their keys: their leaf
+    # masks and raw distances
+    level, made = ClusterState.from_matrix(matrix), [{0}]
     for _ in range(matrix.n - 1):
-        reached = {}
-        for state, made in level:
-            pairs = _least(state)[2]
-            for k, (a, b) in enumerate(pairs):
-                # nothing reads this state after its last pair, so that pair
-                # merges in place; a run without ties then copies nothing
-                after = state if k == len(pairs) - 1 else state.copy()
-                ma, mb = state.members[a], state.members[b]
-                h = float(state.dist[a, b])
-                after.merge([(a, b)], method)
-                # within one outcome a cluster's children follow from its
-                # other clusters, so keying by the children splits no
-                # outcome in two
-                bit = bit_of.setdefault((ma, mb, h), len(bit_of))
-                if bit == len(collapsed):
-                    collapsed.append(collapsed_id.setdefault(
-                        (ma | mb, round(h, 12)), len(collapsed_id)))
-                step = 1 << bit
-                key = None  # a level's only successor: nothing can meet it
-                if len(level) > 1 or len(pairs) > 1:
-                    slots = after.live_slots()
-                    key = (tuple(map(after.members.__getitem__,
-                                     slots.tolist())),
-                           after.dist[slots[:, None], slots].tobytes())
-                acc = reached.setdefault(key, (after, set()))[1]
-                acc.update([rest | step for rest in made])
-                # only outcomes that differ past 12 decimals make the raw
-                # count larger than the distinct one
-                if (len(acc) > limit
-                        and len({collapse(_bits(m)) for m in acc}) > limit):
-                    raise TooManySolutions(
-                        "more than %d tie-break outcomes" % (limit,))
-        level = list(reached.values())
+        *on, low, high = _least(level)[2]
+        if len(made) == len(low) == 1:
+            # nothing else can reach the one successor, so the pair merges
+            # in place; a run without ties copies nothing
+            a, b = int(low[0]), int(high[0])
+            step = bit(level.members[a], level.members[b],
+                       float(level.dist[a, b]))
+            level.merge([(a, b)], method)
+            made = [reach(set(), made[0], step)]
+            continue
+        live = np.flatnonzero(level.live)
+        k, states = len(live), on[0] if on else np.zeros_like(low)
+        reached, sizes = {}, []
+        # state by state, row-major pairs within a state, a band at a time
+        for band in row_bands(len(low), 4 * k * k):
+            found, band_sizes = successors(level, live, low[band],
+                                           high[band], states[band])
+            new = []
+            for j, (((ma, mb, h), key), s) in enumerate(
+                    zip(found, states[band].tolist())):
+                step = bit(ma, mb, h)
+                acc = reached.get(key)
+                if acc is None:
+                    acc = reached[key] = set()
+                    new.append(j)
+                reach(acc, made[s], step)
+            sizes.append(band_sizes[:, new])
+        made, sizes = list(reached.values()), np.concatenate(sizes, axis=1)
+        # the next level's distances are its keys' bytes, read in place
+        dist = np.frombuffer(b"".join(key for _, key in reached),
+                             dtype=np.float64).reshape(len(made), k - 1, k - 1)
+        if len(made) == 1:  # one state again, which merges in place
+            (masks, _), = reached
+            level = ClusterState.unmerged(dist[0].copy(), list(masks),
+                                          sizes[:, 0], level.precision)
+        else:
+            masks = np.array([masks for masks, _ in reached], dtype=object)
+            level = ClusterState.unmerged(np.moveaxis(dist, 0, -1), masks.T,
+                                          sizes, level.precision)
 
     merges = list(bit_of)
-    mask_of = [ma | mb for ma, mb, _ in merges]
     groups = {}
-    for mask in level[0][1]:
+    for mask in made[0]:
         bits = _bits(mask)
         groups.setdefault(collapse(bits), []).append(bits)
     leaf_at = {1 << i: Leaf(i, label) for i, label in enumerate(matrix.labels)}
     nodes = {}  # (bit, id of each child node) -> node, for the whole run
 
     def build(bits):
-        # an outcome's root; a child's leaves are a strict subset of its
-        # parent's, so children are built first
+        # an outcome's root, children first: a merge gets its bit at an
+        # earlier level than any merge of the cluster it makes, so in
+        # ascending bit order
         node_at = dict(leaf_at)
-        for bit in sorted(bits, key=lambda bit: mask_of[bit].bit_count()):
+        for bit in reversed(bits):
             ma, mb, h = merges[bit]
             children = node_at[ma], node_at[mb]
             node_key = (bit, id(children[0]), id(children[1]))

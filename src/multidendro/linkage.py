@@ -73,8 +73,9 @@ def _terms(kind, si, sj, d):
 
 def _sums(terms, starts=None):
     # math.fsum over the rows and each block of columns (one column per
-    # block without starts); numpy's sum, from +0.0, is fsum's for two terms
-    q, m = terms.shape
+    # block without starts); numpy's sum, from +0.0, is fsum's for two terms,
+    # and the only sum of a stack's terms, which carry a trailing axis
+    q, m = terms.shape[:2]
     if starts is None and q <= 2:
         return terms.sum(axis=0)
     flat = terms.T.ravel().tolist()
@@ -83,15 +84,25 @@ def _sums(terms, starts=None):
                      for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
 
 
-def within_term(kind, sizes, within):
-    """A block's own term: 0.0 for one cluster and outside WITHIN_METHODS."""
+def within_term(kind, sizes, within, at=None):
+    """A block's own term: 0.0 for one cluster and outside WITHIN_METHODS.
+
+    ``within`` holds the distances between the block's clusters at rows and
+    columns ``at`` (its first ``len(sizes)`` when None), read one row at a
+    time. Sizes and distances with a trailing stack axis give one term per
+    state."""
     if kind not in WITHIN_METHODS:
         return 0.0
+    at = np.arange(len(sizes)) if at is None else np.asarray(at)
     # a row at a time, so no k*k/2 list; fsum's sum has no order to move
-    total = math.fsum(chain.from_iterable(
-        _terms(kind, sizes[r], sizes[:r], within[r, :r]).tolist()
-        for r in range(1, len(sizes))))
-    norm = {UNWEIGHTED_CENTROID: sum(sizes.tolist()), WEIGHTED_CENTROID: len(sizes)}
+    rows = (_terms(kind, sizes[r], sizes[:r], within[at[r], at[:r]])
+            for r in range(1, len(sizes)))
+    if sizes.ndim > 1:  # a stack: the few rows of its pairs, fsum per state
+        total = _sums(np.concatenate(list(rows)))
+    else:
+        total = math.fsum(chain.from_iterable(row.tolist() for row in rows))
+    norm = {UNWEIGHTED_CENTROID: sizes.sum(axis=0),
+            WEIGHTED_CENTROID: len(sizes)}
     return total / norm.get(kind, 1) ** 2
 
 
@@ -99,12 +110,16 @@ def vg_update(kind, sizes_j, within_j, sizes, cross, starts=None, within=None):
     """Distances from a merged block J (cluster ``sizes_j``, ``within_term``
     ``within_j``) to blocks I laid out along the columns of the q x m array
     ``cross``, with cluster ``sizes``, first columns ``starts`` and
-    ``within_term``s ``within``; both None when every block is one cluster."""
+    ``within_term``s ``within``; both None when every block is one cluster.
+    With both None, sizes, terms and ``cross`` may carry a trailing stack
+    axis, one merge per state."""
     if kind in (SINGLE, COMPLETE):
         ext = np.minimum if kind == SINGLE else np.maximum
         out = ext.reduce(cross, axis=0)
         return out if starts is None else ext.reduceat(out, starts)
-    p, ti, tj = 1, sizes, sum(sizes_j.tolist())
+    # Python sums a short list quicker than numpy sums its array
+    tj = sum(sizes_j.tolist()) if sizes_j.ndim == 1 else sizes_j.sum(axis=0)
+    p, ti = 1, sizes
     if starts is not None:
         p, ti = np.diff(starts, append=len(sizes)), np.add.reduceat(sizes, starts)
     between = _sums(_terms(kind, sizes, sizes_j[:, None], cross), starts)

@@ -448,8 +448,10 @@ def _read_square(text):
     """(labels, n x n grid, precision) read in bulk or by numpy's reader,
     or None to leave the text to _read_rows, which also words every
     error."""
-    if (any(brk in text for brk in _OTHER_BREAKS)
-            or text.count("\r") != text.count("\r\n")):
+    # a lone "\r" goes to _read_rows; the counts, two whole scans, only
+    # run on text that holds a "\r" at all
+    if (any(brk in text for brk in _OTHER_BREAKS) or (
+            "\r" in text and text.count("\r") != text.count("\r\n"))):
         return None
     header, start = _header(text)
     # no rows: _read_rows raises, and loadtxt would warn
@@ -609,9 +611,35 @@ def _parse_pairs(text, labeled, self_value=0.0):
 
 # ---- serialization ----
 
+def _unwritable(labels, fmt):
+    """The first of ``labels`` that ``fmt`` text cannot give back to
+    parse_matrix, and why, or None."""
+    if fmt == "pairs":
+        for label, default in zip(labels, _default_labels(len(labels))):
+            if label != default:
+                return label, "pairs text numbers individuals x1, x2, ..."
+        return None
+    for label in labels:
+        if label.split() != [label]:
+            return label, "a label is one token, with no whitespace"
+    if fmt != "labeled-pairs" and labels:
+        try:
+            float(labels[0])
+        except ValueError:
+            return None
+        return labels[0], "a header starts with a token float() refuses"
+    return None
+
+
 def serialize_matrix(matrix, fmt="square"):
-    """Render a matrix back to text; the inverse of parse_matrix."""
+    """Render a matrix back to text; the inverse of parse_matrix.
+
+    Raises FormatError for labels that ``fmt`` text cannot carry back."""
     fmt = _normalize_format(fmt)
+    bad = _unwritable(matrix.labels, fmt)
+    if bad is not None:
+        raise FormatError("label %r cannot be written as %s text: %s"
+                          % (bad[0], fmt, bad[1]))
     if matrix.precision is None:
         fmt_value = repr
     else:

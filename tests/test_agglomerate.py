@@ -39,7 +39,7 @@ from multidendro import (
     to_records,
     validate_tree,
 )
-from multidendro import agglomerate
+from multidendro import agglomerate, proximity
 from multidendro.agglomerate import _groups_from_edges
 from multidendro.proximity import round_half_away
 from multidendro.tree import postorder
@@ -68,12 +68,19 @@ def matrix_from_square(square, labels=None, precision=None):
 
 # ---- tie detection ----
 
+def shortest_pairs(state):
+    """``state.shortest()``, its tied pairs as (low slot, high slot) tuples."""
+    low_raw, low_key, (low, high) = state.shortest()
+    assert low.dtype.kind == high.dtype.kind == "i"
+    return low_raw, low_key, list(zip(low.tolist(), high.tolist()))
+
+
 def test_tie_groups_toy(toy):
     state = ClusterState.from_matrix(toy)
-    low_raw, low_key, edges = state.shortest()
+    low_raw, low_key, edges = shortest_pairs(state)
     assert low_raw == 2.0
     assert edges == [(0, 1), (1, 2)]
-    assert _groups_from_edges(edges) == [(0, 1, 2)]
+    assert _groups_from_edges(*state.shortest()[2]) == [(0, 1, 2)]
 
 
 def test_tie_groups_many_components():
@@ -84,8 +91,8 @@ def test_tie_groups_many_components():
         for j in range(i + 1, 9):
             square[i][j] = square[j][i] = 1.0 if (i, j) in unit else 5.0
     state = ClusterState.from_matrix(matrix_from_square(square))
-    _, _, edges = state.shortest()
-    assert _groups_from_edges(edges) == [(1, 2), (3, 4, 5), (6, 7, 8)]
+    assert _groups_from_edges(*state.shortest()[2]) == [
+        (1, 2), (3, 4, 5), (6, 7, 8)]
 
 
 def test_tie_groups_respect_precision():
@@ -97,15 +104,14 @@ def test_tie_groups_respect_precision():
     # raw values differ, one-decimal comparison makes them tie at 1.0
     rounded = matrix_from_square(square, precision=1)
     state = ClusterState.from_matrix(rounded)
-    low_raw, low_key, edges = state.shortest()
+    low_raw, low_key, pairs = state.shortest()
     assert low_key == 1.0
     assert low_raw == 0.96
-    assert _groups_from_edges(edges) == [(0, 1, 2)]
+    assert _groups_from_edges(*pairs) == [(0, 1, 2)]
 
     raw = matrix_from_square(square)
     state = ClusterState.from_matrix(raw)
-    _, _, edges = state.shortest()
-    assert _groups_from_edges(edges) == [(1, 2)]
+    assert _groups_from_edges(*state.shortest()[2]) == [(1, 2)]
 
 
 # ---- cached row minima ----
@@ -114,7 +120,7 @@ def _check_state(state):
     bits = lambda values: [struct.pack("<d", v) for v in values]
     assert bits(state.row_min.tolist()) == bits(
         row_minima_full_scan(state).tolist())
-    live = state.live_slots().tolist()
+    live = np.flatnonzero(state.live).tolist()
     for r in live:
         if len(live) > 1:
             assert state.dist[r, state.row_arg[r]] == state.row_min[r]
@@ -123,7 +129,7 @@ def _check_state(state):
     assert (state.dist[retired] == np.inf).all()
     assert (state.dist[:, retired] == np.inf).all()
     if len(live) > 1:
-        assert state.shortest() == shortest_full_scan(state)
+        assert shortest_pairs(state) == shortest_full_scan(state)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +153,7 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
     state = ClusterState.from_matrix(matrix)
     _check_state(state)
     while state.count > 1:
-        live = state.live_slots().tolist()
+        live = np.flatnonzero(state.live).tolist()
         if data.draw(st.booleans()):
             state.merge([tuple(sorted(data.draw(st.permutations(live))[:2]))],
                         method)
@@ -163,6 +169,60 @@ def test_cached_minima_match_full_scan_after_random_merges(kind, data):
             groups = sorted(tuple(g) for g in by_tag.values() if len(g) > 1)
             state.merge(groups, method)
         _check_state(state)
+
+
+def _stacked(states):
+    """The states, all of k clusters, as one stack over their slots."""
+    k = states[0].count
+    parts = [state.gather(np.arange(k)[:, None], np.zeros(1, dtype=int))
+             for state in states]
+    return ClusterState.unmerged(
+        *(np.concatenate(part, axis=-1) for part in zip(*parts)),
+        states[0].precision)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(METHOD_KINDS), data=st.data())
+def test_a_stack_merges_as_its_states_do(kind, data):
+    # states that merge the same pairs, one at a time and as one stack,
+    # hold the same distances, minima, masks and sizes, bit for bit, and
+    # the stack's least values and tied pairs are each state's own
+    k = data.draw(st.integers(3, 7))
+    precision = data.draw(st.sampled_from([None, 0, 1]))
+    states = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        values = data.draw(st.lists(st.integers(1, 12),
+                                    min_size=k * (k - 1) // 2,
+                                    max_size=k * (k - 1) // 2))
+        states.append(ClusterState.from_matrix(ProximityMatrix(
+            tuple("x%d" % i for i in range(k)), tuple(v / 4 for v in values),
+            precision=precision)))
+    stack, method = _stacked(states), MethodSpec(kind)
+    bits = lambda values: [struct.pack("<d", v) for v in values]
+    while True:
+        for j, state in enumerate(states):
+            assert bits(stack.dist[..., j].ravel().tolist()) == bits(
+                state.dist.ravel().tolist())
+            assert bits(stack.row_min[:, j].tolist()) == bits(
+                state.row_min.tolist())
+            assert stack.members[:, j].tolist() == state.members
+            assert stack.sizes[:, j].tolist() == state.sizes.tolist()
+            assert (stack.live[:, 0] == state.live).all()
+        if stack.count == 1:
+            break
+        # the pairs run state by state, each state's in row-major order
+        lows, keys, pairs = stack.shortest()
+        want = [shortest_pairs(state) for state in states]
+        assert list(zip(lows.tolist(), keys.tolist())) == [
+            (low, key) for low, key, _ in want]
+        assert list(zip(*(index.tolist() for index in pairs))) == [
+            (j, *pair) for j, (_, _, tied) in enumerate(want)
+            for pair in tied]
+        live = np.flatnonzero(stack.live).tolist()
+        pair = tuple(sorted(data.draw(st.permutations(live))[:2]))
+        stack.merge([pair], method)
+        for state in states:
+            state.merge([pair], method)
 
 
 def test_cached_minima_keep_positive_zero():
@@ -231,12 +291,14 @@ def _tied_matrix(d):
                            d[np.triu_indices(n, 1)], precision=0)
 
 
-@pytest.mark.parametrize("kind", ["single", "complete", "unweighted_average"])
+@pytest.mark.parametrize("kind", ["single", "complete", "unweighted_average",
+                                  "unweighted_centroid"])
 def test_engine_memory_stays_near_the_matrix_on_one_large_group(tied_cloud,
                                                                kind):
     # a group of 896 of 900 clusters: a copy of its rows, of its block or
     # of the tied rows is as large as the working matrix, which with the
-    # matrix passes 1.6 * n * n * 8 bytes beyond the condensed input
+    # matrix passes 1.6 * n * n * 8 bytes beyond the condensed input; the
+    # centroid rules read the group's within block one row at a time
     n = len(tied_cloud)
     matrix = _tied_matrix(tied_cloud)
     tracemalloc.start()
@@ -900,6 +962,47 @@ def test_enumerate_without_ties_keeps_memory_and_stack_flat():
         lambda: enumerate_pair_group(matrix, "unweighted_average"))
     assert len(trees) == 1
     assert peak < 8 * n * n * 8
+
+
+@pytest.mark.parametrize("block", [1, 392])
+def test_enumerate_in_bands_of_one_or_two_states(monkeypatch, block):
+    # a level's successors merge as stacks of at most _BLOCK // (4 k**2)
+    # states, at least one: one state at a time, or two of the first
+    # level's 7 clusters, give the same outcomes as the default bands
+    cases = [(whole_number_matrix(n, seed), kind) for n in (6, 7)
+             for seed in range(3) for kind in METHOD_KINDS[::2]]
+    seen = lambda out: [(text, [h.hex() for h in postorder_heights(tree)])
+                        for text, tree in out]
+    want = [seen(agglomerate._enumerate_newick(m, kind, 10000))
+            for m, kind in cases]
+    merge, stacks = ClusterState.merge, []
+
+    def recording(state, groups, method):
+        if state.dist.ndim == 3:
+            stacks.append((len(state.dist), state.dist.shape[2]))
+        return merge(state, groups, method)
+
+    monkeypatch.setattr(ClusterState, "merge", recording)
+    monkeypatch.setattr(proximity, "_BLOCK", block)
+    assert [seen(agglomerate._enumerate_newick(m, kind, 10000))
+            for m, kind in cases] == want
+    assert all(s <= max(1, block // (4 * k * k)) for k, s in stacks)
+    assert max(s for k, s in stacks if k == 7) == max(1, block // (4 * 7 * 7))
+
+
+def test_enumerate_with_ties_holds_compact_states():
+    # 96 outcomes of 40 whole-number points: a level's states are stacked
+    # over its live clusters, not copied at n x n each, so the traced peak
+    # stays below the 1.58 MB that full copies took
+    n = 40
+    pts = np.random.default_rng(1).uniform(0, 60, size=(n, 2))
+    d = np.rint(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))) + 1
+    matrix = ProximityMatrix(tuple("p%d" % i for i in range(n)),
+                             d[np.triu_indices(n, 1)], precision=0)
+    trees, peak = flat_run(lambda: enumerate_pair_group(
+        matrix, "unweighted_average", limit=2000))
+    assert len(trees) == 96
+    assert peak < 1.5e6
 
 
 def cloud_matrix(n, seed):

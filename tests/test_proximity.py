@@ -499,22 +499,60 @@ def test_similarity_conversion_matches_decimal(precision, grid, data):
 
 # ---- serialization round trips ----
 
+# labels that float() reads, empty ones and ones that hold whitespace,
+# which text cannot always carry
+_ODD_LABELS = ("1", "2.5", "nan", "-inf", "1e3", "", " ", "a b", "a\tb",
+               "a\u2028b", "x\x1cy", "x1", "x2", "lab")
+
+
 @st.composite
-def matrices(draw, min_n=2, max_n=7):
+def matrices(draw, min_n=2, max_n=7, odd_labels=False):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     places = draw(st.integers(min_value=0, max_value=3))
     count = n * (n - 1) // 2
     ints = draw(st.lists(st.integers(min_value=1, max_value=9999),
                          min_size=count, max_size=count))
     values = tuple(float(Decimal(v) / (10 ** places)) for v in ints)
-    return ProximityMatrix(tuple("x%d" % (i + 1) for i in range(n)), values,
-                           precision=places)
+    labels = tuple("x%d" % (i + 1) for i in range(n))
+    if odd_labels and draw(st.booleans()):
+        labels = tuple(draw(st.lists(
+            st.sampled_from(_ODD_LABELS) | st.text(max_size=3),
+            min_size=n, max_size=n, unique=True)))
+    return ProximityMatrix(labels, values, precision=places)
 
 
-@settings(max_examples=60)
-@given(m=matrices(), fmt=st.sampled_from(("square", "lower", "pairs", "labeled-pairs")))
+@settings(max_examples=200, deadline=None)
+@given(m=matrices(odd_labels=True),
+       fmt=st.sampled_from(("square", "lower", "pairs", "labeled-pairs")))
 def test_serialize_parse_round_trip(m, fmt):
-    assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
+    # the text reads back as the matrix, or is refused for a label
+    try:
+        text = serialize_matrix(m, fmt)
+    except FormatError as err:
+        assert m.labels != tuple("x%d" % (i + 1) for i in range(m.n))
+        assert str(err).startswith("label ")
+        return
+    assert parse_matrix(text, fmt) == m
+
+
+@pytest.mark.parametrize("labels, formats", [
+    (("1", "2", "3"), ("square", "lower", "pairs")),
+    (("nan", "b", "c"), ("square", "lower", "pairs")),
+    (("a b", "c", "d"), ("square", "lower", "pairs", "labeled-pairs")),
+    (("a", "", "d"), ("square", "lower", "pairs", "labeled-pairs")),
+])
+def test_serialize_refuses_labels_text_cannot_carry(labels, formats):
+    m = ProximityMatrix(labels, (1.0, 2.0, 3.0), precision=0)
+    for fmt in formats:
+        with pytest.raises(FormatError, match="cannot be written as"):
+            serialize_matrix(m, fmt)
+    # a header's other labels, and any label in labeled pairs, may read as
+    # numbers
+    for m, fmt in [(ProximityMatrix(("a", "1", "2"), (1.0, 2.0, 3.0), 0),
+                    "square"),
+                   (ProximityMatrix(("1", "2", "3"), (1.0, 2.0, 3.0), 0),
+                    "labeled-pairs")]:
+        assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
 
 
 def test_serialize_square_golden(toy):

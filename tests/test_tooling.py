@@ -195,6 +195,13 @@ def test_one_merge_step():
     assert not writes, "distances written outside ClusterState: %s" % writes
 
 
+def test_one_tie_scan():
+    # ClusterState.shortest alone turns a least value into the edge below
+    # which distances tie with it, for one state and for a stack, so no
+    # second scan for tied pairs can drift from it
+    assert _call_sites("tie_edge") == {"agglomerate.py: ClusterState.shortest"}
+
+
 def test_one_reversal_scan():
     # a reversal is a node that tops its parent: tree.reversal_edges finds
     # them in a tree, and detect_reversals reads a trace as the tree its
