@@ -668,6 +668,9 @@ def _enumerate_newick(matrix, method, limit):
                                           sizes, level.precision)
 
     merges = list(bit_of)
+    # a cluster strictly holds its children, so merges by size build them
+    # first; bit order need not, as a merge's bit is where it was first met
+    size = [(ma | mb).bit_count() for ma, mb, _ in merges]
     groups = {}
     for mask in made[0]:
         bits = _bits(mask)
@@ -676,11 +679,9 @@ def _enumerate_newick(matrix, method, limit):
     nodes = {}  # (bit, id of each child node) -> node, for the whole run
 
     def build(bits):
-        # an outcome's root, children first: a merge gets its bit at an
-        # earlier level than any merge of the cluster it makes, so in
-        # ascending bit order
+        # an outcome's root, children first
         node_at = dict(leaf_at)
-        for bit in reversed(bits):
+        for bit in sorted(bits, key=size.__getitem__):
             ma, mb, h = merges[bit]
             children = node_at[ma], node_at[mb]
             node_key = (bit, id(children[0]), id(children[1]))

@@ -16,23 +16,26 @@ half-quantum exactly when ``v`` reaches the float nearest to it, and that
 float is one correctly rounded division, so each value needs only a floor
 and one comparison on either side.
 
-Square text of 64 KiB or more whose tokens are all whole numbers of 1 to
-15 ASCII digits is read in bulk (``_read_whole``) into one n x n array:
-numpy finds each token's digits and sums them times powers of ten, every
-partial sum an integer below 2**53 and so exact, which is ``float(token)``
-bit for bit. Other square text (shorter, or with a point, sign, exponent,
-nan, "_", "\\r", non-ASCII digits or longer tokens) goes to numpy's C
-reader one line at a time, which converts each token as ``float`` does.
-Text that reader refuses, and all lower-triangle text, is read one line at
-a time into a preallocated array, a row's tokens converted with ``float``
-and dropped, so no reader builds a list of every token. One rule finds the
-header line (``_header``) and one the written precision (``_precision``).
-The diagonal and symmetry are checked on the resulting n x n grid, one
-band of rows against its columns at a time (``row_bands``), and
-``ProximityMatrix`` checks its values in one numpy pass too. When anything
-fails, the error raised is the one a row-by-row reading meets first. The
-text is dropped before the grid is condensed, and the grid before
-``ProximityMatrix`` copies the condensed values.
+Square text goes to the first of these readers that takes it:
+1. ``_read_whole``: 64 KiB or more of whole numbers of 1 to 15 ASCII
+   digits, into one n x n array; numpy sums each token's digits times
+   powers of ten, every partial sum an integer below 2**53 and so exact.
+2. ``_read_fixed``: np.savetxt's layout, rows of tokens of one width, a
+   tile at a time. A token above the diagonal must equal its mirror byte
+   for byte, so only those and the diagonal are converted, straight into
+   the condensed values, and no n x n grid is built or checked.
+3. numpy's C reader, one line at a time, converting each token as
+   ``float`` does, but not "_", non-ASCII digits or a lone "\\r".
+4. ``_read_rows``, which also reads all lower-triangle text: one line at a
+   time into a preallocated array, a row's tokens converted with ``float``
+   and dropped, so no reader builds a list of every token.
+One rule finds the header line (``_header``) and one the written
+precision (``_precision``). The diagonal and symmetry of a grid are
+checked one band of rows against its columns at a time (``row_bands``),
+and ``ProximityMatrix`` checks its values in one numpy pass too. When
+anything fails, the error raised is the one a row-by-row reading meets
+first. The text is dropped before a grid is condensed, and the grid
+before ``ProximityMatrix`` copies the condensed values.
 """
 
 from __future__ import annotations
@@ -321,13 +324,13 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
         text = text[1:]
     self_value = 1.0 if similarity else 0.0
     if fmt in ("square", "lower"):
-        labels, grid, inferred = _parse_grid(text, fmt, self_value)
+        labels, values, inferred = _parse_grid(text, fmt, self_value)
         # each dropped once read; the lower triangle by columns is the
         # condensed upper triangle
         del text
-        values = (grid.T if fmt == "lower" else grid)[~np.tri(len(grid),
-                                                             dtype=bool)]
-        del grid
+        if values.ndim == 2:
+            values = (values.T if fmt == "lower" else values)[
+                ~np.tri(len(values), dtype=bool)]
     else:
         labels, values, inferred = _parse_pairs(
             text, labeled=(fmt == "labeled-pairs"), self_value=self_value)
@@ -444,10 +447,64 @@ def _read_whole(text, start):
     return grid.reshape(n, n) if filled == n * n else None
 
 
-def _read_square(text):
-    """(labels, n x n grid, precision) read in bulk or by numpy's reader,
-    or None to leave the text to _read_rows, which also words every
-    error."""
+def _read_fixed(text, start, self_value):
+    """The checked condensed values of square text from ``start`` on in
+    np.savetxt's layout, n rows of n ASCII tokens of one width w, each
+    followed by a space or, at a row's end, "\\n", else None. Tiles hold
+    about _BLOCK bytes; numpy's cast reads digits, ".", "e", "E", signs
+    and outer spaces as ``float`` does."""
+    stop = text.find("\n", start) + 1  # 0 when there is none
+    w = (text.find(" ", start, stop) + 1 or stop) - 1 - start
+    row = stop - start
+    n, rest = divmod(row, max(w, 0) + 1)
+    if w < 1 or rest or len(text) - start != n * row:
+        return None
+    side = max(1, math.isqrt(_BLOCK // (w + 1)))
+    bands = [(top, min(top + side, n)) for top in range(0, n, side)]
+    i = np.arange(n)[:, None]
+    first = i * (2 * n - i - 3) // 2 - 1  # (i, j) is condensed first[i] + j
+    out = np.empty(condensed_size(n))
+
+    def tile(r0, r1, c0, c1):
+        # the bytes of rows r0 to r1 in columns c0 to c1 and their tokens,
+        # each token followed by its separator
+        width = (c1 - c0) * (w + 1)
+        lines = range(start + r0 * row + c0 * (w + 1), start + r1 * row, row)
+        data = "".join([text[p:p + width] for p in lines]).encode("ascii")
+        if data[w::w + 1] != (b" " * (c1 - c0 - 1)
+                              + (b"\n" if c1 == n else b" ")) * (r1 - r0):
+            raise ValueError
+        return data, np.ndarray((r1 - r0, c1 - c0), "S%d" % w, data,
+                                strides=(width, w + 1))
+
+    try:
+        with np.errstate(over="ignore"):  # "1e400" reads as inf
+            for k, (r0, r1) in enumerate(bands):
+                for c0, c1 in bands[k:]:
+                    data, up = tile(r0, r1, c0, c1)
+                    mirror = up if c0 == r0 else tile(c0, c1, r0, r1)[1]
+                    # the mirror's tokens must equal these, so only these
+                    # are checked for bytes numpy and float read apart
+                    if (data.translate(None, b"0123456789.eE+- ")
+                            != b"\n" * (r1 - r0) * (c1 == n)
+                            or up.tobytes() != mirror.T.tobytes()):
+                        return None
+                    cols = np.arange(c0, c1)
+                    above = cols > i[r0:r1] if c0 == r0 else ...
+                    out[(first[r0:r1] + cols)[above]] = (
+                        up[above].astype(np.float64))
+                    if c0 == r0 and not (np.abs(up.diagonal().astype(
+                            np.float64) - self_value) <= _SYM_TOL).all():
+                        return None
+    except ValueError:  # a token numpy refuses, or a byte out of place
+        return None
+    return out
+
+
+def _read_square(text, self_value):
+    """(labels, values, precision) read in bulk or by numpy's reader, or
+    None to leave the text to _read_rows, which also words every error;
+    the values are an n x n grid or _read_fixed's condensed ones."""
     # a lone "\r" goes to _read_rows; the counts, two whole scans, only
     # run on text that holds a "\r" at all
     if (any(brk in text for brk in _OTHER_BREAKS) or (
@@ -460,12 +517,16 @@ def _read_square(text):
     try:
         grid = _read_whole(text, start)
         if grid is None:
+            grid = _read_fixed(text, start, self_value)
+        if grid is None:
             grid = np.loadtxt(_lines(text, start), dtype=np.float64,
                               comments=None, ndmin=2)
     except ValueError:
         return None
-    n = len(grid)
-    if grid.shape != (n, n) or (header is not None and len(header) != n):
+    # condensed values of n individuals number n(n - 1)/2
+    n = len(grid) if grid.ndim == 2 else math.isqrt(2 * len(grid)) + 1
+    if (grid.shape not in ((n, n), (condensed_size(n),))
+            or (header is not None and len(header) != n)):
         return None
     labels = _default_labels(n) if header is None else tuple(header)
     return labels, grid, _precision(text, start)
@@ -515,14 +576,16 @@ def _read_rows(text, fmt, self_value):
 
 
 def _parse_grid(text, fmt, self_value):
-    # square or lower-triangle text: (labels, n x n grid, precision); a
-    # lower-triangle grid holds the lower triangle and diagonal only
+    # square or lower-triangle text: (labels, n x n grid or checked
+    # condensed values, precision); a lower-triangle grid holds the lower
+    # triangle and diagonal only
     if fmt == "lower":
         return _read_rows(text, fmt, self_value)
-    labels, grid, inferred = (_read_square(text)
-                              or _read_rows(text, fmt, self_value))
-    _check_square(grid, self_value)
-    return labels, grid, inferred
+    labels, values, inferred = (_read_square(text, self_value)
+                                or _read_rows(text, fmt, self_value))
+    if values.ndim == 2:
+        _check_square(values, self_value)
+    return labels, values, inferred
 
 
 def _check_square(grid, self_value):

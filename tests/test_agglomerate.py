@@ -810,6 +810,10 @@ def test_enumerate_matches_brute_force(kind, data):
     matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
                              tuple(v * step for v in values),
                              precision=precision)
+    _assert_enumerated_as_brute_force(matrix, kind)
+
+
+def _assert_enumerated_as_brute_force(matrix, kind):
     # the texts the command line prints, not the trees written again
     got = [(text, postorder_heights(tree)) for text, tree
            in agglomerate._enumerate_newick(matrix, kind, limit=200000)]
@@ -819,6 +823,17 @@ def test_enumerate_matches_brute_force(kind, data):
     # bit for bit, -0.0 apart from 0.0
     hexes = lambda pairs: [[h.hex() for h in hs] for _, hs in pairs]
     assert hexes(got) == hexes(want)
+
+
+def test_enumerate_builds_children_before_merges_met_earlier():
+    # the merge making {x0, x3, x4} is first met at the second level on one
+    # path, and another path makes one of its children with a merge first
+    # met later, so ordering an outcome's merges by when they were first
+    # met builds a parent before its child
+    values = (2, 2, 2, 2, 3, 2, 3, 3, 3, 3, 2, 2, 3, 2, 5)
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(6)),
+                             tuple(v * 0.25 for v in values), precision=0)
+    _assert_enumerated_as_brute_force(matrix, "unweighted_centroid")
 
 
 def whole_number_matrix(n, seed):

@@ -1,3 +1,4 @@
+import io
 import math
 import struct
 import tracemalloc
@@ -841,6 +842,87 @@ def test_plain_lower_matches_scalar_reader(case):
     _same_outcome(text, "lower", parse_lower_scalar, similarity)
 
 
+def _respell(token):
+    # the same number in other bytes of the same width: "1.50" as "01.5",
+    # "01.5" as " 1.5"; else the token itself
+    mantissa, e, exponent = token.partition("e")
+    if "." in mantissa and mantissa.endswith("0"):
+        return "0" + mantissa[:-1] + e + exponent
+    if token[:1] == "0" and token[1:2].isdigit():
+        return " " + token[1:]
+    return token
+
+
+@st.composite
+def _fixed_rows(draw):
+    # np.savetxt-like square text, every token one width: %.Ne, zero-padded
+    # %0W.Pf or whole numbers, or space-padded %W.Pf with the diagonal
+    # zero-padded, so rows start with a token; an optional header, maybe
+    # with a non-ASCII label; then at most one mutation
+    n = draw(st.integers(1, 6))
+    similarity = draw(st.booleans())
+    diag = 1.0 if similarity else 0.0
+    kind = draw(st.sampled_from(["e", "f", "d", "space"]))
+    if kind == "e":
+        plain, value = "%%.%de" % draw(st.integers(0, 16)), st.floats(0, 1e5)
+    elif kind == "d":
+        plain, value = "%d", st.integers(0, 999)
+    else:
+        plain = "%%.%df" % draw(st.integers(0, 3))
+        value = st.integers(0, 4000).map(lambda k: k / 8)
+    values = [draw(value) for _ in range(n * (n - 1) // 2)]
+    width = max(len(plain % v) for v in values + [diag])
+    pad = "%%0%d%s" % (width, plain[1:])
+    cell = pad.replace("%0", "%") if kind == "space" else pad
+    rows = [[pad % diag] * n for _ in range(n)]
+    upper = iter(values)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = cell % next(upper)
+    mutation = draw(st.sampled_from(
+        ["none", "mirror", "respell", "diag", "inner", "tab", "crlf", "end",
+         "arabic"]))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                max_size=2)))
+    token = rows[j][i]
+    if mutation == "mirror" and i < j:
+        # one byte, anywhere: floats apart, or within the tolerance
+        k = draw(st.integers(0, width - 1))
+        rows[j][i] = token[:k] + draw(st.sampled_from("0123456789")) + (
+            token[k + 1:])
+    elif mutation == "respell" and i < j:
+        rows[j][i] = _respell(token)
+    elif mutation == "diag":
+        rows[i][i] = pad % (diag + 1)
+    elif mutation == "inner" and width > 2:
+        k = draw(st.integers(1, width - 2))
+        rows[i][j] = token[:k] + draw(st.sampled_from(" \t")) + token[k + 1:]
+    elif mutation == "arabic" and token.strip()[:1].isdigit():
+        # float() reads "\u0663", an Arabic-Indic digit, as 3
+        rows[i][j] = token.replace(token.strip()[0], "\u0663", 1)
+    lines = [" ".join(row) for row in rows]
+    if mutation == "tab" and n > 1:
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    header = draw(st.sampled_from(["none", "ascii", "non-ascii"]))
+    if header != "none":
+        names = ["s%d" % k for k in range(n)]
+        if header == "non-ascii":
+            names[-1] = "\u00e9"
+        lines.insert(0, " ".join(names))
+    end = "\r\n" if mutation == "crlf" else "\n"
+    text = end.join(lines) + ("" if mutation == "end" else end)
+    return text, similarity
+
+
+@settings(max_examples=250, deadline=None)
+@given(_fixed_rows(), st.sampled_from([1, 64, 65536]))
+def test_fixed_width_square_matches_scalar_reader(case, block):
+    # tiles of one token, of a few, or the whole matrix
+    text, similarity = case
+    with mock.patch.object(proximity, "_BLOCK", block):
+        _same_outcome(text, "square", parse_square_scalar, similarity)
+
+
 class _Declined(Exception):
     pass
 
@@ -863,7 +945,7 @@ def test_whole_number_square_text_needs_no_other_reader(monkeypatch):
     assert len(text) > 3 * proximity._BLOCK
     assert parse_matrix(text).as_square() == d.tolist()
     with pytest.raises(_Declined):
-        parse_matrix("0 1\n1 0\n")  # shorter than a block
+        parse_matrix("0 10\n10 0\n")  # shorter than a block
     monkeypatch.setattr(proximity, "_BLOCK", 4)
     for text, labels in [("a b c\n0 1 75\n1 0 120\n75 120 0\n",
                           ("a", "b", "c")),
@@ -883,6 +965,38 @@ def test_whole_number_square_text_needs_no_other_reader(monkeypatch):
             parse_matrix(text, fmt)
 
 
+def test_fixed_width_square_text_needs_no_other_reader(monkeypatch):
+    # np.savetxt's text is read by its upper triangle, in tiles, into the
+    # condensed values: numpy's reader, the row reader and the grid check
+    # are never called; text that is not quite that reaches one of them
+    for name in ("_read_rows", "_check_square"):
+        monkeypatch.setattr(proximity, name, _decline)
+    monkeypatch.setattr(np, "loadtxt", _decline)
+    monkeypatch.setattr(proximity, "_BLOCK", 200)  # tiles of 2 x 2 tokens
+    pts = np.random.default_rng(8).uniform(0.0, 10.0, size=(7, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    labels = tuple("p%d" % k for k in range(7))
+    for header, similarity in [(None, False), (labels, False),
+                               (labels, True)]:
+        m = d / 20 if similarity else d
+        np.fill_diagonal(m, 1.0 if similarity else 0.0)
+        out = io.StringIO()
+        np.savetxt(out, m, header=" ".join(header or ()), comments="")
+        got = parse_matrix(out.getvalue(), similarity=similarity)
+        assert got.labels == (header or tuple("x%d" % k for k in range(1, 8)))
+        assert got.condensed.tolist() == m[np.triu_indices(7, 1)].tolist()
+    for text in [
+            "0 10\n10 0\n",  # tokens of two widths
+            "0.00 1.50\n01.5 0.00\n",  # mirrors the same number, not bytes
+            "0.0000000000000 1.0000000000000\n"
+            "1.0000000000001 0.0000000000000\n",  # within the tolerance
+            "0.5 1.5\n1.5 0.0\n", "0.0 1-5\n1-5 0.0\n", "0.0 1 5\n1 5 0.0\n",
+            "0 \u0663\n\u0663 0\n", "0 1\r\n1 0\r\n", "0\t1\n1\t0\n",
+            "0 1\n1 0", "0 1 2\n1 0 3 5\n2 3\n", "a b c\n0 1\n1 0\n"]:
+        with pytest.raises(_Declined):
+            parse_matrix(text)
+
+
 @pytest.mark.parametrize("text", [
     "0 1\n1 0\n",
     "\n a\tb \n\n0  1\n \n1\u20030",
@@ -891,7 +1005,7 @@ def test_whole_number_square_text_needs_no_other_reader(monkeypatch):
     "0 1\r\n1 0\r\n", "a b\r\n\r\n0 1\r\n \r\n1 0",
 ])
 def test_square_text_takes_numpy_reader(text):
-    assert _read_square(text) is not None
+    assert _read_square(text, 0.0) is not None
 
 
 @pytest.mark.parametrize("text", [
@@ -906,7 +1020,7 @@ def test_square_text_takes_numpy_reader(text):
     "0 1\n1 0 2\n", "a b c\n0 1\n1 0\n",
 ])
 def test_numpy_reader_declines(text):
-    assert _read_square(text) is None
+    assert _read_square(text, 0.0) is None
 
 
 @pytest.mark.parametrize("text,message", [
@@ -930,12 +1044,9 @@ def test_square_text_parses_without_warnings():
                                                  (1.0, 2.0, 3.0), 0)
 
 
-@pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
-def test_square_reader_memory_stays_near_the_matrix(fmt):
-    # all tokens of the text alive at once would take several times n*n
-    # floats, and so would a second n x n array beside the grid; the limit
-    # is two n x n float64 arrays
-    n = 600
+def _square_parse_peak(fmt, n):
+    # the traced peak of parsing square text of n points, each value
+    # written with fmt
     pts = np.random.default_rng(5).uniform(0.0, 10.0, size=(n, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
     d[~np.eye(n, dtype=bool)] += 1.0
@@ -947,7 +1058,22 @@ def test_square_reader_memory_stays_near_the_matrix(fmt):
     finally:
         tracemalloc.stop()
     assert m.n == n
-    assert peak < 2 * n * n * 8
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
+def test_square_reader_memory_stays_near_the_matrix(fmt):
+    # all tokens of the text alive at once would take several times n*n
+    # floats, and so would a second n x n array beside the grid; the limit
+    # is two n x n float64 arrays
+    assert _square_parse_peak(fmt, 600) < 2 * 600 * 600 * 8
+
+
+def test_fixed_width_square_text_builds_no_grid():
+    # np.savetxt's text goes straight to the condensed values, which
+    # ProximityMatrix copies: two half matrices and a few tiles, where an
+    # n x n grid and its condensed values take 1.5 matrices
+    assert _square_parse_peak("%.18e", 600) < 1.3 * 600 * 600 * 8
 
 
 @pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
