@@ -31,8 +31,8 @@ states as one stack over their live clusters, which a ``ClusterState``
 also is, and makes every successor of the level with one ``merge`` call on
 a stack that puts each tied pair in slots 0 and 1. It gives each distinct
 merge of a run, keyed by its two children, one bit, and so holds every
-outcome as an int bitmask. Its trees are read straight off those merges,
-and a subtree that several of them share is built once.
+outcome as an int bitmask. Outcomes are written straight from those
+merges; only ``enumerate_pair_group`` builds their trees, sharing subtrees.
 
 Ids exist only for the output, where they are a cluster's one identity,
 and for the order in which ``cluster_pair_group``'s tie-break rules see
@@ -73,8 +73,7 @@ from .tree import (
     Leaf,
     MultivaluedTree,
     internal,
-    newick_texts,
-    postorder,
+    merge_newick_texts,
     reversal_edges,
     reversals_between,
 )
@@ -554,21 +553,38 @@ def enumerate_pair_group(matrix, method, limit=10000):
 
     Outcomes whose clusters and heights (to 12 decimals) agree collapse into
     one; the one kept has the smallest heights read in postorder, with
-    children ordered by smallest leaf. Each kept outcome's tree is read off
-    its merges, and a node is built once per distinct merge and children,
-    so trees share the subtrees they have in common. They come back sorted
-    by their extended newick text, then by those heights. Raises
+    children ordered by smallest leaf. Kept outcomes come back sorted by
+    their extended newick text, then by those heights, as trees built off
+    their merges that share a node per distinct merge and children. Raises
     TooManySolutions once some state has more than ``limit`` distinct
     (collapsed) outcomes; a state's distinct outcomes are distinct outcomes
     of the whole run, so the result never holds more than ``limit`` trees.
     """
-    return tuple(tree for _, tree in _enumerate_newick(matrix, method, limit))
+    merges, found = _enumerate_newick(matrix, method, limit)
+    _, tags = _run_tags(matrix, method)
+    leaf_at = {1 << i: Leaf(i, label) for i, label in enumerate(matrix.labels)}
+    nodes = {}  # (bit, id of each child node) -> node, for the whole run
+
+    def build(bits):
+        # an outcome's root, children first
+        node_at = dict(leaf_at)
+        for bit in bits:
+            ma, mb, h = merges[bit]
+            a, b = node_at.pop(ma), node_at.pop(mb)
+            key = (bit, id(a), id(b))
+            if key not in nodes:
+                nodes[key] = internal((a, b), h, h, fusion=h)
+            node_at[ma | mb] = nodes[key]
+        return node_at.popitem()[1]
+
+    return tuple(MultivaluedTree(root=build(bits), labels=matrix.labels,
+                                 **tags) for _, _, bits in found)
 
 
 def _enumerate_newick(matrix, method, limit):
-    """``enumerate_pair_group``'s trees in its order, each as (extended
-    newick text, tree); one ``newick_texts`` call writes every text, each
-    shared subtree formatted once, so no caller serializes a tree again."""
+    """The run's merges, (low mask, high mask, height) by bit, and
+    ``enumerate_pair_group``'s outcomes in its order as (extended newick
+    text, reversal flag, bits children first), built into no tree."""
     if limit < 1:
         raise ValueError("the outcome limit must be at least 1, not %d" % limit)
     method, tags = _run_tags(matrix, method)
@@ -668,44 +684,33 @@ def _enumerate_newick(matrix, method, limit):
                                           sizes, level.precision)
 
     merges = list(bit_of)
-    # a cluster strictly holds its children, so merges by size build them
+    # a cluster strictly holds its children, so merges by size put them
     # first; bit order need not, as a merge's bit is where it was first met
     size = [(ma | mb).bit_count() for ma, mb, _ in merges]
     groups = {}
     for mask in made[0]:
-        bits = _bits(mask)
+        bits = sorted(_bits(mask), key=size.__getitem__)
         groups.setdefault(collapse(bits), []).append(bits)
-    leaf_at = {1 << i: Leaf(i, label) for i, label in enumerate(matrix.labels)}
-    nodes = {}  # (bit, id of each child node) -> node, for the whole run
 
-    def build(bits):
-        # an outcome's root, children first
-        node_at = dict(leaf_at)
-        for bit in sorted(bits, key=size.__getitem__):
+    def heights(bits):
+        # postorder heights, leaves left out: outcomes compared nest alike
+        at = {}
+        for bit in bits:
             ma, mb, h = merges[bit]
-            children = node_at[ma], node_at[mb]
-            node_key = (bit, id(children[0]), id(children[1]))
-            node = nodes.get(node_key)
-            if node is None:
-                node = nodes[node_key] = internal(children, h, h, fusion=h)
-            node_at[ma | mb] = node
-        return node_at[(1 << matrix.n) - 1]
+            at[ma | mb] = at.pop(ma, ()) + at.pop(mb, ()) + (h,)
+        return at.popitem()[1]
 
-    def heights(root):
-        return [node.h_lower for node in postorder(root)]
-
-    roots = []
-    for made in groups.values():
-        # keeping the outcome with the smallest postorder heights makes the
-        # choice independent of the order the search met them in
-        roots.append(build(made[0]) if len(made) == 1
-                     else min(map(build, made), key=heights))
-    texts = newick_texts(nodes.values(), roots, tags["height_decimals"])
-    order = sorted(range(len(roots)), key=texts.__getitem__)
-    if len(set(texts)) < len(texts):  # heights apart past the printed digits
-        order.sort(key=lambda k: (texts[k], heights(roots[k])))
-    return [(texts[k], MultivaluedTree(root=roots[k], labels=matrix.labels,
-                                       **tags)) for k in order]
+    # keeping the outcome with the smallest postorder heights makes the
+    # choice independent of the order the search met them in
+    kept = [made[0] if len(made) == 1 else min(made, key=heights)
+            for made in groups.values()]
+    found = sorted(merge_newick_texts(matrix.labels, merges, kept,
+                                      tags["height_decimals"]),
+                   key=lambda f: f[0])
+    if len({text for text, _, _ in found}) < len(found):
+        # heights apart past the printed digits
+        found.sort(key=lambda f: (f[0], heights(f[2])))
+    return merges, found
 
 
 def _bits(mask):

@@ -116,12 +116,11 @@ def run(config):
         matrix = round_to_precision(matrix, config.precision)
 
     if config.enumerate_all:
-        found = _enumerate_newick(matrix, method, config.limit)
+        _, found = _enumerate_newick(matrix, method, config.limit)
         print("%d distinct outcome(s)" % (len(found),), file=sys.stderr)
-        for text, _ in found:
+        for text, _, _ in found:
             sys.stdout.write(text + "\n")
-        reversed_any = any(detect_reversals(tree) for _, tree in found)
-        return 2 if reversed_any else 0
+        return 2 if any(flag for _, flag, _ in found) else 0
 
     if config.tiebreak is not None:
         tree = cluster_pair_group(matrix, method, tiebreak=config.tiebreak,

@@ -207,15 +207,17 @@ class ProximityMatrix:
 
     __slots__ = ("labels", "condensed", "precision", "kind", "_values")
 
-    def __init__(self, labels, values, precision=None, kind=KIND_DISTANCE):
+    def __init__(self, labels, values, precision=None, kind=KIND_DISTANCE,
+                 *, _owned=False):
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             lab = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
             raise DuplicateLabel("label %r appears twice" % (lab,))
         n = len(labels)
-        # an iterator, which numpy cannot size, is read into a list first
+        # an iterator, which numpy cannot size, is read into a list first;
+        # the package's own producers hand over float64 arrays _owned
         arr = np.array(values if hasattr(values, "__len__") else list(values),
-                       dtype=np.float64)
+                       dtype=np.float64, copy=not _owned)
         if arr.shape != (condensed_size(n),):
             raise FormatError(
                 "expected %d condensed values for %d labels, got %d"
@@ -339,7 +341,7 @@ def parse_matrix(text, fmt="square", precision="infer", similarity=False):
     with warnings.catch_warnings():
         if similarity:
             warnings.simplefilter("ignore", ZeroDistanceWarning)
-        return ProximityMatrix(labels, values, precision=precision)
+        return ProximityMatrix(labels, values, precision, _owned=True)
 
 
 def _split_rows(text):
@@ -761,7 +763,7 @@ def similarity_to_dissimilarity(matrix):
     one = Decimal(1)
     out[slow] = [float(one - Decimal(repr(v))) for v in sim[slow].tolist()]
     return ProximityMatrix(matrix.labels, out, matrix.precision,
-                           KIND_FROM_SIMILARITY)
+                           KIND_FROM_SIMILARITY, _owned=True)
 
 
 def round_to_precision(matrix, places):
@@ -772,5 +774,5 @@ def round_to_precision(matrix, places):
     """
     if places < 0:
         raise FormatError("precision must be >= 0")
-    rounded = round_half_away_array(matrix.condensed, places)
-    return ProximityMatrix(matrix.labels, rounded, places, matrix.kind)
+    return ProximityMatrix(matrix.labels, round_half_away_array(
+        matrix.condensed, places), places, matrix.kind, _owned=True)

@@ -10,7 +10,8 @@ and leaf indices follow input order. Two runs over relabeled input therefore
 serialize identically up to the labels themselves.
 
 Trees of any depth are walked by three iterative helpers: ``preorder``,
-``postorder`` and ``reversal_edges``, the one scan for reversals.
+``postorder`` and ``reversal_edges``, the one scan for reversals; the
+enumerator's outcomes are written and scanned from their merges alone.
 
 A cluster is known by its id and its children, not by its leaves: records
 (format "3") and ``tree_equal`` work from those, so neither grows with the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -33,10 +33,12 @@ from .errors import (
     ParseError,
     UnresolvedHeights,
 )
-from .proximity import KIND_DISTANCE, ProximityMatrix, condensed_size
+from .proximity import ProximityMatrix, condensed_size
 
 _LABEL_RE = re.compile(r"[^\s(),\[\];]+")
 _HEIGHT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# the end of an internal node's text: its interval, to so many decimals
+_CLOSING = ")[%.*f,%.*f]"
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,15 @@ def reversals_between(child, parent):
     a "fusion" reversal is a chosen fusion value above the parent's. Only
     ``reversal_edges`` and the variable-group engine's iteration flag ask.
     """
-    found = []
-    if child.h_upper > parent.h_lower:
-        found.append(("interval", child.h_upper, parent.h_lower))
-    if (child.fusion is not None and parent.fusion is not None
-            and child.fusion > parent.fusion):
-        found.append(("fusion", child.fusion, parent.fusion))
+    return _reversals(child.h_upper, child.fusion, parent.h_lower,
+                      parent.fusion)
+
+
+def _reversals(upper, fusion, parent_lower, parent_fusion):
+    # the one rule, on a node's values: a fusion value of None never tops
+    found = [("interval", upper, parent_lower)] if upper > parent_lower else []
+    if None not in (fusion, parent_fusion) and fusion > parent_fusion:
+        found.append(("fusion", fusion, parent_fusion))
     return found
 
 
@@ -305,8 +310,7 @@ def cophenetic_matrix(tree):
         for gi, gj in combinations(groups, 2):
             a, b = np.minimum.outer(gi, gj), np.maximum.outer(gi, gj)
             values[a * (2 * n - a - 1) // 2 + (b - a - 1)] = h
-    return ProximityMatrix(tree.labels, values, precision=None,
-                           kind=KIND_DISTANCE)
+    return ProximityMatrix(tree.labels, values, _owned=True)
 
 
 # ---- extended newick ----
@@ -317,47 +321,47 @@ def to_newick_extended(tree):
     Heights get ``tree.height_decimals`` decimals. Labels must be free of
     whitespace and of the delimiters ()[],; so the format stays unambiguous.
     """
-    return newick_texts((), [tree.root], tree.height_decimals)[0]
+    # nodes still to write, interleaved with the text that follows them
+    parts, stack, decimals = [], [tree.root], tree.height_decimals
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif not item.is_leaf:
+            stack.append(_CLOSING % (decimals, item.h_lower,
+                                     decimals, item.h_upper))
+            for child in item.children[:0:-1]:
+                stack += (child, ",")
+            stack += (item.children[0], "(")
+        elif _LABEL_RE.fullmatch(item.label):
+            parts.append(item.label)
+        else:
+            raise FormatError("label %r not serializable" % (item.label,))
+    return "".join(parts) + ";"
 
 
-def newick_texts(nodes, roots, decimals):
-    """``to_newick_extended`` of the tree under each of ``roots``. Of the
-    internal ``nodes`` they share, children first, each one that several
-    parents use is formatted once and dropped after its last use."""
-    left = Counter(id(child) for node in nodes for child in node.children)
-    text = {}  # id of a shared node -> its text
-
-    def write(node):
-        parts = []
-        # nodes still to write, interleaved with the text that follows them
-        stack = [node]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif item.is_leaf:
-                if not _LABEL_RE.fullmatch(item.label):
-                    raise FormatError("label %r not serializable"
-                                      % (item.label,))
-                parts.append(item.label)
-            elif id(item) in text:
-                left[id(item)] -= 1
-                parts.append(text[id(item)] if left[id(item)]
-                             else text.pop(id(item)))
-            else:
-                stack.append(")[%.*f,%.*f]" % (decimals, item.h_lower,
-                                               decimals, item.h_upper))
-                for k, child in enumerate(reversed(item.children)):
-                    if k:
-                        stack.append(",")
-                    stack.append(child)
-                stack.append("(")
-        return "".join(parts)
-
-    for node in nodes:
-        if left[id(node)] > 1:
-            text[id(node)] = write(node)
-    return [write(root) + ";" for root in roots]
+def merge_newick_texts(labels, merges, outcomes, decimals):
+    """Yield (``to_newick_extended`` text, ``reversals_between`` flag,
+    outcome) of the tree of each outcome, built by none. A merge is (low
+    mask, high mask, height): the leaf masks of the clusters it joins, the
+    one holding the smaller leaf, and so the left child, first. An outcome
+    lists indices of ``merges``, each after those making its children."""
+    for label in labels:
+        if not _LABEL_RE.fullmatch(label):
+            raise FormatError("label %r not serializable" % (label,))
+    # a leaf, as in reversal_edges, tops no merge
+    leaves = {1 << i: (label, -np.inf) for i, label in enumerate(labels)}
+    closing = [_CLOSING % (decimals, h, decimals, h) for _, _, h in merges]
+    for bits in outcomes:
+        # the mask of each cluster not yet merged -> its text and height
+        top, flag = dict(leaves), False
+        for bit in bits:
+            ma, mb, h = merges[bit]
+            (text_a, h_a), (text_b, h_b) = top.pop(ma), top.pop(mb)
+            child = h_a if h_a > h_b else h_b
+            flag = flag or bool(_reversals(child, child, h, h))
+            top[ma | mb] = ("(%s,%s%s" % (text_a, text_b, closing[bit]), h)
+        yield top.popitem()[1][0] + ";", flag, bits
 
 
 def parse_newick_extended(text):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import struct
@@ -36,10 +38,11 @@ from multidendro import (
     parse_records,
     records_to_json,
     render_svg,
+    serialize_matrix,
     to_records,
     validate_tree,
 )
-from multidendro import agglomerate, proximity
+from multidendro import agglomerate, cli, proximity
 from multidendro.agglomerate import _groups_from_edges
 from multidendro.proximity import round_half_away
 from multidendro.tree import postorder
@@ -769,6 +772,16 @@ def postorder_heights(tree):
     return [node.h_lower for node in postorder(tree.root) if not node.is_leaf]
 
 
+def enumerated(matrix, kind, limit=10000):
+    """(text the command line prints, postorder heights of the tree
+    ``enumerate_pair_group`` returns at the same place) per outcome."""
+    _, found = agglomerate._enumerate_newick(matrix, kind, limit)
+    trees = enumerate_pair_group(matrix, kind, limit)
+    assert len(trees) == len(found)
+    return [(text, postorder_heights(tree))
+            for (text, _, _), tree in zip(found, trees)]
+
+
 def test_enumerate_orders_equal_texts_by_postorder_heights():
     # two halves, each two tied pairs that then merge; weighted average
     # sums the four cross distances in the order the pairs formed, and at
@@ -815,8 +828,7 @@ def test_enumerate_matches_brute_force(kind, data):
 
 def _assert_enumerated_as_brute_force(matrix, kind):
     # the texts the command line prints, not the trees written again
-    got = [(text, postorder_heights(tree)) for text, tree
-           in agglomerate._enumerate_newick(matrix, kind, limit=200000)]
+    got = enumerated(matrix, kind, limit=200000)
     want = kept_pair_group_outcomes(pair_group_outcomes(matrix, kind),
                                     matrix.labels)
     assert [text for text, _ in got] == [text for text, _ in want]
@@ -860,6 +872,38 @@ def test_pair_group_outcomes_are_enumerated(kind):
                 assert to_newick_extended(tree) in outcomes
 
 
+def whole_number_cloud(n, seed):
+    # whole-number distances rint(d) + 1 between n uniform points, as the
+    # enumerate benchmark writes them
+    pts = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n, 2))
+    d = np.rint(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))) + 1.0
+    return matrix_from_square(d.tolist(), precision=0)
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_enumerated_reversal_flags_match_detect_reversals(kind, tmp_path):
+    # the enumerator flags an outcome from its merges; the tree
+    # enumerate_pair_group returns at the same place must have a reversal
+    # exactly then, and the command line exits 2 exactly when one is flagged
+    cases = [whole_number_matrix(n, seed) for n in range(5, 9)
+             for seed in range(10)] + [whole_number_cloud(14, 2)]
+    exits = []
+    for k, matrix in enumerate(cases):
+        _, found = agglomerate._enumerate_newick(matrix, kind, 10000)
+        flags = [flag for _, flag, _ in found]
+        assert flags == [bool(detect_reversals(tree)) for tree
+                         in enumerate_pair_group(matrix, kind)]
+        path = tmp_path / ("m%d.txt" % k)
+        path.write_text(serialize_matrix(matrix))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            exits.append(cli.main(["--input", str(path), "--method", kind,
+                                   "--enumerate"]))
+        assert exits[-1] == (2 if any(flags) else 0)
+    if kind == "unweighted_centroid":
+        assert 2 in exits and 0 in exits
+
+
 @pytest.mark.parametrize("kind", ["unweighted_centroid",
                                   "joint_between_within"])
 def test_collapsed_outcomes_keep_the_smallest_postorder_heights(kind):
@@ -870,8 +914,7 @@ def test_collapsed_outcomes_keep_the_smallest_postorder_heights(kind):
         for seed in range(10):
             matrix = whole_number_matrix(n, seed)
             outcomes = pair_group_outcomes(matrix, kind)
-            got = [(text, postorder_heights(tree)) for text, tree
-                   in agglomerate._enumerate_newick(matrix, kind, limit=10000)]
+            got = enumerated(matrix, kind)
             want = kept_pair_group_outcomes(outcomes, matrix.labels)
             assert [(text, [h.hex() for h in hs]) for text, hs in got] == [
                 (text, [h.hex() for h in hs]) for text, hs in want]
@@ -986,10 +1029,8 @@ def test_enumerate_in_bands_of_one_or_two_states(monkeypatch, block):
     # level's 7 clusters, give the same outcomes as the default bands
     cases = [(whole_number_matrix(n, seed), kind) for n in (6, 7)
              for seed in range(3) for kind in METHOD_KINDS[::2]]
-    seen = lambda out: [(text, [h.hex() for h in postorder_heights(tree)])
-                        for text, tree in out]
-    want = [seen(agglomerate._enumerate_newick(m, kind, 10000))
-            for m, kind in cases]
+    seen = lambda out: [(text, [h.hex() for h in hs]) for text, hs in out]
+    want = [seen(enumerated(m, kind)) for m, kind in cases]
     merge, stacks = ClusterState.merge, []
 
     def recording(state, groups, method):
@@ -999,8 +1040,7 @@ def test_enumerate_in_bands_of_one_or_two_states(monkeypatch, block):
 
     monkeypatch.setattr(ClusterState, "merge", recording)
     monkeypatch.setattr(proximity, "_BLOCK", block)
-    assert [seen(agglomerate._enumerate_newick(m, kind, 10000))
-            for m, kind in cases] == want
+    assert [seen(enumerated(m, kind)) for m, kind in cases] == want
     assert all(s <= max(1, block // (4 * k * k)) for k, s in stacks)
     assert max(s for k, s in stacks if k == 7) == max(1, block // (4 * 7 * 7))
 

@@ -10,6 +10,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from multidendro import (
     to_newick_extended,
     validate_tree,
 )
-from multidendro import agglomerate, cli
+from multidendro import agglomerate, cli, tree
 from multidendro.cli import main
 from multidendro.proximity import MAX_VALUE
 
@@ -189,10 +190,13 @@ def test_enumerate_lists_all_outcomes(toy_file, capsys):
 
 def test_enumerate_writes_the_enumerator_texts(toy, toy_file, capsys,
                                               monkeypatch):
-    found = agglomerate._enumerate_newick(toy, "unweighted_average", 10000)
-    texts = [text for text, _ in found]
+    _, found = agglomerate._enumerate_newick(toy, "unweighted_average",
+                                             10000)
+    texts = [text for text, _, _ in found]
     assert len(texts) == 3 and texts == sorted(texts)
-    assert texts == [to_newick_extended(tree) for _, tree in found]
+    assert texts == [to_newick_extended(tree) for tree
+                     in agglomerate.enumerate_pair_group(
+                         toy, "unweighted_average")]
 
     def refuse(tree):
         raise AssertionError("the command line serialized a tree itself")
@@ -202,6 +206,47 @@ def test_enumerate_writes_the_enumerator_texts(toy, toy_file, capsys,
                          "--method", "unweighted_average", "--enumerate")
     assert rc == 0
     assert out.splitlines() == texts
+
+
+def test_enumerate_prints_labels_as_trees_do(tmp_path, capsys):
+    # labels holding format characters or a non-ASCII letter are text the
+    # enumerator's writer copies, as to_newick_extended does
+    text = ("a%s b{} c% \u00e9 x5\n0 1 1 2 3\n1 0 1 2 3\n1 1 0 2 3\n"
+            "2 2 2 0 1\n3 3 3 1 0\n")
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "--input", str(path),
+                         "--method", "unweighted_average", "--enumerate")
+    trees = agglomerate.enumerate_pair_group(parse_matrix(text),
+                                             "unweighted_average")
+    assert rc == 0 and len(trees) > 1
+    assert out.splitlines() == [to_newick_extended(t) for t in trees]
+    assert "\u00e9" in out and "a%s" in out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("--enumerate built a tree")
+
+
+def test_enumerate_builds_no_tree(toy_file, tmp_path, capsys, monkeypatch):
+    # the texts and the exit code come straight from the merges: no node,
+    # no tree and no reversal scan of a tree on the way
+    pts = np.random.default_rng(2).uniform(0.0, 10.0, size=(14, 2))
+    d = np.rint(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))) + 1.0
+    np.fill_diagonal(d, 0.0)
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("".join(" ".join("%.0f" % v for v in row) + "\n"
+                             for row in d))
+    runs = [("--input", path, "--method", "unweighted_average",
+             "--enumerate") for path in (toy_file, str(cloud))]
+    want = [run_cli(capsys, *args) for args in runs]
+    assert [rc for rc, _, _ in want] == [0, 2]
+    for module, name in [(tree, "internal"), (tree, "Internal"),
+                         (tree, "MultivaluedTree"), (agglomerate, "internal"),
+                         (agglomerate, "MultivaluedTree"),
+                         (cli, "detect_reversals")]:
+        monkeypatch.setattr(module, name, _refuse)
+    assert [run_cli(capsys, *args) for args in runs] == want
 
 
 @pytest.mark.parametrize("mode", [("--output", "newick"), ("--enumerate",)])

@@ -1076,6 +1076,13 @@ def test_fixed_width_square_text_builds_no_grid():
     assert _square_parse_peak("%.18e", 600) < 1.3 * 600 * 600 * 8
 
 
+def test_parsed_values_are_not_copied():
+    # parse_matrix hands the condensed values it read to ProximityMatrix,
+    # which keeps them: half a matrix and a few tiles, where a copy beside
+    # them takes a whole one
+    assert _square_parse_peak("%.18e", 600) < 0.8 * 600 * 600 * 8
+
+
 @pytest.mark.parametrize("fmt", ["%.18e", "%.0f", "%.2f"])
 def test_lower_reader_memory_stays_near_the_matrix(fmt):
     # the square guard's bound, for text read one line at a time

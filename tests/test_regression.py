@@ -181,8 +181,8 @@ ENUMERATE_TEXT = """\
 
 def _enumerate_run(method):
     # the texts the command line prints, not the trees written again
-    found = _enumerate_newick(parse_matrix(ENUMERATE_TEXT), method, 10000)
-    text = "".join(text + "\n" for text, _ in found)
+    _, found = _enumerate_newick(parse_matrix(ENUMERATE_TEXT), method, 10000)
+    text = "".join(text + "\n" for text, _, _ in found)
     return [len(found), hashlib.sha256(text.encode()).hexdigest()]
 
 

@@ -140,12 +140,17 @@ def test_no_function_calls_itself():
 
 
 def test_one_newick_height_format():
-    # every extended newick text comes from tree.newick_texts, so no
-    # second writer of the bracketed heights can drift from it
+    # to_newick_extended and merge_newick_texts, the enumerator's writer,
+    # end every internal node's text with tree._CLOSING, so no second
+    # writer of the bracketed heights can drift from it
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              for _ in range(path.read_text(encoding="utf-8")
                             .count("[%.*f,%.*f]"))]
     assert found == ["tree.py"]
+    assert {where for where, node in _package_nodes()
+            if getattr(node, "id", None) == "_CLOSING"
+            and isinstance(node.ctx, ast.Load)} == {
+        "tree.py: to_newick_extended", "tree.py: merge_newick_texts"}
 
 
 def _scoped(module):
@@ -206,8 +211,11 @@ def test_one_reversal_scan():
     # a reversal is a node that tops its parent: tree.reversal_edges finds
     # them in a tree, and detect_reversals reads a trace as the tree its
     # groups form, so no second scan can drift; the variable-group engine
-    # asks reversals_between only for its per-iteration flag
+    # asks reversals_between only for its per-iteration flag, and the
+    # enumerator's writer asks the rule under it for each merge it writes
     assert _call_sites("reversals_between") == {
         "tree.py: reversal_edges", "agglomerate.py: cluster_variable_group"}
+    assert _call_sites("_reversals") == {
+        "tree.py: reversals_between", "tree.py: merge_newick_texts"}
     assert _call_sites("ReversalReport") == {
         "agglomerate.py: detect_reversals"}
