@@ -24,7 +24,8 @@ one group, the pair as block J. A group's height interval is the minimum
 and maximum of the raw distances between its constituents. One tied group
 can hold almost every cluster, yet beside the working matrix a run makes
 at most one array as large: the tied rows and a group's interval are read
-in bands of rows (``proximity.row_bands``), and a merge gathers the blocks
+in bands of rows (``proximity.row_bands``), each from its first row's
+column on, as the matrix is symmetric, and a merge gathers the blocks
 it reads one at a time. A cluster's leaves are an int mask. The
 enumerator sweeps forward one merge at a time. It holds a level's distinct
 states as one stack over their live clusters, which a ``ClusterState``
@@ -184,7 +185,9 @@ class ClusterState:
         of high slots in row-major order; the raw value is the smallest raw
         distance among them. On a stack both values are arrays, each
         state's pairs tie with its own least, and a first array gives each
-        pair's state, the pairs running state by state.
+        pair's state, the pairs running state by state. One state reads its
+        tied rows, which can be every row, a band at a time, each right of
+        its first row, as the matrix is symmetric.
         """
         low = self.row_min.min(axis=0)
         stack = low.ndim == 1
@@ -203,11 +206,10 @@ class ClusterState:
         low = lows[0]
         low_key, edge = tie_edge(low, self.precision)
         under, found = (self.row_min < edge).nonzero()[0], []
-        # a band of those rows at a time, as they can be every row
         for band in row_bands(len(under), len(self.dist)):
             rows = under[band]
-            at, cols = np.nonzero(self.dist[rows] < edge)
-            rows = rows[at]
+            at, cols = np.nonzero(self.dist[rows, rows[0] + 1:] < edge)
+            rows, cols = rows[at], cols + (rows[0] + 1)
             upper = rows < cols
             found.append((rows[upper], cols[upper]))
         rows, cols = (found[0] if len(found) == 1
@@ -463,20 +465,23 @@ def cluster_variable_group(matrix, method, policy=POLICY_INTERVAL):
 
         for parts in _groups_from_edges(*pairs):
             children = [nodes[s] for s in parts]
-            # a band of the group's rows at a time, as it can hold almost
-            # every cluster; the inf diagonal goes -inf to drop out of max
+            # a band of the group's rows from its first row's column on (the
+            # matrix is symmetric), its rows and block one _BLOCK in all; the
+            # inf diagonal goes -inf to drop out of max
             h_lower, h_upper, k = math.inf, -math.inf, len(parts)
-            at = np.array(parts)[:, None]
-            for band in row_bands(k, k):
-                block = state.dist[at[band], parts]
+            at = np.array(parts)
+            for band in row_bands(k, len(state.dist) + k):
+                block = state.dist.take(at[band], 0).take(at[band.start:], 1)
                 h_lower = min(h_lower, float(block.min()))
-                block.flat[band.start::k + 1] = -math.inf
+                block.flat[::k - band.start + 1] = -math.inf
                 h_upper = max(h_upper, float(block.max()))
             fusion = (None if policy == POLICY_INTERVAL else fusion_value(
                 state.sizes.take(parts).tolist(),
-                state.dist[at, parts].tolist(), method, fusion_policy))
+                state.dist[np.ix_(at, at)].tolist(), method, fusion_policy))
             node = internal(children, h_lower, h_upper, fusion)
-            reversal |= any(reversals_between(c, node) for c in children)
+            # a leaf, at 0 with no fusion value, never tops a merge
+            reversal |= any(reversals_between(c, node) for c in children
+                            if not c.is_leaf)
             # merge gives the new clusters the next ids in this order
             group_records.append(GroupRecord(
                 cluster_id=state.next_id + len(formed),
@@ -513,19 +518,15 @@ def cluster_pair_group(matrix, method, tiebreak=TIEBREAK_FIRST, seed=None):
     rng = random.Random(seed)
     state = ClusterState.from_matrix(matrix)
     nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
-    cid_at = state.cid_at
     while state.count > 1:
-        # the rules order tied pairs by their cluster ids, low id first
-        low, high = _least(state)[2]
-        candidates = sorted(
-            zip(low.tolist(), high.tolist()),
-            key=lambda edge: sorted(map(cid_at.__getitem__, edge)))
-        if tiebreak == TIEBREAK_FIRST:
-            a, b = candidates[0]
-        elif tiebreak == TIEBREAK_LAST:
-            a, b = candidates[-1]
-        else:
-            a, b = rng.choice(candidates)
+        # one distinct key per tied pair orders them by (low id, high id);
+        # a rule takes the first, the last or the r-th random.choice draws
+        pairs = np.stack(_least(state)[2])
+        ida, idb = np.array(state.cid_at)[pairs]
+        key = np.minimum(ida, idb) * state.next_id + np.maximum(ida, idb)
+        r = (0 if tiebreak == TIEBREAK_FIRST else len(key) - 1
+             if tiebreak == TIEBREAK_LAST else rng.randrange(len(key)))
+        a, b = pairs[:, np.argpartition(key, r)[r]].tolist()
         h = float(state.dist[a, b])
         state.merge([(a, b)], method)
         nodes[a] = internal([nodes[a], nodes[b]], h, h, fusion=h)

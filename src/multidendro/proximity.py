@@ -381,6 +381,8 @@ def _precision(text, start=0):
     run after a point, "_" (a digit separator) left out."""
     if text.find("e", start) >= 0 or text.find("E", start) >= 0:
         return None
+    if text.find(".", start) < 0:  # re would walk the text to find none
+        return 0
     # only a run longer than the best so far can raise it, so each search
     # passes over the shorter ones without making a match of each
     best = 0
@@ -597,14 +599,16 @@ def _check_square(grid, self_value):
         # written so that a NaN self entry fails too
         bad_diag = ~(np.abs(grid.diagonal() - self_value) <= _SYM_TOL)
     diag_row = int(bad_diag.argmax()) if bad_diag.any() else n
-    # a band of rows against the same band of columns, only above the bad
-    # diagonal entry; flags are symmetric, so the first in row order lies
-    # above the diagonal, in the lowest row holding an asymmetric pair
+    # a band of rows from its first row's column on against that band of
+    # columns, above the bad diagonal entry; flags are symmetric, so the
+    # first in row order lies right of the diagonal, where a band reads
     for band in row_bands(diag_row, n):
+        top = band.start
         with np.errstate(invalid="ignore", over="ignore"):
-            asym = np.abs(grid[band] - grid[:, band].T) > _SYM_TOL
+            asym = np.abs(grid[band, top:] - grid[top:, band].T) > _SYM_TOL
         if asym.any():
-            i, j = divmod(int(asym.argmax()) + band.start * n, n)
+            i, j = divmod(int(asym.argmax()), n - top)
+            i, j = i + top, j + top
             raise AsymmetricInput(
                 "entry (%d,%d)=%r disagrees with (%d,%d)=%r"
                 % (i + 1, j + 1, float(grid[i, j]), j + 1, i + 1, float(grid[j, i]))

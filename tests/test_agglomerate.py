@@ -3,8 +3,10 @@ import dataclasses
 import io
 import itertools
 import json
+import random
 import struct
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -18,6 +20,7 @@ from multidendro import (
     ClusterState,
     EmptyInput,
     FusionFallbackWarning,
+    Leaf,
     MethodSpec,
     MultivaluedTree,
     OutOfRange,
@@ -115,6 +118,32 @@ def test_tie_groups_respect_precision():
     raw = matrix_from_square(square)
     state = ClusterState.from_matrix(raw)
     assert _groups_from_edges(*state.shortest()[2]) == [(1, 2)]
+
+
+@pytest.mark.parametrize("precision", [0, 1])
+def test_shortest_matches_full_scan_over_bands(precision):
+    # 300 points in a 3-wide square, their distances d as whole numbers
+    # rint(d) + 1, or as raw d / 10 + 0.1, which ties once rounded to one
+    # decimal: thousands of pairs tie at the least value. Their rows fill
+    # several bands, and a band reads only the columns right of its first
+    # row
+    n = 300
+    pts = np.random.default_rng(11).uniform(0.0, 3.0, size=(n, 2))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    d = np.rint(d) + 1.0 if precision == 0 else d / 10 + 0.1
+    state = ClusterState.from_matrix(ProximityMatrix(
+        tuple("x%d" % i for i in range(n)), d[np.triu_indices(n, 1)],
+        precision=precision))
+    for _ in range(3):
+        if state.count < 2:
+            break
+        want = shortest_full_scan(state)
+        assert shortest_pairs(state) == want
+        if state.count == n:
+            rows = {r for r, _ in want[2]}
+            assert len(proximity.row_bands(len(rows), n)) > 1
+        state.merge(_groups_from_edges(*state.shortest()[2]),
+                    MethodSpec("single"))
 
 
 # ---- cached row minima ----
@@ -323,7 +352,32 @@ def test_group_interval_spans_its_whole_block(tied_cloud):
         ids = np.array(group.member_ids)
         block = tied_cloud[np.ix_(ids, ids)][~np.eye(len(ids), dtype=bool)]
         assert (group.h_lower, group.h_upper) == (block.min(), block.max())
-    assert len(agglomerate.row_bands(896, 896)) > 1
+    assert len(agglomerate.row_bands(896, 900 + 896)) > 1
+
+
+@pytest.mark.parametrize("pair", [
+    # inside the fourth band of 36 rows (108 to 143), below its first row
+    (110, 115),
+    # across a band edge, the first row's last column, the last band
+    (35, 37), (0, 899), (897, 899)])
+@pytest.mark.parametrize("value,interval", [(0.6, (0.6, 40.0)),
+                                            (50.0, (1.0, 50.0))])
+def test_group_interval_finds_its_extreme_pair_in_any_band(pair, value,
+                                                           interval):
+    # 900 clusters chained at raw 1.0 form one tied group at precision 0;
+    # its least (0.6, which ties with 1.0) or greatest distance sits at one
+    # pair, and every other is 40
+    n = 900
+    d = np.full((n, n), 40.0)
+    chain = np.arange(n - 1)
+    d[chain, chain + 1] = d[chain + 1, chain] = 1.0
+    d[pair] = d[pair[::-1]] = value
+    np.fill_diagonal(d, 0.0)
+    _, trace = cluster_variable_group(_tied_matrix(d), "single")
+    (group,) = trace.iterations[0].groups
+    assert len(group.member_ids) == n
+    assert (group.h_lower, group.h_upper) == interval
+    assert len(agglomerate.row_bands(n, n + n)) == 25
 
 
 # ---- single linkage at scale ----
@@ -646,6 +700,76 @@ def test_pg_random_needs_seedable_rule(toy):
         got = cluster_pair_group(toy, "unweighted_average",
                                  tiebreak="random", seed=seed)
         assert to_newick_extended(got) in newicks
+
+
+def pair_group_by_sorted_ids(matrix, method, tiebreak, seed=None):
+    """The root of ``cluster_pair_group``'s tree, each step's tied pairs
+    made Python (slot, slot) tuples and sorted by their (low id, high id)
+    before the rule picks one: the first, the last or
+    ``random.Random(seed).choice``. It merges on the engine's own
+    ``ClusterState``, so only the pick is made apart."""
+    rng = random.Random(seed)
+    state = ClusterState.from_matrix(matrix)
+    nodes = [Leaf(i, label) for i, label in enumerate(matrix.labels)]
+    while state.count > 1:
+        low, high = state.shortest()[2]
+        candidates = sorted(
+            zip(low.tolist(), high.tolist()),
+            key=lambda edge: sorted(state.cid_at[s] for s in edge))
+        if tiebreak == "first":
+            a, b = candidates[0]
+        elif tiebreak == "last":
+            a, b = candidates[-1]
+        else:
+            a, b = rng.choice(candidates)
+        h = float(state.dist[a, b])
+        state.merge([(a, b)], method)
+        nodes[a] = internal([nodes[a], nodes[b]], h, h, fusion=h)
+    return nodes[0]
+
+
+def test_pair_group_rules_pick_as_sorted_tuples_do():
+    # each rule's pick from arrays of id keys against a sort of Python
+    # tuples, on all-equal and rounded matrices
+    n = 40
+    pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(n, 2))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    labels = tuple("x%d" % i for i in range(n))
+    for values, precision in ((np.ones(n * (n - 1) // 2), 0),
+                              (np.round(d, 1)[np.triu_indices(n, 1)] + 0.1,
+                               1)):
+        matrix = ProximityMatrix(labels, values, precision=precision)
+        for kind in ("single", "unweighted_average"):
+            for rule, seed in (("first", None), ("last", None),
+                               ("random", 0), ("random", 9)):
+                tree = cluster_pair_group(matrix, kind, tiebreak=rule,
+                                          seed=seed)
+                root = pair_group_by_sorted_ids(matrix, MethodSpec(kind),
+                                                rule, seed)
+                assert to_newick_extended(tree) == to_newick_extended(
+                    dataclasses.replace(tree, root=root)), (kind, rule)
+
+
+@pytest.mark.parametrize("rule", agglomerate.TIEBREAKS)
+def test_pair_group_on_an_all_equal_matrix(rule):
+    # every pair of 400 ties at every step: the rules pick from arrays, so
+    # a run costs quadratic numpy work per step, not a sort of up to 79,800
+    # Python tuples (about 10 s a run); the bound leaves room for a slow host
+    n = 400
+    matrix = ProximityMatrix(tuple("x%d" % i for i in range(n)),
+                             np.ones(n * (n - 1) // 2), precision=0)
+    start = time.perf_counter()
+    tree = cluster_pair_group(matrix, "single", tiebreak=rule, seed=4)
+    assert time.perf_counter() - start < 3.0
+    assert not validate_tree(tree).errors
+    nodes = list(tree.internal_nodes())
+    assert len(nodes) == n - 1
+    assert all(node.h_lower == node.h_upper == 1.0 for node in nodes)
+    cherries = sum(all(c.is_leaf for c in node.children) for node in nodes)
+    if rule == "first":  # the leaves in pairs, (x0, x1), (x2, x3), ...
+        assert cherries == n // 2
+    elif rule == "last":  # (x398, x399), then one leaf at a time
+        assert cherries == 1
 
 
 # ---- enumeration ----

@@ -218,6 +218,7 @@ def test_unknown_format():
     ("0 1.\n1. 0\n", 0),
     # header labels are no values: neither their dots nor their "e"s count
     ("a.123 e.f\n0 1.5\n1.5 0\n", 1),
+    ("a.b c\n0 1\n1 0\n", 0),
 ])
 def test_precision_inferred_from_written_decimals(text, expected):
     assert parse_matrix(text, "square").precision == expected
@@ -1126,6 +1127,8 @@ def _banded_grid(asym=None, diag=None):
     # a pair across a band edge, and alone
     ((108, 109), None, "pair"),
     ((327, 599), None, "pair"),
+    # a pair inside the second band (rows 109 to 217), below its first row
+    ((110, 115), None, "pair"),
     (None, 598, "diag"),
 ])
 def test_square_check_reports_the_first_failure_across_bands(asym, diag,
